@@ -94,7 +94,7 @@ def _cmd_preset(args):
 
 def _cmd_sample(args):
     t = load_template(args.template)
-    smp = sample(t, args.size, **_sampler_kwargs(args))
+    smp = sample(t, args.size)
     note = (
         f"sample of {t.name!r} at n={args.size}: "
         f"{smp.structure.size} elements"
@@ -109,7 +109,7 @@ def _cmd_sample(args):
 def _cmd_solve(args):
     t = load_template(args.template)
     instance = load_instance(args.instance)
-    verdict = solve(t, instance, **_sampler_kwargs(args))
+    verdict = solve(t, instance)
     data = verdict.to_json_dict()
     if not args.witness:
         data.pop("witness", None)
@@ -232,13 +232,6 @@ def _single_binary_relation(structure, path):
     return binary[0]
 
 
-def _sampler_kwargs(args):
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return kwargs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordcsp",
@@ -259,14 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", _cmd_sample, "sample a template at a given size")
     p.add_argument("--template", required=True)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sidecar", help="also write representatives here")
 
     p = add("solve", _cmd_solve, "decide an instance against a template")
     p.add_argument("--template", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("ac", _cmd_ac, "arc-consistency on (instance, structure)")
     p.add_argument("--instance", required=True)

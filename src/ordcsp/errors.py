@@ -27,12 +27,12 @@ class CapExceeded(RuntimeError):
 
 class EqualityNotEquivalence(SchemaError):
     """The equality formula of an interpretation is not an equivalence
-    relation on the sampled grid."""
+    relation on its domain."""
 
 
 class EqualityNotCongruence(SchemaError):
     """The equality formula of an interpretation is not a congruence for
-    some relation formula on the sampled grid."""
+    some relation formula."""
 
 
 class VerificationFailed(RuntimeError):

@@ -16,11 +16,11 @@ then R and the converse of S must intersect.
 induced substructures on n distinct elements. For the built-in templates
 qlt, ord3, gamma1 and gamma2 every isomorphism between finite induced
 substructures extends to a symmetry of the whole template, so the class
-count equals the number of n-subset orbits and is reported as exact;
-otherwise it is a lower bound. Classes are enumerated by levelwise
-extension: keep one concrete point configuration per class, re-grid it
-with gaps so that a new point can take every relative position, and
-canonicalize the grown structures. This visits a number of
+count equals the number of n-subset orbits and is reported as exact for
+any template equal to one of them up to its name; otherwise it is a lower
+bound. Classes are enumerated by levelwise extension: keep one concrete
+point configuration per class, re-grid it with gaps so that a new point
+can take every relative position, and canonicalize the grown structures. This visits a number of
 configurations proportional to the number of classes rather than the
 number of n-subsets of a sample, which is what makes counts like n = 5
 over a 100-element sample feasible.
@@ -28,7 +28,7 @@ over a 100-element sample feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
@@ -41,7 +41,7 @@ from .polymorphism import (
 )
 from .powerset import power_structure
 from .structures import FiniteStructure
-from .template import Template
+from .template import Template, preset
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -506,5 +506,5 @@ def orbit_count(
             )
             reps.setdefault(form, config)
 
-    exactness = EXACT if t.name in EXACT_PRESETS else LOWER_BOUND
-    return OrbitReport(n, len(reps), exactness)
+    exact = any(replace(preset(p), name=t.name) == t for p in EXACT_PRESETS)
+    return OrbitReport(n, len(reps), EXACT if exact else LOWER_BOUND)

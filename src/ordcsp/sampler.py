@@ -8,27 +8,27 @@ the sample iff it maps into the template.
   increasing rationals); relation tuples are exactly the grid tuples
   satisfying the defining formulas.
 * Interpretations of dimension d: enumerate the d-tuples over the grid
-  {0..dn-1} that satisfy the domain formula, quotient them by the
-  equality formula (union-find over satisfying pairs), and evaluate each
-  relation formula on class representatives.
+  {0..dn-1} that satisfy the domain formula, group them into classes of
+  the equality formula, and evaluate each relation formula on each
+  class's least member.
 
 The grid is 0-based; only the relative order of values matters. A sample
-at n = 0 is defined as the sample at n = 1 (an empty instance is accepted
-upstream without sampling). An unsatisfiable domain formula yields an
-empty sample, not an error.
+at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
+formula yields an empty sample, not an error.
 
-Before trusting the quotient, the equality formula is validated on the
-grid: reflexivity on every satisfying tuple, symmetry on every pair, and
-agreement on every within-class pair after closure. Congruence of each
-relation formula (equal tuples are interchangeable as arguments) is
-checked exhaustively while the total evaluation count stays under a
-budget, and on a seeded random sample (with a warning) beyond it.
+The quotient is sound only if the equality formula is an equivalence on
+the domain and a congruence for every relation. The formulas are
+quantifier-free order formulas, so each property holds iff it holds on
+every order type of the at most (arity+1)*d values it reads, and the grid
+at n* = max(3, max arity + 1) realises all of them. One exact check there
+decides both properties for every n; it runs on a template's first
+interpretation sample and its outcome is cached on the template object.
+A template too large to check exactly raises ``CapExceeded``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -36,14 +36,14 @@ from .errors import (
     CapExceeded,
     EqualityNotCongruence,
     EqualityNotEquivalence,
+    SchemaError,
 )
 from .formula import compile_formula
 from .structures import FiniteStructure, Signature
 from .template import DIRECT, INTERPRETATION, Template
 
-DEFAULT_GRID_CAP = 10**6
-DEFAULT_CONGRUENCE_BUDGET = 4 * 10**6
-CONGRUENCE_SAMPLE = 10**5
+GRID_CAP = 10**6
+CHECK_BUDGET = 4 * 10**6
 
 
 @dataclass
@@ -62,10 +62,10 @@ class Sample:
         }
 
 
-def sample(t: Template, n: int, **kwargs) -> Sample:
+def sample(t: Template, n: int) -> Sample:
     if t.kind == DIRECT:
         return sample_direct(t, n)
-    return sample_interpretation(t, n, **kwargs)
+    return sample_interpretation(t, n)
 
 
 def sample_direct(t: Template, n: int) -> Sample:
@@ -85,28 +85,9 @@ def sample_direct(t: Template, n: int) -> Sample:
     return Sample(structure, tuple((i,) for i in range(n)), n)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def sample_interpretation(
     t: Template,
     n: int,
-    grid_cap: int = DEFAULT_GRID_CAP,
-    congruence_budget: int = DEFAULT_CONGRUENCE_BUDGET,
-    seed: int = 0,
     representative_rng: random.Random | None = None,
 ) -> Sample:
     """Quotient the satisfying grid tuples and evaluate relations on
@@ -118,64 +99,13 @@ def sample_interpretation(
     """
     if t.kind != INTERPRETATION:
         raise ValueError("sample_interpretation needs an interpretation")
+    _check_equality(t)
     n = max(n, 1)
-    d = t.dimension
-    g = d * n
-    if g**d > grid_cap:
-        raise CapExceeded(f"grid cap: {g}^{d} > {grid_cap}")
-
-    dom = compile_formula(t.domain_formula)
-    eqf = compile_formula(t.equality_formula)
-    points = [p for p in product(range(g), repeat=d) if dom(p)]
-
-    for p in points:
-        if not eqf(p + p):
-            raise EqualityNotEquivalence(
-                f"equality formula is not reflexive on {p}"
-            )
-    uf = _UnionFind(len(points))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            forward = eqf(points[i] + points[j])
-            backward = eqf(points[j] + points[i])
-            if forward != backward:
-                raise EqualityNotEquivalence(
-                    f"equality formula is not symmetric on "
-                    f"{points[i]}, {points[j]}"
-                )
-            if forward:
-                uf.union(i, j)
-
-    classes: dict[int, list[int]] = {}
-    for i in range(len(points)):
-        classes.setdefault(uf.find(i), []).append(i)
-    # Union-find closure must agree with the formula pointwise, otherwise
-    # the formula is not transitive.
-    for members in classes.values():
-        for i in members:
-            for j in members:
-                if i < j and not eqf(points[i] + points[j]):
-                    raise EqualityNotEquivalence(
-                        f"equality formula is not transitive: "
-                        f"{points[i]} ~ {points[j]} only through others"
-                    )
-
-    # Classes ordered by their lexicographically least member (points were
-    # generated in lexicographic order, so that is the first member).
-    ordered = sorted(classes.values(), key=lambda ms: points[ms[0]])
-    class_of = {}
-    for ci, members in enumerate(ordered):
-        for i in members:
-            class_of[i] = ci
-
-    _validate_congruence(t, points, class_of, congruence_budget, seed)
-
-    if representative_rng is None:
-        reps = [points[members[0]] for members in ordered]
-    else:
-        reps = [
-            points[representative_rng.choice(members)] for members in ordered
-        ]
+    g = t.dimension * n
+    points = _domain_points(t, g)
+    classes = _group(points, compile_formula(t.equality_formula))
+    pick = min if representative_rng is None else representative_rng.choice
+    reps = [points[pick(members)] for members in classes]
 
     relations = {}
     for rel in t.relations:
@@ -196,51 +126,80 @@ def sample_interpretation(
     return Sample(structure, tuple(reps), g)
 
 
-def _validate_congruence(t, points, class_of, budget, seed):
-    """Relation formulas must not distinguish equal tuples: evaluated over
-    member combinations, the result must be a function of the classes."""
-    n_points = len(points)
-    if n_points == 0:
-        return
+def _domain_points(t, g):
+    """The domain's d-tuples over {0..g-1}, in lexicographic order."""
+    d = t.dimension
+    if g**d > GRID_CAP:
+        raise CapExceeded(f"grid cap: {g}^{d} > {GRID_CAP}")
+    dom = compile_formula(t.domain_formula)
+    return [p for p in product(range(g), repeat=d) if dom(p)]
+
+
+def _group(points, eqf):
+    """Classes as lists of point indices: each point joins the first class
+    whose first (so least, as points are sorted) member it equals."""
+    classes = []
+    for i, p in enumerate(points):
+        for members in classes:
+            if eqf(p + points[members[0]]):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+def _check_equality(t):
+    """Raise unless the equality formula of ``t`` is an equivalence and a
+    congruence; decided once per template object (see module docstring)."""
+    if not hasattr(t, "_equality_problem"):
+        try:
+            _decide_equality(t)
+            problem = None
+        except (SchemaError, CapExceeded) as exc:
+            problem = exc
+        object.__setattr__(t, "_equality_problem", problem)
+    if t._equality_problem is not None:
+        raise t._equality_problem.with_traceback(None)
+
+
+def _decide_equality(t):
+    arities = [rel.arity for rel in t.relations]
+    points = _domain_points(t, t.dimension * (max([2, *arities]) + 1))
+    size = len(points)
+    if size * size > CHECK_BUDGET:
+        raise CapExceeded(f"equality check: {size}^2 pairs > {CHECK_BUDGET}")
+    eqf = compile_formula(t.equality_formula)
+    bad = next((p for p in points if not eqf(p + p)), None)
+    if bad is not None:
+        raise EqualityNotEquivalence(f"equality is not reflexive on {bad}")
+    # A reflexive formula is an equivalence iff it holds exactly between
+    # the points that _group puts in one class.
+    classes = _group(points, eqf)
+    class_of = {i: ci for ci, members in enumerate(classes) for i in members}
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            if eqf(p + q) != (class_of[i] == class_of[j]):
+                raise EqualityNotEquivalence(
+                    f"equality formula is not symmetric or not transitive "
+                    f"around {p}, {q}"
+                )
+    # Congruence: each point must be interchangeable with its class's
+    # least member in every argument position; chains of such swaps join
+    # any two argument tuples of the same classes.
+    swaps = [(points[j], points[ms[0]]) for ms in classes for j in ms[1:]]
+    work = len(swaps) * sum(m * size ** (m - 1) for m in arities)
+    if work > CHECK_BUDGET:
+        raise CapExceeded(f"congruence check: {work} > {CHECK_BUDGET}")
     for rel in t.relations:
         fn = compile_formula(rel.formula)
-        m = rel.arity
-        if n_points**m <= budget:
-            seen: dict[tuple, tuple] = {}
-            for combo in product(range(n_points), repeat=m):
-                flat = tuple(x for i in combo for x in points[i])
-                key = tuple(class_of[i] for i in combo)
-                val = fn(flat)
-                prev = seen.get(key)
-                if prev is None:
-                    seen[key] = (val, combo)
-                elif prev[0] != val:
-                    raise EqualityNotCongruence(
-                        f"relation {rel.name!r}: equal arguments "
-                        f"{[points[i] for i in prev[1]]} vs "
-                        f"{[points[i] for i in combo]} disagree"
-                    )
-        else:
-            warnings.warn(
-                f"relation {rel.name!r}: congruence spot-checked on "
-                f"{CONGRUENCE_SAMPLE} random pairs (grid too large for "
-                f"exhaustive check)",
-                stacklevel=2,
-            )
-            rng = random.Random(seed)
-            members_by_class: dict[int, list[int]] = {}
-            for i, ci in class_of.items():
-                members_by_class.setdefault(ci, []).append(i)
-            for _ in range(CONGRUENCE_SAMPLE):
-                base = [rng.randrange(n_points) for _ in range(m)]
-                pos = rng.randrange(m)
-                alt = list(base)
-                alt[pos] = rng.choice(members_by_class[class_of[base[pos]]])
-                flat_a = tuple(x for i in base for x in points[i])
-                flat_b = tuple(x for i in alt for x in points[i])
-                if fn(flat_a) != fn(flat_b):
-                    raise EqualityNotCongruence(
-                        f"relation {rel.name!r}: equal arguments "
-                        f"{[points[i] for i in base]} vs "
-                        f"{[points[i] for i in alt]} disagree"
-                    )
+        for q, least in swaps:
+            for rest in product(points, repeat=rel.arity - 1):
+                for a in range(rel.arity):
+                    args = rest[:a] + (q,) + rest[a:]
+                    alt = rest[:a] + (least,) + rest[a:]
+                    if fn(sum(args, ())) != fn(sum(alt, ())):
+                        raise EqualityNotCongruence(
+                            f"relation {rel.name!r}: equal arguments "
+                            f"{list(args)} vs {list(alt)} disagree"
+                        )

@@ -171,7 +171,7 @@ def extract_witness(t: Template, instance: Instance, domains) -> dict:
     return witness
 
 
-def solve(t: Template, instance: Instance, **sample_kwargs) -> Verdict:
+def solve(t: Template, instance: Instance) -> Verdict:
     """Sample at the instance's variable count, propagate, report.
 
     An instance with no variables is accepted immediately (sample_size 0).
@@ -183,7 +183,7 @@ def solve(t: Template, instance: Instance, **sample_kwargs) -> Verdict:
         if t.kind == DIRECT and t.semilattice is not None:
             verdict.witness = {}
         return verdict
-    smp: Sample = sample(t, n, **sample_kwargs)
+    smp: Sample = sample(t, n)
     accept, h = ac(instance, smp.structure)
     if not accept:
         return Verdict(False, smp.structure.size)

@@ -28,7 +28,7 @@ class Signature:
                 raise SchemaError(f"bad relation name {name!r}")
             if name in seen:
                 raise SchemaError(f"duplicate relation name {name!r}")
-            if not isinstance(arity, int) or arity < 1:
+            if type(arity) is not int or arity < 1:
                 raise SchemaError(f"relation {name!r} has bad arity {arity!r}")
             seen.add(name)
 
@@ -59,8 +59,8 @@ class FiniteStructure:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.size < 0:
-            raise SchemaError("size must be non-negative")
+        if type(self.size) is not int or self.size < 0:
+            raise SchemaError(f"size must be an int >= 0, got {self.size!r}")
         normalized = {}
         for name, arity in self.signature.symbols:
             tuples = frozenset(tuple(t) for t in self.relations.get(name, ()))
@@ -71,7 +71,7 @@ class FiniteStructure:
                         f"declared arity is {arity}"
                     )
                 for x in t:
-                    if not isinstance(x, int) or not 0 <= x < self.size:
+                    if type(x) is not int or not 0 <= x < self.size:
                         raise SchemaError(
                             f"relation {name!r}: entry {x!r} outside domain "
                             f"[0, {self.size})"
@@ -118,14 +118,11 @@ class FiniteStructure:
                 for name, tuples in data.get("relations", {}).items()
             }
             labels = data.get("labels")
-        except (KeyError, TypeError) as exc:
+            if labels is not None:
+                labels = tuple(_json_list(labels, "labels"))
+        except (AttributeError, KeyError, TypeError) as exc:
             raise SchemaError(f"bad structure JSON: {exc}") from exc
-        return cls(
-            Signature(symbols),
-            size,
-            relations,
-            tuple(labels) if labels is not None else None,
-        )
+        return cls(Signature(symbols), size, relations, labels)
 
 
 @dataclass
@@ -179,14 +176,20 @@ class Instance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
         try:
-            variables = tuple(data["variables"])
+            variables = tuple(_json_list(data["variables"], "variables"))
             constraints = tuple(
-                (entry["rel"], tuple(entry["args"]))
+                (entry["rel"], tuple(_json_list(entry["args"], "args")))
                 for entry in data.get("constraints", [])
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad instance JSON: {exc}") from exc
         return cls(variables, constraints)
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def instance_view(structure: FiniteStructure):

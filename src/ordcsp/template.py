@@ -101,21 +101,21 @@ class Template:
                 Relation(r["name"], r["arity"], parse_formula(r["formula"]))
                 for r in data["relations"]
             )
+            dimension = data.get("dimension", 1)
+            domain_formula = (
+                parse_formula(data["domain_formula"])
+                if "domain_formula" in data
+                else TRUE
+            )
+            equality_formula = (
+                parse_formula(data["equality_formula"])
+                if "equality_formula" in data
+                else eq(0, 1)
+            )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad template JSON: {exc}") from exc
         if kind not in (DIRECT, INTERPRETATION):
             raise SchemaError(f"bad template kind {kind!r}")
-        dimension = data.get("dimension", 1)
-        domain_formula = (
-            parse_formula(data["domain_formula"])
-            if "domain_formula" in data
-            else TRUE
-        )
-        equality_formula = (
-            parse_formula(data["equality_formula"])
-            if "equality_formula" in data
-            else eq(0, 1)
-        )
         template = cls(
             name,
             kind,
@@ -135,9 +135,18 @@ def validate_template(t: Template) -> list[str]:
     """Structural checks; returns a list of violations (empty = valid).
 
     Semantic properties of the equality formula (equivalence, congruence)
-    need a concrete grid and are checked at sampling time.
+    are checked once per template, on its first sample.
     """
-    problems = []
+    typed = [("name", t.name, str), ("dimension", t.dimension, int)]
+    for rel in t.relations:
+        typed += [("relation name", rel.name, str), ("arity", rel.arity, int)]
+    problems = [
+        f"{what} must be {kind.__name__}, got {value!r}"
+        for what, value, kind in typed
+        if type(value) is not kind
+    ]
+    if problems:
+        return problems
     if t.kind not in (DIRECT, INTERPRETATION):
         problems.append(f"kind must be direct or interpretation, got {t.kind!r}")
     if t.dimension < 1:

@@ -241,6 +241,10 @@ def test_schema_error_exit(tmp_path, capsys):
     assert "bad.json" in err
     missing = tmp_path / "missing.json"
     assert run_cli(["hom", "--from", str(missing), "--to", str(missing)]) == 2
+    template = tmp_path / "string_dimension.json"
+    _, data = run(capsys, "preset", "--name", "gamma2")
+    write_json(template, {**data, "dimension": "2"})
+    assert run_cli(["sample", "--template", str(template), "--size", "2"]) == 2
 
 
 def test_usage_error_exit():

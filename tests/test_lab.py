@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -137,10 +138,12 @@ def test_walk_lemma_randomized_campaign():
 
 
 def test_orbit_qlt_always_one():
-    for n in range(1, 6):
-        report = orbit_count(preset("qlt"), n)
-        assert report.class_count == 1
-        assert report.exactness == "exact"
+    # Exactness follows the template's content, not its name.
+    for t in (preset("qlt"), replace(preset("qlt"), name="myqlt")):
+        for n in range(1, 6):
+            report = orbit_count(t, n)
+            assert report.class_count == 1
+            assert report.exactness == "exact"
 
 
 def test_orbit_gamma2_doubles():
@@ -157,9 +160,10 @@ def test_orbit_gamma1_examples():
 
 
 def test_orbit_gamma3_lower_bound():
-    report = orbit_count(preset("gamma3"), 3)
-    assert report.exactness == "lower_bound"
-    assert report.class_count >= 1
+    for name in ("gamma3", "qlt"):
+        report = orbit_count(replace(preset("gamma3"), name=name), 3)
+        assert report.exactness == "lower_bound"
+        assert report.class_count >= 1
 
 
 def test_orbit_caps():

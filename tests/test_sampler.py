@@ -1,7 +1,10 @@
 import random
+import warnings
+from dataclasses import replace
 
 import pytest
 
+import ordcsp.sampler
 from ordcsp import (
     CapExceeded,
     EqualityNotCongruence,
@@ -146,6 +149,13 @@ def test_unsatisfiable_domain_gives_empty_sample():
     assert smp.structure.relations["S"] == frozenset()
 
 
+def rejected_at_every_n(t, error):
+    # A fresh copy per n: the verdict is cached on the template object.
+    for n in (1, 2, 5):
+        with pytest.raises(error):
+            sample_interpretation(replace(t), n)
+
+
 def test_equality_not_equivalence_detected():
     # x <= y is reflexive but not symmetric.
     bad = Template(
@@ -156,8 +166,7 @@ def test_equality_not_equivalence_detected():
         equality_formula=parse_formula("(le 0 1)"),
         relations=(Relation("S", 2, lt(0, 1)),),
     )
-    with pytest.raises(EqualityNotEquivalence):
-        sample_interpretation(bad, 2)
+    rejected_at_every_n(bad, EqualityNotEquivalence)
 
 
 def test_equality_not_reflexive_detected():
@@ -169,8 +178,7 @@ def test_equality_not_reflexive_detected():
         equality_formula=ne(0, 1),
         relations=(Relation("S", 2, lt(0, 1)),),
     )
-    with pytest.raises(EqualityNotEquivalence):
-        sample_interpretation(bad, 2)
+    rejected_at_every_n(bad, EqualityNotEquivalence)
 
 
 def test_equality_not_congruence_detected():
@@ -184,8 +192,53 @@ def test_equality_not_congruence_detected():
         equality_formula=TRUE,
         relations=(Relation("S", 2, lt(0, 1)),),
     )
-    with pytest.raises(EqualityNotCongruence):
-        sample_interpretation(t, 2)
+    rejected_at_every_n(t, EqualityNotCongruence)
+
+
+def test_equality_too_large_to_check_exactly():
+    # Both are congruences, but too large to check exactly: a cap, not a
+    # spot-check. On its grid, "wide" needs 4 * 90 * 100^3 congruence
+    # evaluations and "deep" 5832^2 equality pairs.
+    wide = Template(
+        name="wide",
+        kind="interpretation",
+        dimension=2,
+        domain_formula=TRUE,
+        equality_formula=parse_formula("(eq 0 2)"),
+        relations=(
+            Relation("R", 4, parse_formula("(and (lt 0 2) (lt 4 6))")),
+        ),
+    )
+    deep = Template(
+        name="deep",
+        kind="interpretation",
+        dimension=3,
+        domain_formula=TRUE,
+        equality_formula=and_(eq(0, 3), eq(1, 4), eq(2, 5)),
+        relations=(Relation("R", 5, lt(0, 3)),),
+    )
+    for t in (wide, deep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceeded):
+                sample_interpretation(t, 2)
+
+
+def test_equality_checked_once_per_template(monkeypatch):
+    calls = []
+    decide = ordcsp.sampler._decide_equality
+    monkeypatch.setattr(
+        ordcsp.sampler,
+        "_decide_equality",
+        lambda t: calls.append(t.name) or decide(t),
+    )
+    good = preset("gamma3")
+    bad = Template("irref", "interpretation", 1, TRUE, ne(0, 1), ())
+    for n in (1, 2, 3):
+        sample(good, n)
+        with pytest.raises(EqualityNotEquivalence):
+            sample(bad, n)
+    assert calls == ["gamma3", "irref"]
 
 
 def test_direct_sampling_stability():

@@ -55,6 +55,27 @@ def test_structure_json_labels():
     assert again.labels == ("lo", "hi")
 
 
+def test_structure_json_rejects_wrong_types():
+    data = complete_graph(2).to_json_dict()
+    for key, value in (
+        ("relations", {"E": [[0, True]]}),
+        ("size", True),
+        ("labels", 5),
+        ("relations", [[0, 1]]),
+    ):
+        with pytest.raises(SchemaError):
+            FiniteStructure.from_json_dict({**data, key: value})
+
+
+def test_instance_json_rejects_non_lists():
+    with pytest.raises(SchemaError):
+        Instance.from_json_dict({"variables": "abc"})
+    with pytest.raises(SchemaError):
+        Instance.from_json_dict(
+            {"variables": ["a", "b"], "constraints": [{"rel": "E", "args": "ab"}]}
+        )
+
+
 def test_instance_validation():
     Instance(("x", "y"), (("E", ("x", "y")), ("E", ("y", "y"))))
     with pytest.raises(SchemaError):

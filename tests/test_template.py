@@ -118,6 +118,10 @@ def test_from_json_rejects_invalid():
         Template.from_json_dict(data)
     with pytest.raises(SchemaError):
         Template.from_json_dict({"name": "x", "kind": "weird", "relations": []})
+    good = preset("gamma2").to_json_dict()
+    for key, value in (("dimension", "2"), ("domain_formula", 5)):
+        with pytest.raises(SchemaError):
+            Template.from_json_dict({**good, key: value})
 
 
 def test_direct_defaults():
