@@ -16,7 +16,7 @@ One verb per capability::
 
 JSON goes to --out or stdout; human-readable summaries go to stderr.
 Exit codes: 0 accept/found/success, 1 reject/absent, 2 usage or format
-error, 3 internal cap exceeded.
+error, 3 internal cap exceeded, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_CRASH = 4
 
 
 def _load_json(path):
@@ -319,6 +320,12 @@ def run_cli(argv=None) -> int:
     except (SchemaError, VerificationFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(
+            f"error: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CRASH
 
 
 def main(argv=None):

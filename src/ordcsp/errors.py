@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: schema/usage problems exit with 2,
-exceeded caps and budgets with 3.
+exceeded caps and budgets with 3; any other exception is an internal
+error and exits with 4.
 """
 
 

@@ -6,7 +6,8 @@ the sample iff it maps into the template.
 
 * Direct templates: the sample is the grid {0..n-1} (standing for n
   increasing rationals); relation tuples are exactly the grid tuples
-  satisfying the defining formulas.
+  satisfying the defining formulas. A relation whose n**arity grid
+  tuples exceed ``GRID_CAP`` raises ``CapExceeded`` before enumeration.
 * Interpretations of dimension d: enumerate the d-tuples over the grid
   {0..dn-1} that satisfy the domain formula, group them into classes of
   the equality formula, and evaluate each relation formula on each
@@ -75,6 +76,8 @@ def sample_direct(t: Template, n: int) -> Sample:
     n = max(n, 1)
     relations = {}
     for rel in t.relations:
+        if n**rel.arity > GRID_CAP:
+            raise CapExceeded(f"grid cap: {n}^{rel.arity} > {GRID_CAP}")
         fn = compile_formula(rel.formula)
         relations[rel.name] = frozenset(
             tup for tup in product(range(n), repeat=rel.arity) if fn(tup)

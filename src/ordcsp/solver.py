@@ -11,10 +11,20 @@ constrain every one of their coordinates through the same set; the rule
 does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
-Two schedulers are provided: the default worklist (constraints re-queued
-when one of their variables shrinks) and a literal round-robin sweep.
-Both run to the fixpoint even once a set is empty, and the fixpoint is
-unique, so they return identical domain maps.
+``ac`` reaches that fixpoint by table reduction. Each constraint keeps
+the tuples of its relation that every current candidate set still
+supports. A revision filters that list once, then sets each argument
+variable to the values its coordinates still take, intersected over the
+positions where it appears. Variables that shrank requeue the constraints
+that mention them. A revision leaves its own constraint at a fixpoint
+unless it shrank a variable the constraint repeats: a variable's set is
+then narrower than some position's projection, so live tuples may have
+died, and only then does the constraint requeue itself.
+
+``ac_roundrobin`` is the reference: it sweeps the projection rule over
+every constraint in declaration order until nothing changes. Both run to
+the fixpoint even once a set is empty, and the fixpoint is unique, so
+they return identical domain maps.
 
 ``solve`` ties the pieces together: sample the template at the instance's
 variable count, run ac, and -- for direct templates declaring a
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import contains
 
 from .errors import SignatureMismatch, VerificationFailed
 from .formula import compile_formula
@@ -58,26 +69,37 @@ def _prepared(instance: Instance, b: FiniteStructure):
 
 
 def ac(instance: Instance, b: FiniteStructure):
-    """Worklist arc-consistency. Returns (accept, domain map)."""
-    constraints = _prepared(instance, b)
+    """Worklist arc-consistency by table reduction. Returns (accept,
+    domain map)."""
+    instance.check_against(b.signature)
     h = {v: set(range(b.size)) for v in instance.variables}
+    args_of = [args for _, args in instance.constraints]
+    live = [b.relations[rel] for rel, _ in instance.constraints]
     by_var: dict[str, list[int]] = {v: [] for v in instance.variables}
-    for ci, (_, args) in enumerate(constraints):
+    for ci, args in enumerate(args_of):
         for v in set(args):
             by_var[v].append(ci)
 
-    queue = deque(range(len(constraints)))
+    queue = deque(range(len(args_of)))
     queued = set(queue)
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
-        tuples, args = constraints[ci]
-        changed = _projection_pass(tuples, args, h)
-        for v in sorted(changed):
-            for cj in by_var[v]:
-                if cj not in queued:
-                    queue.append(cj)
-                    queued.add(cj)
+        args = args_of[ci]
+        domains = [h[v] for v in args]
+        live[ci] = [t for t in live[ci] if all(map(contains, domains, t))]
+        columns = [set(c) for c in zip(*live[ci])] or [set() for _ in args]
+        support = {}
+        for v, column in zip(args, columns):
+            support[v] = support[v] & column if v in support else column
+        for v, values in support.items():
+            if len(values) < len(h[v]):
+                h[v] = values
+                repeated = args.count(v) > 1
+                for cj in by_var[v]:
+                    if cj not in queued and (cj != ci or repeated):
+                        queue.append(cj)
+                        queued.add(cj)
     accept = all(h[v] for v in instance.variables)
     return accept, h
 

@@ -136,19 +136,22 @@ class Instance:
     )
 
     def __post_init__(self):
-        self.variables = tuple(str(v) for v in self.variables)
+        self.variables = tuple(self.variables)
+        for v in self.variables:
+            _check_name(v, "variable")
         if len(set(self.variables)) != len(self.variables):
             raise SchemaError("variable names must be unique")
         known = set(self.variables)
         normalized = []
         for rel, args in self.constraints:
-            args = tuple(str(a) for a in args)
+            _check_name(rel, "relation")
+            args = tuple(args)
             for a in args:
                 if a not in known:
                     raise SchemaError(
                         f"constraint {rel!r} uses undeclared variable {a!r}"
                     )
-            normalized.append((str(rel), args))
+            normalized.append((rel, args))
         self.constraints = tuple(normalized)
 
     def check_against(self, signature: Signature):
@@ -184,6 +187,11 @@ class Instance:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad instance JSON: {exc}") from exc
         return cls(variables, constraints)
+
+
+def _check_name(name, what):
+    if not isinstance(name, str):
+        raise SchemaError(f"{what} name must be a string, got {name!r}")
 
 
 def _json_list(value, what):

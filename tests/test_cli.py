@@ -111,6 +111,19 @@ def test_solve_exit_codes_and_witness(tmp_path, capsys):
     assert code == 1
     assert data["accept"] is False
 
+    # 101 variables ask for 101**3 ord3 grid tuples, beyond the cap.
+    wide = tmp_path / "wide.json"
+    variables = [f"v{i}" for i in range(101)]
+    write_json(
+        wide,
+        {
+            "variables": variables,
+            "constraints": [{"rel": "T", "args": variables[:3]}],
+        },
+    )
+    assert run_cli(["solve", "--template", str(t), "--instance", str(wide)]) == 3
+    assert "grid cap" in capsys.readouterr().err
+
 
 def test_ac_and_hom_disagree_on_k4_k3(tmp_path, capsys):
     k3 = tmp_path / "k3.json"
@@ -245,6 +258,29 @@ def test_schema_error_exit(tmp_path, capsys):
     _, data = run(capsys, "preset", "--name", "gamma2")
     write_json(template, {**data, "dimension": "2"})
     assert run_cli(["sample", "--template", str(template), "--size", "2"]) == 2
+
+    inst = tmp_path / "non_string_names.json"
+    write_json(
+        inst,
+        {
+            "variables": [None, 1.5, True],
+            "constraints": [{"rel": 7, "args": [None, True]}],
+        },
+    )
+    structure = tmp_path / "k2.json"
+    write_json(structure, complete_graph(2).to_json_dict())
+    code = run_cli(["ac", "--instance", str(inst), "--structure", str(structure)])
+    assert code == 2
+    assert "name must be a string" in capsys.readouterr().err
+
+
+def test_internal_error_exit(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ordcsp.cli._cmd_preset", crash)
+    assert run_cli(["preset", "--name", "qlt"]) == 4
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_usage_error_exit():

@@ -135,6 +135,12 @@ def test_grid_cap():
         sample_interpretation(preset("gamma2"), 600)
 
 
+def test_direct_grid_cap():
+    # 101**3 ternary grid tuples exceed GRID_CAP.
+    with pytest.raises(CapExceeded):
+        sample(preset("ord3"), 101)
+
+
 def test_unsatisfiable_domain_gives_empty_sample():
     t = Template(
         name="void",

@@ -12,6 +12,7 @@ from ordcsp import (
     hom_exists,
     power_structure,
     preset,
+    sample,
     sample_direct,
     solve,
     verify_assignment,
@@ -84,6 +85,24 @@ def test_ac_matches_roundrobin_and_is_sound():
         assert h_w == h_r
         if not accept_w:
             assert hom_exists(a, b) is None
+
+
+def test_ac_matches_roundrobin_on_template_samples():
+    # Ternary relations and interpretation samples, where instances repeat
+    # variables inside a constraint; covers the self-requeue of ``ac``.
+    rng = random.Random(33)
+    samples = [sample(preset("ord3"), n).structure for n in range(2, 6)] + [
+        sample(preset(name), n).structure
+        for name in ("gamma2", "gamma3")
+        for n in (2, 3)
+    ]
+    repeats = 0
+    for _ in range(240):
+        b = rng.choice(samples)
+        a = random_instance(rng, list(b.signature.symbols))
+        repeats += any(len(set(args)) < len(args) for _, args in a.constraints)
+        assert ac(a, b) == ac_roundrobin(a, b)
+    assert repeats >= 100
 
 
 def test_ac_domains_never_grow():

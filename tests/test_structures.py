@@ -76,6 +76,18 @@ def test_instance_json_rejects_non_lists():
         )
 
 
+def test_instance_json_rejects_non_string_names():
+    with pytest.raises(SchemaError):
+        Instance.from_json_dict(
+            {
+                "variables": [None, 1.5, True],
+                "constraints": [{"rel": 7, "args": [None, True]}],
+            }
+        )
+    with pytest.raises(SchemaError):
+        Instance(("x",), ((7, ("x",)),))
+
+
 def test_instance_validation():
     Instance(("x", "y"), (("E", ("x", "y")), ("E", ("y", "y"))))
     with pytest.raises(SchemaError):
