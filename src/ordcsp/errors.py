@@ -11,10 +11,13 @@ class SchemaError(ValueError):
 
 
 class FormulaError(SchemaError):
-    """Formula text could not be parsed; carries the character offset."""
+    """A formula could not be parsed or compiled; ``position`` is the
+    character offset in the text, or None for a formula built in Python."""
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
 
 

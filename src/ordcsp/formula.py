@@ -15,34 +15,47 @@ The concrete syntax is a small s-expression language::
 
 ``parse_formula`` and ``print_formula`` round-trip exactly; the six
 comparison operators are distinct AST nodes, never rewritten into each
-other.
+other. Connectives (``not``/``and``/``or``) nest at most ``MAX_DEPTH``
+deep; deeper input raises ``FormulaError`` from the parser and from
+``compile_formula``, never ``RecursionError``.
+
+``compile_formula`` turns a formula into one generated ``lambda p: ...``
+expression: atoms become ``p[i] < p[j]`` and so on, connectives the
+Python operators ``not``/``and``/``or``, which short-circuit left to
+right. The source holds only tokens from a fixed table, ``True``,
+``False`` and indices written by ``int()``; no field of a node is pasted
+in as text, and node fields are type-checked at construction.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import FormulaError
 
-ATOM_OPS = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
+# Comparison operators and the Python source token each compiles to.
+ATOM_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="}
+
+# Connectives may nest this deep; deeper formulas raise FormulaError.
+MAX_DEPTH = 300
+
+# Connective levels inlined into one generated function. A deeper subtree
+# becomes a function of its own, so each source stays far below the 200
+# nested parentheses that the CPython tokenizer accepts.
+_CHUNK_DEPTH = 50
 
 
 class Formula:
     """Base class for AST nodes. Nodes are immutable and hashable.
 
     ``free_var_count`` is 1 + the largest variable index used (0 when no
-    atom occurs), computed once at construction.
+    atom occurs), and ``depth`` the number of connectives on the longest
+    path from the root to an atom or constant; both are computed once at
+    construction.
     """
 
     free_var_count: int
+    depth: int
 
     def _set(self, **kw):
         for key, value in kw.items():
@@ -54,7 +67,9 @@ class Const(Formula):
     value: bool
 
     def __post_init__(self):
-        self._set(free_var_count=0)
+        if type(self.value) is not bool:
+            raise ValueError(f"constant must be a bool, got {self.value!r}")
+        self._set(free_var_count=0, depth=0)
 
 
 @dataclass(frozen=True)
@@ -66,9 +81,11 @@ class Atom(Formula):
     def __post_init__(self):
         if self.op not in ATOM_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
+        if type(self.left) is not int or type(self.right) is not int:
+            raise ValueError("variable indices must be of type int")
         if self.left < 0 or self.right < 0:
             raise ValueError("variable indices must be non-negative")
-        self._set(free_var_count=max(self.left, self.right) + 1)
+        self._set(free_var_count=max(self.left, self.right) + 1, depth=0)
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,10 @@ class Not(Formula):
     child: Formula
 
     def __post_init__(self):
-        self._set(free_var_count=self.child.free_var_count)
+        self._set(
+            free_var_count=self.child.free_var_count,
+            depth=self.child.depth + 1,
+        )
 
 
 @dataclass(frozen=True)
@@ -84,9 +104,7 @@ class And(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self):
-        if len(self.children) < 1:
-            raise ValueError("and needs at least one child")
-        self._set(free_var_count=max(c.free_var_count for c in self.children))
+        _set_connective(self, "and")
 
 
 @dataclass(frozen=True)
@@ -94,9 +112,16 @@ class Or(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self):
-        if len(self.children) < 1:
-            raise ValueError("or needs at least one child")
-        self._set(free_var_count=max(c.free_var_count for c in self.children))
+        _set_connective(self, "or")
+
+
+def _set_connective(f, name):
+    if len(f.children) < 1:
+        raise ValueError(f"{name} needs at least one child")
+    f._set(
+        free_var_count=max(c.free_var_count for c in f.children),
+        depth=max(c.depth for c in f.children) + 1,
+    )
 
 
 TRUE = Const(True)
@@ -140,30 +165,52 @@ def or_(*fs):
 
 
 def compile_formula(f: Formula):
-    """Turn a formula into a ``point -> bool`` closure (cached per node)."""
+    """Return ``f`` as a ``point -> bool`` function, cached on the node.
+
+    The function is one generated ``lambda p: <expr>``: ``(lt 0 1)``
+    becomes ``p[0] < p[1]``, and ``not``/``and``/``or`` become the Python
+    operators, which short-circuit as ``all``/``any`` would. The source
+    is built only from the ``ATOM_OPS`` tokens, ``True``, ``False``,
+    parentheses and indices written by ``int()``. A subtree more than
+    ``_CHUNK_DEPTH`` connectives below the root is compiled the same way
+    and called by name. Raises ``FormulaError`` when ``f`` nests deeper
+    than ``MAX_DEPTH``.
+    """
     fn = getattr(f, "_fn", None)
     if fn is None:
-        fn = _build(f)
+        if not isinstance(f, Formula):
+            raise TypeError(f"not a formula: {f!r}")
+        if f.depth > MAX_DEPTH:
+            raise FormulaError(
+                f"formula nests {f.depth} connectives deep, "
+                f"limit is {MAX_DEPTH}"
+            )
+        env = {"__builtins__": {}}
+        fn = eval("lambda p: " + _source(f, env, _CHUNK_DEPTH), env)
         f._set(_fn=fn)
     return fn
 
 
-def _build(f):
+def _source(f, env, levels):
+    """Python source for ``f`` on the point ``p``, inlining ``levels``
+    connectives; a connective below those is compiled on its own and
+    bound in ``env`` under a new name."""
     if isinstance(f, Const):
-        value = f.value
-        return lambda p: value
+        return "True" if f.value else "False"
     if isinstance(f, Atom):
-        cmp, i, j = ATOM_OPS[f.op], f.left, f.right
-        return lambda p: cmp(p[i], p[j])
+        return "p[%d] %s p[%d]" % (int(f.left), ATOM_OPS[f.op], int(f.right))
+    if levels == 0:
+        name = "f%d" % len(env)
+        env[name] = compile_formula(f)
+        return name + "(p)"
     if isinstance(f, Not):
-        sub = compile_formula(f.child)
-        return lambda p: not sub(p)
-    if isinstance(f, And):
-        subs = tuple(compile_formula(c) for c in f.children)
-        return lambda p: all(s(p) for s in subs)
-    if isinstance(f, Or):
-        subs = tuple(compile_formula(c) for c in f.children)
-        return lambda p: any(s(p) for s in subs)
+        return "(not " + _source(f.child, env, levels - 1) + ")"
+    if isinstance(f, (And, Or)):
+        glue = " and " if isinstance(f, And) else " or "
+        parts = []
+        for c in f.children:  # a loop, not a generator: one frame per level
+            parts.append(_source(c, env, levels - 1))
+        return "(" + glue.join(parts) + ")"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -233,7 +280,8 @@ class _Parser:
     def fail(self, message, position):
         raise FormulaError(message, position)
 
-    def parse_formula(self):
+    def parse_formula(self, depth=0):
+        """Parse one formula lying ``depth`` connectives deep."""
         tok, at = self.next()
         if tok is None:
             self.fail("unexpected end of input", at)
@@ -253,8 +301,10 @@ class _Parser:
             j = self.parse_index(op)
             self.expect_close(op)
             return Atom(op, i, j)
+        if op in ("not", "and", "or") and depth == MAX_DEPTH:
+            self.fail(f"connectives nest deeper than {MAX_DEPTH}", op_at)
         if op == "not":
-            child = self.parse_formula()
+            child = self.parse_formula(depth + 1)
             self.expect_close(op)
             return Not(child)
         if op in ("and", "or"):
@@ -266,7 +316,7 @@ class _Parser:
                     break
                 if tok is None:
                     self.fail(f"unterminated ({op} ...)", at)
-                children.append(self.parse_formula())
+                children.append(self.parse_formula(depth + 1))
             if not children:
                 self.fail(f"'{op}' needs at least one operand", op_at)
             return (And if op == "and" else Or)(tuple(children))

@@ -113,12 +113,11 @@ def sample_interpretation(
     relations = {}
     for rel in t.relations:
         fn = compile_formula(rel.formula)
-        members = set()
-        for combo in product(range(len(reps)), repeat=rel.arity):
-            flat = tuple(x for ci in combo for x in reps[ci])
-            if fn(flat):
-                members.add(combo)
-        relations[rel.name] = frozenset(members)
+        combos = product(range(len(reps)), repeat=rel.arity)
+        args = product(reps, repeat=rel.arity)
+        relations[rel.name] = frozenset(
+            combo for combo, arg in zip(combos, args) if fn(sum(arg, ()))
+        )
 
     structure = FiniteStructure(
         Signature(t.signature_symbols()),

@@ -1,14 +1,10 @@
 """Shared builders and independent oracles for the test suite."""
 
+import operator
 from functools import lru_cache
 from itertools import product
 
-from ordcsp import (
-    FiniteStructure,
-    Instance,
-    Signature,
-    eval_formula,
-)
+from ordcsp import FiniteStructure, Instance, Signature
 
 
 def complete_graph(n):
@@ -95,7 +91,7 @@ def satisfiable_by_weak_order(template, instance):
     formulas = {rel.name: rel.formula for rel in template.relations}
     for ranks in weak_orders(k):
         if all(
-            eval_formula(formulas[rel], [ranks[index[v]] for v in args])
+            holds(formulas[rel], [ranks[index[v]] for v in args])
             for rel, args in instance.constraints
         ):
             return True
@@ -110,3 +106,33 @@ def all_binary_structures(size):
             pairs[i] for i in range(len(pairs)) if bits >> i & 1
         )
         yield binary_structure(size, tuples)
+
+
+_REFERENCE_OPS = {
+    "lt": operator.lt,
+    "le": operator.le,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+
+def holds(f, point):
+    """Reference evaluator: walk the formula AST, reading nodes by class
+    name and fields, never through ``compile_formula``. It recurses once
+    per connective, so chains of ``MAX_DEPTH`` fit the recursion limit."""
+    kind = type(f).__name__
+    if kind == "Const":
+        return f.value
+    if kind == "Atom":
+        return _REFERENCE_OPS[f.op](point[f.left], point[f.right])
+    if kind == "Not":
+        return not holds(f.child, point)
+    if kind in ("And", "Or"):
+        decisive = kind == "Or"
+        for child in f.children:
+            if holds(child, point) == decisive:
+                return decisive
+        return not decisive
+    raise TypeError(f"not a formula node: {f!r}")

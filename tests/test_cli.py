@@ -274,6 +274,23 @@ def test_schema_error_exit(tmp_path, capsys):
     assert "name must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "(not " * 3000 + "(lt 0 1)" + ")" * 3000,
+        "(and " * 400 + "(lt 0 1)" + ")" * 400,
+    ],
+    ids=["not-3000", "and-400"],
+)
+def test_deep_formula_schema_error(tmp_path, capsys, formula):
+    template = tmp_path / "deep.json"
+    _, data = run(capsys, "preset", "--name", "qlt")
+    data["relations"][0]["formula"] = formula
+    write_json(template, data)
+    assert run_cli(["sample", "--template", str(template), "--size", "3"]) == 2
+    assert "connectives nest deeper than 300" in capsys.readouterr().err
+
+
 def test_internal_error_exit(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")

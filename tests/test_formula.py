@@ -1,3 +1,8 @@
+import io
+import random
+import tokenize
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +21,20 @@ from ordcsp import (
     parse_formula,
     print_formula,
 )
-from ordcsp.formula import And, Atom, Not, Or
+from ordcsp.formula import (
+    ATOM_OPS,
+    MAX_DEPTH,
+    And,
+    Atom,
+    Const,
+    Not,
+    Or,
+    _CHUNK_DEPTH,
+    _source,
+    compile_formula,
+)
+
+from conftest import holds
 
 
 def test_parse_basic():
@@ -83,7 +101,7 @@ def test_derived_atoms_are_first_class():
 indices = st.integers(min_value=0, max_value=5)
 
 
-def formulas():
+def formulas(max_leaves=12):
     atoms = st.one_of(
         st.just(TRUE),
         st.just(FALSE),
@@ -101,7 +119,7 @@ def formulas():
             st.builds(lambda cs: And(tuple(cs)), st.lists(sub, min_size=1, max_size=3)),
             st.builds(lambda cs: Or(tuple(cs)), st.lists(sub, min_size=1, max_size=3)),
         ),
-        max_leaves=12,
+        max_leaves=max_leaves,
     )
 
 
@@ -137,3 +155,116 @@ def test_order_isomorphism_invariance(f, p, stretch):
 def test_ne_is_not_lt_disguised():
     assert eval_formula(ne(0, 1), [2, 1]) is True
     assert eval_formula(ne(0, 1), [1, 1]) is False
+
+
+class SneakyIndex(int):
+    def __format__(self, spec):
+        return "0] or p[1"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, SneakyIndex(1)])
+def test_atom_rejects_non_int_indices(bad):
+    with pytest.raises(ValueError, match="type int"):
+        Atom("lt", bad, 0)
+    with pytest.raises(ValueError, match="type int"):
+        Atom("lt", 0, bad)
+
+
+@pytest.mark.parametrize("bad", [1, 0, None, "true"])
+def test_const_rejects_non_bool(bad):
+    with pytest.raises(ValueError, match="bool"):
+        Const(bad)
+
+
+def test_atoms_match_reference():
+    for op in ATOM_OPS:
+        for i, j in product(range(2), repeat=2):
+            f = Atom(op, i, j)
+            for p in product(range(2), repeat=2):
+                assert eval_formula(f, p) is holds(f, p)
+
+
+# Few distinct values, so that ties (where lt and le differ) are common.
+tie_points = st.lists(
+    st.integers(min_value=0, max_value=2), min_size=6, max_size=6
+)
+
+
+@given(formulas(max_leaves=40), formulas(max_leaves=40), tie_points)
+def test_compiled_matches_reference(f, g, p):
+    assert eval_formula(f, p) == holds(f, p)
+    assert eval_formula(g, p) == holds(g, p)
+    # f and g now carry compiled functions; trees that share them, f
+    # twice over, must still agree with the reference.
+    for h in (and_(g, not_(f)), or_(f, g, f), not_(and_(or_(g, f), f))):
+        assert eval_formula(h, p) == holds(h, p)
+
+
+def random_atom(rng):
+    return Atom(rng.choice(sorted(ATOM_OPS)), rng.randrange(4), rng.randrange(4))
+
+
+def mixed_chain(rng, depth):
+    """``depth`` nested connectives, each a not, or an and/or whose other
+    child is an atom that never decides it (always true under and, always
+    false under or), so that every level counts towards the value."""
+    f = random_atom(rng)
+    for _ in range(depth):
+        kind = rng.choice((Not, And, Or))
+        if kind is Not:
+            f = Not(f)
+        else:
+            ops = ("le", "eq", "ge") if kind is And else ("lt", "ne", "gt")
+            i = rng.randrange(4)
+            children = [f, Atom(rng.choice(ops), i, i)]
+            rng.shuffle(children)
+            f = kind(tuple(children))
+    return f
+
+
+def test_deep_chains_match_reference():
+    rng = random.Random(5)
+    for _ in range(20):
+        f = mixed_chain(rng, MAX_DEPTH)
+        assert f.depth == MAX_DEPTH
+        text = print_formula(f)
+        parsed = parse_formula(text)
+        assert print_formula(parsed) == text
+        for _ in range(5):
+            p = [rng.randrange(3) for _ in range(4)]
+            assert eval_formula(f, p) == holds(f, p)
+            assert eval_formula(parsed, p) == holds(f, p)
+
+
+def test_too_deep_is_a_formula_error():
+    for op in ("not", "and", "or"):
+        text = f"({op} " * (MAX_DEPTH + 1) + "true" + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(FormulaError, match="deeper than"):
+            parse_formula(text)
+    f = TRUE
+    for _ in range(3000):
+        f = Not(f)
+    with pytest.raises(FormulaError, match="limit is 300"):
+        compile_formula(f)
+    with pytest.raises(FormulaError):
+        compile_formula(mixed_chain(random.Random(1), MAX_DEPTH + 1))
+
+
+def test_generated_source_tokens():
+    # Every token of a generated function comes from the fixed table,
+    # the point name, a chunk function's name or a written index.
+    allowed = set(ATOM_OPS.values()) | {
+        "(", ")", "[", "]", "p", "not", "and", "or", "True", "False",
+    }
+    f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
+    env = {}
+    source = _source(f, env, _CHUNK_DEPTH)
+    assert env  # the chain spans several chunks
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            continue
+        assert (
+            tok.string in allowed
+            or tok.string in env
+            or (tok.type == tokenize.NUMBER and tok.string.isdigit())
+        ), tok

@@ -1,6 +1,7 @@
 import random
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,7 @@ from ordcsp import (
 )
 from ordcsp.formula import TRUE, and_, eq, lt, ne, parse_formula
 
-from conftest import random_instance
+from conftest import holds, random_instance
 
 
 def test_direct_qlt_3():
@@ -270,3 +271,43 @@ def test_sidecar_json():
         "representatives": [[0, 1], [1, 0]],
         "base_grid_size": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "name,sizes",
+    [
+        ("gamma1", (1, 2, 3, 4)),
+        ("gamma2", (1, 2, 3, 4, 5)),
+        ("gamma3", (1, 2, 3, 4, 5)),
+    ],
+)
+def test_interpretation_matches_brute_force(name, sizes):
+    # Rebuild each sample from the definition with the reference
+    # evaluator: domain points on the grid, each class named by its least
+    # member, relations evaluated on those representatives.
+    t = preset(name)
+    d = t.dimension
+    for n in sizes:
+        g = d * n
+        points = [
+            p for p in product(range(g), repeat=d) if holds(t.domain_formula, p)
+        ]
+        reps = sorted(
+            {
+                min(q for q in points if holds(t.equality_formula, p + q))
+                for p in points
+            }
+        )
+        relations = {
+            rel.name: frozenset(
+                combo
+                for combo in product(range(len(reps)), repeat=rel.arity)
+                if holds(rel.formula, sum((reps[i] for i in combo), ()))
+            )
+            for rel in t.relations
+        }
+        smp = sample_interpretation(t, n)
+        assert smp.structure.relations == relations
+        assert smp.structure.labels == tuple(str(r) for r in reps)
+        assert smp.representatives == tuple(reps)
+        assert smp.base_grid_size == g
