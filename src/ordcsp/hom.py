@@ -3,9 +3,15 @@
 ``hom_exists`` decides whether an instance (or a whole structure) maps
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
+It runs as a loop over an explicit stack of assigned variables, and undoes
+a failed choice from a trail of ``(variable, old domain)`` entries, so its
+depth is not bounded by the interpreter's recursion limit and no node
+copies the domains.
 """
 
 from __future__ import annotations
+
+from operator import contains, itemgetter
 
 from .errors import SignatureMismatch
 from .structures import FiniteStructure, Instance, instance_view
@@ -28,37 +34,23 @@ def _constraint_view(a, b: FiniteStructure):
     raise TypeError(f"expected Instance or FiniteStructure, got {type(a)!r}")
 
 
-def _filter_constraint(tuples, args, assignment, domains):
+def _filter_constraint(tuples, args, domains):
     """Per-variable supported values for one constraint, or None if no
-    tuple is compatible with the current assignment and domains."""
-    supported = {v: set() for v in args if v not in assignment}
-    alive = False
-    for t in tuples:
-        values = {}
-        ok = True
-        for pos, v in enumerate(args):
-            x = t[pos]
-            if v in assignment:
-                if assignment[v] != x:
-                    ok = False
-                    break
-            else:
-                prev = values.get(v)
-                if prev is None:
-                    if x not in domains[v]:
-                        ok = False
-                        break
-                    values[v] = x
-                elif prev != x:
-                    ok = False
-                    break
-        if ok:
-            alive = True
-            for v, x in values.items():
-                supported[v].add(x)
-    if not alive:
+    tuple is compatible with the domains. A variable repeated in ``args``
+    takes one value per tuple."""
+    first = {}
+    for pos, v in enumerate(args):
+        first.setdefault(v, pos)
+    doms = [domains[v] for v in args]
+    kept = [t for t in tuples if all(map(contains, doms, t))]
+    repeats = [
+        (pos, first[v]) for pos, v in enumerate(args) if pos != first[v]
+    ]
+    if repeats:
+        kept = [t for t in kept if all(t[p] == t[q] for p, q in repeats)]
+    if not kept:
         return None
-    return supported
+    return {v: set(map(itemgetter(pos), kept)) for v, pos in first.items()}
 
 
 def hom_exists(a, b: FiniteStructure):
@@ -72,7 +64,7 @@ def hom_exists(a, b: FiniteStructure):
     if not variables:
         return {}
     relation_tuples = [
-        (sorted(b.relations[rel]), tuple(args)) for rel, args in constraints
+        (b.relations[rel], tuple(args)) for rel, args in constraints
     ]
     by_var = {v: [] for v in variables}
     for idx, (_, args) in enumerate(relation_tuples):
@@ -81,22 +73,23 @@ def hom_exists(a, b: FiniteStructure):
 
     order_index = {v: i for i, v in enumerate(variables)}
     domains = {v: set(range(b.size)) for v in variables}
+    trail = []  # (variable, its domain before a narrowing), newest last
 
-    def propagate(domains, assignment, dirty):
-        # Re-filter constraints touching changed variables to a fixpoint.
+    def propagate(dirty):
+        # Re-filter constraints touching changed variables to a fixpoint,
+        # trailing every domain it replaces.
         queue = list(dict.fromkeys(dirty))
         queued = set(queue)
         while queue:
             ci = queue.pop()
             queued.discard(ci)
             tuples, args = relation_tuples[ci]
-            supported = _filter_constraint(tuples, args, assignment, domains)
+            supported = _filter_constraint(tuples, args, domains)
             if supported is None:
                 return False
             for v, values in supported.items():
-                if not values:
-                    return False
                 if values < domains[v]:
+                    trail.append((v, domains[v]))
                     domains[v] = values
                     for cj in by_var[v]:
                         if cj != ci and cj not in queued:
@@ -104,26 +97,31 @@ def hom_exists(a, b: FiniteStructure):
                             queued.add(cj)
         return True
 
-    assignment = {}
-
-    def search(domains):
-        if len(assignment) == len(variables):
-            return dict(assignment)
+    if not propagate(range(len(relation_tuples))):
+        return None
+    # One frame per assigned variable: (variable, its candidate values,
+    # how many of them were tried, trail length before the first try).
+    stack = []
+    unassigned = set(variables)
+    while unassigned:
         var = min(
-            (v for v in variables if v not in assignment),
-            key=lambda v: (len(domains[v]), order_index[v]),
+            unassigned, key=lambda v: (len(domains[v]), order_index[v])
         )
-        for value in sorted(domains[var]):
-            assignment[var] = value
-            trial = {v: set(d) for v, d in domains.items()}
-            trial[var] = {value}
-            if propagate(trial, assignment, by_var[var]):
-                result = search(trial)
-                if result is not None:
-                    return result
-            del assignment[var]
-        return None
-
-    if not propagate(domains, assignment, range(len(relation_tuples))):
-        return None
-    return search(domains)
+        unassigned.remove(var)
+        stack.append((var, sorted(domains[var]), 0, len(trail)))
+        while stack:
+            var, values, tried, mark = stack.pop()
+            while len(trail) > mark:
+                v, old = trail.pop()
+                domains[v] = old
+            if tried == len(values):
+                unassigned.add(var)
+                continue
+            stack.append((var, values, tried + 1, mark))
+            trail.append((var, domains[var]))
+            domains[var] = {values[tried]}
+            if propagate(by_var[var]):
+                break
+        else:
+            return None
+    return {var: values[tried - 1] for var, values, tried, _ in stack}

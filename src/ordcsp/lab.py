@@ -417,27 +417,26 @@ def _rank_normalize(config):
 
 
 class _RelationCache:
-    """Memoized evaluation of relation formulas on concrete points."""
+    """Memoized evaluation of relation formulas on concrete points, one
+    cache per relation keyed by the tuple of points."""
 
     def __init__(self, template: Template):
         self.rels = [
-            (rel.arity, compile_formula(rel.formula))
+            (rel.arity, compile_formula(rel.formula), {})
             for rel in template.relations
         ]
-        self.cache: dict = {}
 
     def structure_tuples(self, config):
-        k = len(config)
+        positions = range(len(config))
         out = []
-        for ri, (arity, fn) in enumerate(self.rels):
+        for arity, fn, cache in self.rels:
             members = set()
-            for combo in product(range(k), repeat=arity):
-                key = (ri,) + tuple(config[i] for i in combo)
-                hit = self.cache.get(key)
+            for combo, points in zip(
+                product(positions, repeat=arity), product(config, repeat=arity)
+            ):
+                hit = cache.get(points)
                 if hit is None:
-                    flat = tuple(x for i in combo for x in config[i])
-                    hit = fn(flat)
-                    self.cache[key] = hit
+                    hit = cache[points] = fn(sum(points, ()))
                 if hit:
                     members.add(combo)
             out.append((arity, members))

@@ -14,7 +14,12 @@ constraint set is generated up to column sets: an n-tuple of relation
 tuples only constrains the table through the k-tuple of value sets seen
 in each column. Those signatures are enumerated by breadth-first
 extension, one added tuple at a time, which keeps the constraint count
-near the number of distinct signatures instead of r^n.
+near the number of distinct signatures instead of r^n. A signature is
+packed into one int while it grows (column i's value set as bits
+[i*m, (i+1)*m) for |B| = m), and decoded once to per-column bitmasks.
+The TS search assigns the subsets met as columns in a loop over an
+explicit stack, so its depth is not bounded by the recursion limit, and
+checks each constraint once, when its last subset is assigned.
 """
 
 from __future__ import annotations
@@ -95,40 +100,46 @@ def min_fold_table(op: BinaryOpTable, arity: int) -> SubsetFunctionTable:
     return SubsetFunctionTable(arity, entries)
 
 
-def column_signatures(tuples, n: int, budget: int, used: int):
-    """All k-tuples of column sets realizable by picking <= n tuples.
+def column_signatures(tuples, m: int, n: int, budget: int, used: int):
+    """All k-tuples of column value sets realizable by picking <= n tuples.
 
-    Returns (signatures, updated_used_count); raises CapExceeded if the
-    running signature count passes the budget.
+    While it grows, a signature is one int: column i's value set takes
+    bits [i*m, (i+1)*m), so extending it by a tuple is a single ``|``.
+    Returns (signatures, updated_used_count), each signature decoded once
+    to a k-tuple of per-column bitmasks; raises CapExceeded if the running
+    signature count passes the budget.
     """
-    tuples = sorted(tuples)
     if not tuples:
         return set(), used
-    frontier = set()
-    for t in tuples:
-        frontier.add(tuple(frozenset((x,)) for x in t))
-    signatures = set(frontier)
+    packed = {sum(1 << (i * m + x) for i, x in enumerate(t)) for t in tuples}
+    signatures = set(packed)
+    frontier = packed
     used += len(signatures)
     if used > budget:
         raise CapExceeded(f"TS constraint budget {budget} exceeded")
     for _ in range(n - 1):
-        new_frontier = set()
+        grown = set()
         for sig in frontier:
-            for t in tuples:
-                ext = tuple(
-                    sig[i] | {t[i]} if t[i] not in sig[i] else sig[i]
-                    for i in range(len(t))
-                )
-                if ext not in signatures:
-                    signatures.add(ext)
-                    new_frontier.add(ext)
-        used += len(new_frontier)
+            grown.update(map(sig.__or__, packed))
+        frontier = grown - signatures
+        signatures |= frontier
+        used += len(frontier)
         if used > budget:
             raise CapExceeded(f"TS constraint budget {budget} exceeded")
-        if not new_frontier:
+        if not frontier:
             break
-        frontier = new_frontier
-    return signatures, used
+    full, signatures = (1 << m) - 1, list(signatures)
+    shifts = range(0, m * len(next(iter(tuples))), m)
+    columns = [[sig >> i & full for sig in signatures] for i in shifts]
+    return set(zip(*columns)), used
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _mask(subset) -> int:
+    return sum(1 << x for x in subset)
 
 
 def _all_subsets(m: int, n: int):
@@ -137,18 +148,18 @@ def _all_subsets(m: int, n: int):
             yield frozenset(combo)
 
 
-def identity_subset_table(m: int) -> SubsetFunctionTable:
-    return SubsetFunctionTable(1, {frozenset((x,)): x for x in range(m)})
-
-
 def has_ts_polymorphism(
     b: FiniteStructure, n: int, budget: int = DEFAULT_CONSTRAINT_BUDGET
 ):
     """Search for an n-ary totally symmetric polymorphism of ``b``.
 
-    Returns a SubsetFunctionTable or None. Entries not pinned down by any
-    constraint default to the minimum of the subset; singleton entries are
-    tried identity-first so idempotent witnesses come out when they exist.
+    Returns a SubsetFunctionTable or None. The variables are the subsets
+    met as columns, assigned in (size, members) order by a backtracking
+    loop on an explicit stack; singleton entries are tried identity-first
+    so idempotent witnesses come out when they exist. Each constraint is
+    checked once, when the last of its variables in that order is
+    assigned. Entries not pinned down by any constraint default to the
+    minimum of the subset.
     """
     if n < 1:
         raise ValueError("arity must be positive")
@@ -157,62 +168,52 @@ def has_ts_polymorphism(
         return SubsetFunctionTable(n, {})
     if n == 1:
         # The identity is always a unary polymorphism.
-        return identity_subset_table(m)
+        return SubsetFunctionTable(1, {frozenset((x,)): x for x in range(m)})
 
-    constraints = []  # (signature, tuple set)
+    constraints = []  # (signatures, tuple set) per relation
     used = 0
     for name, _ in b.signature.symbols:
         tuples = b.relations[name]
-        sigs, used = column_signatures(tuples, n, budget, used)
-        constraints.extend((sig, tuples) for sig in sorted(sigs, key=_sig_key))
+        sigs, used = column_signatures(tuples, m, n, budget, used)
+        constraints.append((sigs, tuples))
 
-    variables = sorted(
-        {s for sig, _ in constraints for s in sig},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    var_index = {s: i for i, s in enumerate(variables)}
-    by_var = [[] for _ in variables]
-    for ci, (sig, _) in enumerate(constraints):
-        for s in set(sig):
-            by_var[var_index[s]].append(ci)
+    masks = set().union(*(sig for sigs, _ in constraints for sig in sigs))
+    members = {s: _members(s) for s in masks}
+    variables = sorted(masks, key=lambda s: (len(members[s]), members[s]))
+    position = {s: i for i, s in enumerate(variables)}.__getitem__
+    # checks[i]: the constraints whose last variable is variables[i].
+    checks = [[] for _ in variables]
+    for sigs, tuples in constraints:
+        for sig in sigs:
+            checks[max(map(position, sig))].append((sig, tuples))
+    identity_first = [[x] + [v for v in range(m) if v != x] for x in range(m)]
+    candidates = [
+        identity_first[members[s][0]] if len(members[s]) == 1 else range(m)
+        for s in variables
+    ]
 
-    assignment = {}
-
-    def satisfied(ci):
-        sig, tuples = constraints[ci]
-        image = tuple(assignment.get(s) for s in sig)
-        if any(v is None for v in image):
-            return True  # not yet decided
-        return image in tuples
-
-    def search(i):
-        if i == len(variables):
-            return True
+    value = {}  # subset mask -> assigned element
+    image = value.__getitem__
+    tried = [0] * len(variables)  # candidates of variable i tried so far
+    i = 0
+    while 0 <= i < len(variables):
         s = variables[i]
-        if len(s) == 1:
-            (x,) = s
-            candidates = [x] + [v for v in range(m) if v != x]
+        for k in range(tried[i], m):
+            value[s] = candidates[i][k]
+            if all(tuple(map(image, sig)) in ts for sig, ts in checks[i]):
+                tried[i] = k + 1
+                i += 1
+                break
         else:
-            candidates = list(range(m))
-        for value in candidates:
-            assignment[s] = value
-            if all(satisfied(ci) for ci in by_var[i]):
-                if search(i + 1):
-                    return True
-            del assignment[s]
-        return False
-
-    if not search(0):
+            tried[i] = 0
+            i -= 1
+    if i < 0:
         return None
 
     entries = {}
     for s in _all_subsets(m, n):
-        entries[s] = assignment.get(s, min(s))
+        entries[s] = value.get(_mask(s), min(s))
     return SubsetFunctionTable(n, entries)
-
-
-def _sig_key(sig):
-    return tuple((len(s), tuple(sorted(s))) for s in sig)
 
 
 def is_polymorphism(op, b: FiniteStructure) -> bool:
@@ -242,14 +243,14 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
                 f"table is missing {len(missing)} subsets of size "
                 f"<= {op.arity}"
             )
+        by_mask = {_mask(s): v for s, v in op.entries.items()}
         for name, _ in b.signature.symbols:
             tuples = b.relations[name]
             sigs, _ = column_signatures(
-                tuples, op.arity, DEFAULT_CONSTRAINT_BUDGET, 0
+                tuples, b.size, op.arity, DEFAULT_CONSTRAINT_BUDGET, 0
             )
             for sig in sigs:
-                image = tuple(op.entries[s] for s in sig)
-                if image not in tuples:
+                if tuple(by_mask[s] for s in sig) not in tuples:
                     return False
         return True
     raise TypeError(f"expected an operation table, got {type(op)!r}")

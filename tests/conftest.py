@@ -2,7 +2,7 @@
 
 import operator
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
 
@@ -136,3 +136,131 @@ def holds(f, point):
                 return decisive
         return not decisive
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def reference_signatures(tuples, n):
+    """Column-set signatures of every choice of at most n tuples, as
+    k-tuples of frozensets, by breadth-first extension."""
+    signatures = {tuple(frozenset((x,)) for x in t) for t in tuples}
+    frontier = signatures
+    for _ in range(n - 1):
+        frontier = {
+            tuple(col | {x} for col, x in zip(sig, t))
+            for sig in frontier
+            for t in tuples
+        } - signatures
+        signatures |= frontier
+    return signatures
+
+
+def reference_ts_entries(b, n):
+    """The first TS table of arity n in the search order the package
+    promises, or None: subsets met as columns are assigned in (size,
+    members) order, singletons try their own element first, and each
+    constraint is checked once all of its subsets are assigned. Entries
+    no constraint reaches default to the subset's minimum."""
+    m = b.size
+    subsets = [
+        frozenset(c)
+        for size in range(1, min(m, n) + 1)
+        for c in combinations(range(m), size)
+    ]
+    if n == 1:
+        return {s: min(s) for s in subsets}
+    constraints = [
+        (sig, tuples)
+        for tuples in b.relations.values()
+        for sig in reference_signatures(tuples, n)
+    ]
+    variables = sorted(
+        {s for sig, _ in constraints for s in sig},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    assignment = {}
+
+    def search(i):
+        if i == len(variables):
+            return True
+        s = variables[i]
+        first = [min(s)] if len(s) == 1 else []
+        for value in first + [v for v in range(m) if v not in first]:
+            assignment[s] = value
+            if all(
+                tuple(assignment[c] for c in sig) in tuples
+                for sig, tuples in constraints
+                if s in sig and all(c in assignment for c in sig)
+            ) and search(i + 1):
+                return True
+        del assignment[s]
+        return False
+
+    if not search(0):
+        return None
+    return {s: assignment.get(s, min(s)) for s in subsets}
+
+
+def reference_hom(a, b):
+    """Recursive homomorphism search from an Instance or a structure into
+    ``b`` with the package's promised choices: forward checking to a
+    fixpoint after each assignment (a repeated variable takes one value
+    per tuple), the unassigned variable with fewest values next (ties by
+    declaration order), values ascending. Domains are copied at every
+    node. Returns the mapping in assignment order, or None."""
+    if isinstance(a, Instance):
+        variables = list(a.variables)
+        constraints = [(b.relations[rel], args) for rel, args in a.constraints]
+    else:
+        variables = list(range(a.size))
+        constraints = [
+            (b.relations[rel], t)
+            for rel, tuples in a.relations.items()
+            for t in tuples
+        ]
+
+    def propagate(domains):
+        changed = True
+        while changed:
+            changed = False
+            for tuples, args in constraints:
+                kept = [
+                    t
+                    for t in tuples
+                    if all(x in domains[v] for v, x in zip(args, t))
+                    and all(
+                        x == y
+                        for v, x in zip(args, t)
+                        for w, y in zip(args, t)
+                        if v == w
+                    )
+                ]
+                if not kept:
+                    return False
+                for pos, v in enumerate(args):
+                    values = {t[pos] for t in kept}
+                    if values != domains[v]:
+                        domains[v] = values
+                        changed = True
+        return True
+
+    def search(domains, mapping):
+        if len(mapping) == len(variables):
+            return mapping
+        var = min(
+            (v for v in variables if v not in mapping),
+            key=lambda v: (len(domains[v]), variables.index(v)),
+        )
+        for value in sorted(domains[var]):
+            trial = {v: set(d) for v, d in domains.items()}
+            trial[var] = {value}
+            if propagate(trial):
+                found = search(trial, {**mapping, var: value})
+                if found is not None:
+                    return found
+        return None
+
+    domains = {v: set(range(b.size)) for v in variables}
+    if not variables:
+        return {}
+    if not propagate(domains):
+        return None
+    return search(domains, {})

@@ -186,6 +186,19 @@ def test_check_ts_and_semilattice(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_ts_gamma1_sample_at_arity_4(tmp_path, capsys):
+    # 2,516 subset variables, more than the default recursion limit.
+    t = tmp_path / "gamma1.json"
+    b = tmp_path / "b.json"
+    assert run_cli(["preset", "--name", "gamma1", "--out", str(t)]) == 0
+    assert run_cli(
+        ["sample", "--template", str(t), "--size", "2", "--out", str(b)]
+    ) == 0
+    capsys.readouterr()
+    code, data = run(capsys, "check-ts", "--structure", str(b), "--arity", "4")
+    assert code == 0 and data["found"] is True
+
+
 def test_check_equiv(tmp_path, capsys):
     k3 = tmp_path / "k3.json"
     write_json(k3, complete_graph(3).to_json_dict())

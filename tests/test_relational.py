@@ -16,6 +16,8 @@ from ordcsp import (
     is_polymorphism,
     min_fold_table,
     power_structure,
+    preset,
+    sample,
 )
 from ordcsp.polymorphism import SubsetFunctionTable
 
@@ -24,6 +26,9 @@ from conftest import (
     complete_graph,
     random_binary_structure,
     random_instance,
+    reference_hom,
+    reference_signatures,
+    reference_ts_entries,
 )
 
 
@@ -31,6 +36,28 @@ def check_mapping(a, b, mapping):
     for name, tuples in a.relations.items():
         for t in tuples:
             assert tuple(mapping[x] for x in t) in b.relations[name]
+
+
+def random_structure(rng, max_size=4):
+    """One or two relations of arity 1-3 on at most ``max_size`` elements;
+    ternary relations only on at most three."""
+    m = rng.randint(1, max_size)
+    symbols = []
+    relations = {}
+    for r in range(rng.randint(1, 2)):
+        arity = rng.randint(1, 3 if m <= 3 else 2)
+        density = rng.random()
+        symbols.append((f"R{r}", arity))
+        relations[f"R{r}"] = frozenset(
+            t
+            for t in product(range(m), repeat=arity)
+            if rng.random() < density
+        )
+    return FiniteStructure(Signature(tuple(symbols)), m, relations)
+
+
+def lab_sample(name):
+    return sample(preset(name), 2).structure
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +122,48 @@ def test_hom_mapping_is_always_valid():
         if mapping is not None:
             for rel, args in a.constraints:
                 assert tuple(mapping[v] for v in args) in b.relations[rel]
+
+
+def test_hom_matches_recursive_reference():
+    rng = random.Random(23)
+    found = absent = 0
+    for i in range(240):
+        b = random_structure(rng)
+        if i % 4 == 0 and b.size <= 3:
+            a = power_structure(b)
+        else:
+            a = random_instance(
+                rng, b.signature.symbols, max_vars=8, max_constraints=12
+            )
+        mapping = hom_exists(a, b)
+        expected = reference_hom(a, b)
+        assert (mapping and list(mapping.items())) == (
+            expected and list(expected.items())
+        )
+        found += mapping is not None
+        absent += mapping is None
+    assert found > 50 and absent > 50
+    # Graphs near the 3-colouring threshold, where the search backtracks.
+    names = tuple(f"v{i}" for i in range(12))
+    for _ in range(40):
+        edges = tuple(("E", tuple(rng.sample(names, 2))) for _ in range(26))
+        a = Instance(names, edges)
+        mapping = hom_exists(a, complete_graph(3))
+        expected = reference_hom(a, complete_graph(3))
+        assert (mapping and list(mapping.items())) == (
+            expected and list(expected.items())
+        )
+
+
+def test_hom_long_path_into_two_cycle():
+    # Deeper than the interpreter's recursion limit.
+    names = tuple(f"x{i}" for i in range(1500))
+    path = Instance(
+        names, tuple(("E", (u, v)) for u, v in zip(names, names[1:]))
+    )
+    cycle = binary_structure(2, {(0, 1), (1, 0)})
+    mapping = hom_exists(path, cycle)
+    assert mapping == {v: i % 2 for i, v in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +277,54 @@ def test_ts_budget():
     k3 = complete_graph(3)
     with pytest.raises(CapExceeded):
         has_ts_polymorphism(k3, 6, budget=3)
+
+
+def test_ts_matches_reference_search():
+    rng = random.Random(29)
+    cases = [
+        (complete_graph(3), 2),
+        (complete_graph(3), 3),
+        (complete_graph(4), 2),
+        # The first table here depends on {0,3} coming before {1,2}.
+        (binary_structure(4, {(1, 2), (2, 3), (3, 0)}), 2),
+        (lab_sample("gamma1"), 2),
+        (lab_sample("gamma2"), 2),
+    ]
+    cases += [(random_structure(rng), rng.randint(1, 5)) for _ in range(300)]
+    found = absent = 0
+    for b, n in cases:
+        table = has_ts_polymorphism(b, n)
+        assert (table and table.entries) == reference_ts_entries(b, n)
+        found += table is not None
+        absent += table is None
+    assert found > 100 and absent > 10
+
+
+@pytest.mark.parametrize(
+    "which", ["k3-arity-6", "gamma2-arity-2", "one-tuple-arity-3"]
+)
+def test_ts_budget_is_signature_count(which):
+    b, n = {
+        "k3-arity-6": (complete_graph(3), 6),
+        "gamma2-arity-2": (lab_sample("gamma2"), 2),
+        "one-tuple-arity-3": (binary_structure(2, {(0, 1)}), 3),
+    }[which]
+    count = sum(
+        len(reference_signatures(tuples, n)) for tuples in b.relations.values()
+    )
+    has_ts_polymorphism(b, n, budget=count)
+    with pytest.raises(CapExceeded):
+        has_ts_polymorphism(b, n, budget=count - 1)
+
+
+def test_ts_gamma1_sample_at_arity_4():
+    # 2,516 subset variables, more than the default recursion limit.
+    b = lab_sample("gamma1")
+    table = has_ts_polymorphism(b, 4)
+    assert table is not None
+    for tuples in b.relations.values():
+        for sig in reference_signatures(tuples, 4):
+            assert tuple(table.entries[s] for s in sig) in tuples
 
 
 # ---------------------------------------------------------------------------
