@@ -22,14 +22,18 @@ deep; deeper input raises ``FormulaError`` from the parser and from
 ``compile_formula`` turns a formula into one generated ``lambda p: ...``
 expression: atoms become ``p[i] < p[j]`` and so on, connectives the
 Python operators ``not``/``and``/``or``, which short-circuit left to
-right. The source holds only tokens from a fixed table, ``True``,
-``False`` and indices written by ``int()``; no field of a node is pasted
-in as text, and node fields are type-checked at construction.
+right. ``compile_table`` puts the same expression, on coordinate names,
+into one generated comprehension that builds a relation's whole table
+over a list of points; samples and ``orbit_count`` build every table
+with it. Sources hold only tokens from a fixed table, generated names,
+``True``, ``False`` and indices written by ``int()``; no field of a node
+is pasted in as text, and node fields are type-checked at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import FormulaError
 
@@ -41,7 +45,8 @@ MAX_DEPTH = 300
 
 # Connective levels inlined into one generated function. A deeper subtree
 # becomes a function of its own, so each source stays far below the 200
-# nested parentheses that the CPython tokenizer accepts.
+# nested parentheses that the CPython tokenizer accepts. A table builder
+# nests at most this many ``for`` loops.
 _CHUNK_DEPTH = 50
 
 
@@ -50,8 +55,9 @@ class Formula:
 
     ``free_var_count`` is 1 + the largest variable index used (0 when no
     atom occurs), and ``depth`` the number of connectives on the longest
-    path from the root to an atom or constant; both are computed once at
-    construction.
+    path from the root to an atom or constant. Both are computed once at
+    construction, and so is the hash, from the children's stored hashes;
+    ``==`` walks both trees with an explicit stack, so neither recurses.
     """
 
     free_var_count: int
@@ -61,18 +67,41 @@ class Formula:
         for key, value in kw.items():
             object.__setattr__(self, key, value)
 
+    def _init(self, data, kids, free_var_count=0):
+        data = (type(self), len(kids), *data)
+        h = hash((data, tuple(k._hash for k in kids)))
+        fvc = max([free_var_count] + [k.free_var_count for k in kids])
+        depth = max([k.depth + 1 for k in kids], default=0)
+        self._set(_data=data, _kids=kids, _hash=h)
+        self._set(free_var_count=fvc, depth=depth)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a._hash != b._hash or a._data != b._data:
+                    return False
+                stack.extend(zip(a._kids, b._kids))
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
 class Const(Formula):
     value: bool
 
     def __post_init__(self):
         if type(self.value) is not bool:
             raise ValueError(f"constant must be a bool, got {self.value!r}")
-        self._set(free_var_count=0, depth=0)
+        self._init((self.value,), ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     op: str
     left: int
@@ -85,43 +114,35 @@ class Atom(Formula):
             raise ValueError("variable indices must be of type int")
         if self.left < 0 or self.right < 0:
             raise ValueError("variable indices must be non-negative")
-        self._set(free_var_count=max(self.left, self.right) + 1, depth=0)
+        fvc = max(self.left, self.right) + 1
+        self._init((self.op, self.left, self.right), (), fvc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
     def __post_init__(self):
-        self._set(
-            free_var_count=self.child.free_var_count,
-            depth=self.child.depth + 1,
-        )
+        self._init((), (self.child,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, eq=False)
+class _Connective(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self):
-        _set_connective(self, "and")
+        if len(self.children) < 1:
+            name = type(self).__name__.lower()
+            raise ValueError(f"{name} needs at least one child")
+        self._init((), self.children)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    children: tuple[Formula, ...]
-
-    def __post_init__(self):
-        _set_connective(self, "or")
+class And(_Connective):
+    pass
 
 
-def _set_connective(f, name):
-    if len(f.children) < 1:
-        raise ValueError(f"{name} needs at least one child")
-    f._set(
-        free_var_count=max(c.free_var_count for c in f.children),
-        depth=max(c.depth for c in f.children) + 1,
-    )
+class Or(_Connective):
+    pass
 
 
 TRUE = Const(True)
@@ -165,16 +186,11 @@ def or_(*fs):
 
 
 def compile_formula(f: Formula):
-    """Return ``f`` as a ``point -> bool`` function, cached on the node.
-
-    The function is one generated ``lambda p: <expr>``: ``(lt 0 1)``
-    becomes ``p[0] < p[1]``, and ``not``/``and``/``or`` become the Python
-    operators, which short-circuit as ``all``/``any`` would. The source
-    is built only from the ``ATOM_OPS`` tokens, ``True``, ``False``,
-    parentheses and indices written by ``int()``. A subtree more than
-    ``_CHUNK_DEPTH`` connectives below the root is compiled the same way
-    and called by name. Raises ``FormulaError`` when ``f`` nests deeper
-    than ``MAX_DEPTH``.
+    """Return ``f`` as a ``point -> bool`` function, cached on the node:
+    one generated ``lambda p: <expr>``, as the module docstring says. A
+    subtree more than ``_CHUNK_DEPTH`` connectives below the root is
+    compiled the same way and called by name. Raises ``FormulaError``
+    when ``f`` nests deeper than ``MAX_DEPTH``.
     """
     fn = getattr(f, "_fn", None)
     if fn is None:
@@ -187,29 +203,70 @@ def compile_formula(f: Formula):
             )
         env = {"__builtins__": {}}
         fn = eval("lambda p: " + _source(f, env, _CHUNK_DEPTH), env)
-        f._set(_fn=fn)
+        f._set(_fn=fn, _tables={})
     return fn
 
 
-def _source(f, env, levels):
-    """Python source for ``f`` on the point ``p``, inlining ``levels``
-    connectives; a connective below those is compiled on its own and
-    bound in ``env`` under a new name."""
+def compile_table(f: Formula, arity: int, d: int):
+    """Return ``f``'s table builder for an ``arity``-ary relation on
+    points of dimension ``d``, cached on the node per ``(arity, d)``.
+
+    The builder maps ``R = list(enumerate(points))`` to the frozenset of
+    index tuples whose points, concatenated, satisfy ``f``: ``lambda R:
+    frozenset((i0, i1,) for (i0, (x0, x1,)) in R for (i1, (x2, x3,)) in R
+    if <expr>)``, with atoms such as ``x0 < x3``. Past ``_CHUNK_DEPTH``
+    positions one loop over ``product(R, repeat=arity)`` replaces the
+    nested ones. Raises as ``compile_formula`` does.
+    """
+    compile_formula(f)  # type and depth checks
+    fn = f._tables.get((arity, d))
+    if fn is None:
+        env = {"__builtins__": {}, "frozenset": frozenset}
+        fn = f._tables[arity, d] = eval(_table_source(f, arity, d, env), env)
+    return fn
+
+
+def _table_source(f, arity, d, env):
+    if arity < 1 or d < 1 or f.free_var_count > arity * d:
+        raise ValueError(f"formula does not fit arity {arity}, dimension {d}")
+    names = ["x%d" % v for v in range(arity * d)]
+    targets = [
+        "(i%d, (%s,))" % (i, ", ".join(names[i * d : (i + 1) * d]))
+        for i in range(arity)
+    ]
+    if arity <= _CHUNK_DEPTH:
+        loops = " ".join("for %s in R" % t for t in targets)
+    else:
+        env["product"] = product
+        loops = "for %s in product(R, repeat=%d)" % (", ".join(targets), arity)
+    head = "(%s,)" % ", ".join("i%d" % i for i in range(arity))
+    expr = _source(f, env, _CHUNK_DEPTH, names)
+    return "lambda R: frozenset(%s %s if %s)" % (head, loops, expr)
+
+
+def _source(f, env, levels, names=None):
+    """Python source for ``f`` inlining ``levels`` connectives; a
+    connective below those is compiled on its own and bound in ``env``
+    under a new name. Atoms read ``p[i]``, or ``names[i]`` if given."""
     if isinstance(f, Const):
         return "True" if f.value else "False"
     if isinstance(f, Atom):
-        return "p[%d] %s p[%d]" % (int(f.left), ATOM_OPS[f.op], int(f.right))
+        op = ATOM_OPS[f.op]
+        if names is None:
+            return "p[%d] %s p[%d]" % (int(f.left), op, int(f.right))
+        return "%s %s %s" % (names[f.left], op, names[f.right])
     if levels == 0:
         name = "f%d" % len(env)
         env[name] = compile_formula(f)
-        return name + "(p)"
+        point = "p" if names is None else "(%s,)" % ", ".join(names)
+        return "%s(%s)" % (name, point)
     if isinstance(f, Not):
-        return "(not " + _source(f.child, env, levels - 1) + ")"
+        return "(not " + _source(f.child, env, levels - 1, names) + ")"
     if isinstance(f, (And, Or)):
         glue = " and " if isinstance(f, And) else " or "
         parts = []
         for c in f.children:  # a loop, not a generator: one frame per level
-            parts.append(_source(c, env, levels - 1))
+            parts.append(_source(c, env, levels - 1, names))
         return "(" + glue.join(parts) + ")"
     raise TypeError(f"not a formula: {f!r}")
 

@@ -20,10 +20,11 @@ count equals the number of n-subset orbits and is reported as exact for
 any template equal to one of them up to its name; otherwise it is a lower
 bound. Classes are enumerated by levelwise extension: keep one concrete
 point configuration per class, re-grid it with gaps so that a new point
-can take every relative position, and canonicalize the grown structures. This visits a number of
-configurations proportional to the number of classes rather than the
-number of n-subsets of a sample, which is what makes counts like n = 5
-over a 100-element sample feasible.
+can take every relative position, and canonicalize the grown
+structures, each built afresh by ``formula.compile_table`` (no memo).
+This visits a number of configurations proportional to the number of
+classes rather than the number of n-subsets of a sample, which is what
+makes counts like n = 5 over a 100-element sample feasible.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
-from .formula import compile_formula
+from .formula import compile_formula, compile_table
 from .hom import hom_exists
 from .polymorphism import (
     BinaryOpTable,
@@ -416,33 +417,6 @@ def _rank_normalize(config):
     return tuple(sorted(tuple(rank[x] for x in point) for point in config))
 
 
-class _RelationCache:
-    """Memoized evaluation of relation formulas on concrete points, one
-    cache per relation keyed by the tuple of points."""
-
-    def __init__(self, template: Template):
-        self.rels = [
-            (rel.arity, compile_formula(rel.formula), {})
-            for rel in template.relations
-        ]
-
-    def structure_tuples(self, config):
-        positions = range(len(config))
-        out = []
-        for arity, fn, cache in self.rels:
-            members = set()
-            for combo, points in zip(
-                product(positions, repeat=arity), product(config, repeat=arity)
-            ):
-                hit = cache.get(points)
-                if hit is None:
-                    hit = cache[points] = fn(sum(points, ()))
-                if hit:
-                    members.add(combo)
-            out.append((arity, members))
-        return out
-
-
 def orbit_count(
     t: Template, n: int, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> OrbitReport:
@@ -459,7 +433,14 @@ def orbit_count(
     d = t.dimension
     dom = compile_formula(t.domain_formula)
     eqf = compile_formula(t.equality_formula)
-    cache = _RelationCache(t)
+    tables = [
+        (rel.arity, compile_table(rel.formula, rel.arity, d))
+        for rel in t.relations
+    ]
+
+    def form(config):
+        r = list(enumerate(config))
+        return canonical_form(len(config), [(a, b(r)) for a, b in tables])
 
     configs = set()
     for pattern in product(range(d), repeat=d):
@@ -472,8 +453,7 @@ def orbit_count(
 
     reps: dict = {}
     for config in sorted(configs):
-        form = canonical_form(len(config), cache.structure_tuples(config))
-        reps.setdefault(form, config)
+        reps.setdefault(form(config), config)
 
     for _level in range(2, n + 1):
         candidates = set()
@@ -500,10 +480,7 @@ def orbit_count(
             )
         reps = {}
         for config in sorted(candidates):
-            form = canonical_form(
-                len(config), cache.structure_tuples(config)
-            )
-            reps.setdefault(form, config)
+            reps.setdefault(form(config), config)
 
     exact = any(replace(preset(p), name=t.name) == t for p in EXACT_PRESETS)
     return OrbitReport(n, len(reps), EXACT if exact else LOWER_BOUND)

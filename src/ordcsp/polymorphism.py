@@ -74,9 +74,6 @@ class SubsetFunctionTable:
     arity: int
     entries: dict[frozenset[int], int]
 
-    def apply_to_set(self, values) -> int:
-        return self.entries[frozenset(values)]
-
     def to_json_dict(self) -> dict:
         items = sorted(self.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
         return {

@@ -3,12 +3,12 @@
 Elements of ``power_structure(B)`` are the 2^m - 1 non-empty subsets of
 B's domain, numbered by ascending bitmask (mask 1 = {0} first). A tuple
 of subsets (U_1, ..., U_k) is in a relation iff every element of every
-U_i extends to a tuple of R^B drawn from U_1 x ... x U_k.
+U_i extends to a tuple of R^B drawn from U_1 x ... x U_k: boxes grow one
+position at a time with ``live``, the bitmask of the tuples inside, and
+a box is kept iff each x in each U_i is the i-th entry of a live tuple.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .errors import CapExceeded
 from .structures import FiniteStructure, Signature
@@ -24,18 +24,6 @@ def subsets_in_canonical_order(m: int):
     return out
 
 
-def covering_tuple(tuples, subset_tuple) -> bool:
-    """Membership rule for the subset structure: each coordinate of each
-    subset must be covered by a relation tuple staying inside the subsets."""
-    k = len(subset_tuple)
-    covered = [set() for _ in range(k)]
-    for t in tuples:
-        if all(t[i] in subset_tuple[i] for i in range(k)):
-            for i in range(k):
-                covered[i].add(t[i])
-    return all(covered[i] == set(subset_tuple[i]) for i in range(k))
-
-
 def power_structure(
     b: FiniteStructure, cap_bits: int = DEFAULT_SUBSET_CAP_BITS
 ) -> FiniteStructure:
@@ -47,15 +35,29 @@ def power_structure(
             f"(2^{b.size} - 1 subsets)"
         )
     subsets = subsets_in_canonical_order(b.size)
-    index = {s: i for i, s in enumerate(subsets)}
     relations = {}
     for name, arity in b.signature.symbols:
-        tuples = b.relations[name]
-        members = set()
-        for combo in product(subsets, repeat=arity):
-            if covering_tuple(tuples, combo):
-                members.add(tuple(index[s] for s in combo))
-        relations[name] = frozenset(members)
+        # byval[i][x]: bitmask of the tuples t with t[i] == x;
+        # need[i][u]: those masks for each x in the subset numbered u.
+        byval = [[0] * b.size for _ in range(arity)]
+        for bit, t in enumerate(b.relations[name]):
+            for i, x in enumerate(t):
+                byval[i][x] |= 1 << bit
+        need = [[tuple(bv[x] for x in s) for s in subsets] for bv in byval]
+        boxes = [((), -1)]  # (subset numbers so far, live tuple bitmask)
+        for ni in need:
+            cover = [sum(masks) for masks in ni]  # disjoint, so sum is OR
+            boxes = [
+                (box + (u,), live & c)
+                for box, live in boxes
+                for u, c in enumerate(cover)
+                if live & c
+            ]
+        relations[name] = frozenset(
+            box
+            for box, live in boxes
+            if all(v & live for ni, u in zip(need, box) for v in ni[u])
+        )
     labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in subsets)
     return FiniteStructure(
         Signature(b.signature.symbols), len(subsets), relations, labels

@@ -13,6 +13,8 @@ the sample iff it maps into the template.
   the equality formula, and evaluate each relation formula on each
   class's least member.
 
+``formula.compile_table`` builds every relation table in one pass.
+
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
 formula yields an empty sample, not an error.
@@ -29,7 +31,6 @@ A template too large to check exactly raises ``CapExceeded``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,7 +40,7 @@ from .errors import (
     EqualityNotEquivalence,
     SchemaError,
 )
-from .formula import compile_formula
+from .formula import compile_formula, compile_table
 from .structures import FiniteStructure, Signature
 from .template import DIRECT, INTERPRETATION, Template
 
@@ -74,32 +75,19 @@ def sample_direct(t: Template, n: int) -> Sample:
     if t.kind != DIRECT:
         raise ValueError("sample_direct needs a direct template")
     n = max(n, 1)
-    relations = {}
     for rel in t.relations:
         if n**rel.arity > GRID_CAP:
             raise CapExceeded(f"grid cap: {n}^{rel.arity} > {GRID_CAP}")
-        fn = compile_formula(rel.formula)
-        relations[rel.name] = frozenset(
-            tup for tup in product(range(n), repeat=rel.arity) if fn(tup)
-        )
+    reps = [(i,) for i in range(n)]
     structure = FiniteStructure(
-        Signature(t.signature_symbols()), n, relations
+        Signature(t.signature_symbols()), n, _relation_tables(t, reps)
     )
-    return Sample(structure, tuple((i,) for i in range(n)), n)
+    return Sample(structure, tuple(reps), n)
 
 
-def sample_interpretation(
-    t: Template,
-    n: int,
-    representative_rng: random.Random | None = None,
-) -> Sample:
+def sample_interpretation(t: Template, n: int) -> Sample:
     """Quotient the satisfying grid tuples and evaluate relations on
-    class representatives.
-
-    ``representative_rng`` swaps the lexicographically-least
-    representative for a random class member; by congruence the resulting
-    structure is unchanged.
-    """
+    each class's least member."""
     if t.kind != INTERPRETATION:
         raise ValueError("sample_interpretation needs an interpretation")
     _check_equality(t)
@@ -107,25 +95,23 @@ def sample_interpretation(
     g = t.dimension * n
     points = _domain_points(t, g)
     classes = _group(points, compile_formula(t.equality_formula))
-    pick = min if representative_rng is None else representative_rng.choice
-    reps = [points[pick(members)] for members in classes]
-
-    relations = {}
-    for rel in t.relations:
-        fn = compile_formula(rel.formula)
-        combos = product(range(len(reps)), repeat=rel.arity)
-        args = product(reps, repeat=rel.arity)
-        relations[rel.name] = frozenset(
-            combo for combo, arg in zip(combos, args) if fn(sum(arg, ()))
-        )
-
+    reps = [points[members[0]] for members in classes]
     structure = FiniteStructure(
         Signature(t.signature_symbols()),
         len(reps),
-        relations,
+        _relation_tables(t, reps),
         tuple(str(tuple(r)) for r in reps),
     )
     return Sample(structure, tuple(reps), g)
+
+
+def _relation_tables(t: Template, points) -> dict:
+    """Each relation of ``t`` on the given d-tuples, as index tuples."""
+    r = list(enumerate(points))
+    return {
+        rel.name: compile_table(rel.formula, rel.arity, t.dimension)(r)
+        for rel in t.relations
+    }
 
 
 def _domain_points(t, g):

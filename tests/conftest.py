@@ -138,6 +138,36 @@ def holds(f, point):
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def covering_tuple(tuples, subset_tuple) -> bool:
+    """Membership rule for the subset structure: each coordinate of each
+    subset must be covered by a relation tuple staying inside the subsets."""
+    k = len(subset_tuple)
+    covered = [set() for _ in range(k)]
+    for t in tuples:
+        if all(t[i] in subset_tuple[i] for i in range(k)):
+            for i in range(k):
+                covered[i].add(t[i])
+    return all(covered[i] == set(subset_tuple[i]) for i in range(k))
+
+
+def reference_power_relations(b):
+    """The relations of ``power_structure(b)`` by testing every tuple of
+    non-empty subsets (numbered by ascending bitmask) with
+    ``covering_tuple``."""
+    subsets = [
+        frozenset(x for x in range(b.size) if mask >> x & 1)
+        for mask in range(1, 1 << b.size)
+    ]
+    return {
+        name: frozenset(
+            combo
+            for combo in product(range(len(subsets)), repeat=arity)
+            if covering_tuple(b.relations[name], [subsets[i] for i in combo])
+        )
+        for name, arity in b.signature.symbols
+    }
+
+
 def reference_signatures(tuples, n):
     """Column-set signatures of every choice of at most n tuples, as
     k-tuples of frozensets, by breadth-first extension."""

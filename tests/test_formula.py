@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import tokenize
 from itertools import product
 
@@ -14,6 +15,7 @@ from ordcsp import (
     eq,
     eval_formula,
     gt,
+    le,
     lt,
     ne,
     not_,
@@ -21,6 +23,7 @@ from ordcsp import (
     parse_formula,
     print_formula,
 )
+import ordcsp.formula as formula
 from ordcsp.formula import (
     ATOM_OPS,
     MAX_DEPTH,
@@ -31,7 +34,9 @@ from ordcsp.formula import (
     Or,
     _CHUNK_DEPTH,
     _source,
+    _table_source,
     compile_formula,
+    compile_table,
 )
 
 from conftest import holds
@@ -250,21 +255,147 @@ def test_too_deep_is_a_formula_error():
         compile_formula(mixed_chain(random.Random(1), MAX_DEPTH + 1))
 
 
-def test_generated_source_tokens():
-    # Every token of a generated function comes from the fixed table,
-    # the point name, a chunk function's name or a written index.
-    allowed = set(ATOM_OPS.values()) | {
-        "(", ")", "[", "]", "p", "not", "and", "or", "True", "False",
-    }
-    f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
-    env = {}
-    source = _source(f, env, _CHUNK_DEPTH)
-    assert env  # the chain spans several chunks
+CONNECTIVE_TOKENS = set(ATOM_OPS.values()) | {
+    "(", ")", "not", "and", "or", "True", "False",
+}
+TABLE_TOKENS = {
+    ",", "lambda", ":", "R", "for", "in", "if", "frozenset", "repeat", "=",
+}
+
+
+def assert_tokens(source, env, allowed, names=None):
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
             continue
         assert (
             tok.string in allowed
             or tok.string in env
+            or (names is not None and re.fullmatch(names, tok.string))
             or (tok.type == tokenize.NUMBER and tok.string.isdigit())
         ), tok
+
+
+def test_generated_source_tokens():
+    # Every token of a generated function comes from the fixed table,
+    # the point name, a chunk function's name or a written index.
+    f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
+    env = {}
+    source = _source(f, env, _CHUNK_DEPTH)
+    assert env  # the chain spans several chunks
+    assert_tokens(source, env, CONNECTIVE_TOKENS | {"[", "]", "p"})
+    # A table builder adds the loop syntax, generated index and coordinate
+    # names, and ``product`` past _CHUNK_DEPTH positions.
+    for arity in (2, _CHUNK_DEPTH + 1):
+        env = {}
+        source = _table_source(f, arity, 2, env)
+        assert any(name.startswith("f") for name in env)
+        assert ("product" in env) == (arity > _CHUNK_DEPTH)
+        allowed = CONNECTIVE_TOKENS | TABLE_TOKENS
+        assert_tokens(source, env, allowed, names=r"[ix]\d+")
+
+
+def brute_table(f, arity, points):
+    """Index tuples whose concatenated points satisfy ``f``, by the
+    reference evaluator."""
+    return frozenset(
+        combo
+        for combo in product(range(len(points)), repeat=arity)
+        if holds(f, [x for i in combo for x in points[i]])
+    )
+
+
+@given(
+    formulas(max_leaves=20),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_table_matches_brute_force(f, arity, d, data):
+    points = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=2)] * d),
+            max_size=4,
+        )
+    )
+    if f.free_var_count > arity * d:
+        with pytest.raises(ValueError, match="does not fit"):
+            compile_table(f, arity, d)
+        return
+    build = compile_table(f, arity, d)
+    assert compile_table(f, arity, d) is build  # cached on the node
+    assert build(list(enumerate(points))) == brute_table(f, arity, points)
+
+
+def test_table_on_deep_chains():
+    rng = random.Random(6)
+    points = [(a, b) for a in range(3) for b in range(3)]
+    for _ in range(5):
+        f = mixed_chain(rng, MAX_DEPTH)
+        table = compile_table(f, 2, 2)(list(enumerate(points)))
+        assert table == brute_table(f, 2, points)
+
+
+def test_table_product_path(monkeypatch):
+    # Past _CHUNK_DEPTH positions the builder loops over product(R, ...);
+    # lowered to 1, that path (and one chunk per level) runs at arity 2-3.
+    monkeypatch.setattr(formula, "_CHUNK_DEPTH", 1)
+    rng = random.Random(7)
+    points = [(a, b) for a in range(2) for b in range(3)]
+    for arity in (2, 3):
+        for _ in range(10):
+            f = mixed_chain(rng, 4)  # fresh nodes: nothing cached yet
+            table = compile_table(f, arity, 2)(list(enumerate(points)))
+            assert table == brute_table(f, arity, points)
+
+
+def test_table_of_constants():
+    points = list(enumerate([(0,), (1,), (1,)]))
+    assert compile_table(TRUE, 2, 1)(points) == set(product(range(3), repeat=2))
+    assert compile_table(FALSE, 2, 1)(points) == frozenset()
+    assert compile_table(TRUE, 3, 2)([]) == frozenset()
+
+
+@pytest.mark.parametrize("arity", [25, _CHUNK_DEPTH + 1, 5000])
+def test_table_of_high_arity_on_one_point(arity):
+    point = [(0, (7,))]
+    assert compile_table(le(0, arity - 1), arity, 1)(point) == {(0,) * arity}
+    assert compile_table(lt(0, arity - 1), arity, 1)(point) == frozenset()
+
+
+def test_table_too_deep_is_a_formula_error():
+    f = TRUE
+    for _ in range(MAX_DEPTH + 1):
+        f = Not(f)
+    with pytest.raises(FormulaError, match="limit is 300"):
+        compile_table(f, 1, 1)
+    with pytest.raises(TypeError):
+        compile_table("(lt 0 1)", 2, 1)
+
+
+def test_deep_equality_and_hash_do_not_recurse():
+    # Built twice from one seed: equal trees that share no node.
+    a = mixed_chain(random.Random(8), MAX_DEPTH)
+    b = mixed_chain(random.Random(8), MAX_DEPTH)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != mixed_chain(random.Random(9), MAX_DEPTH)
+    assert Not(a) != b and Not(a) == Not(b)
+    deep = [TRUE, TRUE]
+    for _ in range(10 * MAX_DEPTH):
+        deep = [Not(f) for f in deep]
+    assert deep[0] == deep[1] and hash(deep[0]) == hash(deep[1])
+
+
+def test_equality_is_structural():
+    assert lt(0, 1) == Atom("lt", 0, 1) and hash(lt(0, 1)) == hash(lt(0, 1))
+    assert lt(0, 1) != Atom("le", 0, 1)
+    assert lt(0, 1) != lt(1, 0)
+    assert and_(TRUE, FALSE) != or_(TRUE, FALSE)
+    assert and_(TRUE) != and_(TRUE, TRUE)
+    assert and_(TRUE, FALSE) != and_(FALSE, TRUE)
+    assert TRUE != FALSE and TRUE != True
+    assert not_(TRUE) != TRUE
+    # Equal hashes never decide equality: the children are compared too.
+    a, b = not_(lt(0, 1)), not_(lt(1, 0))
+    object.__setattr__(b, "_hash", a._hash)
+    assert a != b

@@ -184,6 +184,15 @@ def test_orbit_report_json():
     }
 
 
+@pytest.mark.parametrize(
+    "name, n, count",
+    [("gamma1", 4, 196), ("gamma2", 5, 16), ("gamma3", 5, 16),
+     ("qlt", 5, 1), ("ord3", 5, 1)],
+)
+def test_orbit_counts_pinned(name, n, count):
+    assert orbit_count(preset(name), n).class_count == count
+
+
 @pytest.mark.parametrize("name", ["qlt", "ord3", "gamma1", "gamma2", "gamma3"])
 def test_orbit_growth_matches_subset_enumeration(name):
     # Independent oracle: enumerate all n-subsets of an actual sample and

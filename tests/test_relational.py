@@ -27,6 +27,7 @@ from conftest import (
     random_binary_structure,
     random_instance,
     reference_hom,
+    reference_power_relations,
     reference_signatures,
     reference_ts_entries,
 )
@@ -203,6 +204,24 @@ def test_power_size_and_cap():
 def test_power_empty_relation():
     p = power_structure(binary_structure(2, ()))
     assert p.relations["E"] == frozenset()
+
+
+@pytest.mark.parametrize("name", ["qlt", "ord3"])
+def test_power_matches_covering_rule_on_samples(name):
+    for n in range(1, 6):
+        b = sample(preset(name), n).structure
+        assert power_structure(b).relations == reference_power_relations(b)
+
+
+def test_power_matches_covering_rule_on_random_structures():
+    rng = random.Random(71)
+    for _ in range(200):
+        m, arity, density = rng.randint(1, 4), rng.randint(1, 3), rng.random()
+        tuples = frozenset(
+            t for t in product(range(m), repeat=arity) if rng.random() < density
+        )
+        b = FiniteStructure(Signature((("R", arity),)), m, {"R": tuples})
+        assert power_structure(b).relations == reference_power_relations(b)
 
 
 # ---------------------------------------------------------------------------

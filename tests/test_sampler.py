@@ -90,28 +90,6 @@ def test_direct_samples_nest():
                 assert restricted == tuples
 
 
-def test_representative_invariance():
-    rng = random.Random(99)
-    for name in ("gamma1", "gamma2", "gamma3"):
-        t = preset(name)
-        for n in (1, 2, 3):
-            default = sample_interpretation(t, n)
-            randomized = sample_interpretation(
-                t, n, representative_rng=rng
-            )
-            # Same quotient and, by congruence, the same relation tuples.
-            assert randomized.structure.size == default.structure.size
-            assert (
-                randomized.structure.relations
-                == default.structure.relations
-            )
-            for ci, rep in enumerate(randomized.representatives):
-                assert eval_formula(
-                    t.equality_formula,
-                    default.representatives[ci] + rep,
-                )
-
-
 def test_representatives_satisfy_invariants():
     for name in ("gamma1", "gamma2", "gamma3"):
         t = preset(name)

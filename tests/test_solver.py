@@ -17,12 +17,12 @@ from ordcsp import (
     solve,
     verify_assignment,
 )
-from ordcsp.powerset import covering_tuple
 from ordcsp.template import Relation, Template
 from ordcsp.formula import TRUE, eq, lt
 
 from conftest import (
     complete_graph,
+    covering_tuple,
     random_binary_structure,
     random_instance,
     satisfiable_by_weak_order,
