@@ -45,8 +45,7 @@ MAX_DEPTH = 300
 
 # Connective levels inlined into one generated function. A deeper subtree
 # becomes a function of its own, so each source stays far below the 200
-# nested parentheses that the CPython tokenizer accepts. A table builder
-# nests at most this many ``for`` loops.
+# nested parentheses that the CPython tokenizer accepts.
 _CHUNK_DEPTH = 50
 
 
@@ -213,15 +212,14 @@ def compile_table(f: Formula, arity: int, d: int):
 
     The builder maps ``R = list(enumerate(points))`` to the frozenset of
     index tuples whose points, concatenated, satisfy ``f``: ``lambda R:
-    frozenset((i0, i1,) for (i0, (x0, x1,)) in R for (i1, (x2, x3,)) in R
-    if <expr>)``, with atoms such as ``x0 < x3``. Past ``_CHUNK_DEPTH``
-    positions one loop over ``product(R, repeat=arity)`` replaces the
-    nested ones. Raises as ``compile_formula`` does.
+    frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)), in
+    product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
+    One loop serves every arity. Raises as ``compile_formula`` does.
     """
     compile_formula(f)  # type and depth checks
     fn = f._tables.get((arity, d))
     if fn is None:
-        env = {"__builtins__": {}, "frozenset": frozenset}
+        env = {"__builtins__": {}, "frozenset": frozenset, "product": product}
         fn = f._tables[arity, d] = eval(_table_source(f, arity, d, env), env)
     return fn
 
@@ -234,11 +232,7 @@ def _table_source(f, arity, d, env):
         "(i%d, (%s,))" % (i, ", ".join(names[i * d : (i + 1) * d]))
         for i in range(arity)
     ]
-    if arity <= _CHUNK_DEPTH:
-        loops = " ".join("for %s in R" % t for t in targets)
-    else:
-        env["product"] = product
-        loops = "for %s in product(R, repeat=%d)" % (", ".join(targets), arity)
+    loops = "for %s, in product(R, repeat=%d)" % (", ".join(targets), arity)
     head = "(%s,)" % ", ".join("i%d" % i for i in range(arity))
     expr = _source(f, env, _CHUNK_DEPTH, names)
     return "lambda R: frozenset(%s %s if %s)" % (head, loops, expr)

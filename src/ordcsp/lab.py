@@ -21,7 +21,7 @@ any template equal to one of them up to its name; otherwise it is a lower
 bound. Classes are enumerated by levelwise extension: keep one concrete
 point configuration per class, re-grid it with gaps so that a new point
 can take every relative position, and canonicalize the grown
-structures, each built afresh by ``formula.compile_table`` (no memo).
+structures, each built afresh by ``formula.compile_table``.
 This visits a number of configurations proportional to the number of
 classes rather than the number of n-subsets of a sample, which is what
 makes counts like n = 5 over a 100-element sample feasible.

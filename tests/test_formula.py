@@ -23,7 +23,6 @@ from ordcsp import (
     parse_formula,
     print_formula,
 )
-import ordcsp.formula as formula
 from ordcsp.formula import (
     ATOM_OPS,
     MAX_DEPTH,
@@ -259,7 +258,8 @@ CONNECTIVE_TOKENS = set(ATOM_OPS.values()) | {
     "(", ")", "not", "and", "or", "True", "False",
 }
 TABLE_TOKENS = {
-    ",", "lambda", ":", "R", "for", "in", "if", "frozenset", "repeat", "=",
+    ",", "lambda", ":", "R", "for", "in", "if", "frozenset", "product",
+    "repeat", "=",
 }
 
 
@@ -283,13 +283,12 @@ def test_generated_source_tokens():
     source = _source(f, env, _CHUNK_DEPTH)
     assert env  # the chain spans several chunks
     assert_tokens(source, env, CONNECTIVE_TOKENS | {"[", "]", "p"})
-    # A table builder adds the loop syntax, generated index and coordinate
-    # names, and ``product`` past _CHUNK_DEPTH positions.
-    for arity in (2, _CHUNK_DEPTH + 1):
+    # A table builder adds the loop syntax and generated index and
+    # coordinate names.
+    for arity in (2, 3):
         env = {}
         source = _table_source(f, arity, 2, env)
         assert any(name.startswith("f") for name in env)
-        assert ("product" in env) == (arity > _CHUNK_DEPTH)
         allowed = CONNECTIVE_TOKENS | TABLE_TOKENS
         assert_tokens(source, env, allowed, names=r"[ix]\d+")
 
@@ -335,19 +334,6 @@ def test_table_on_deep_chains():
         assert table == brute_table(f, 2, points)
 
 
-def test_table_product_path(monkeypatch):
-    # Past _CHUNK_DEPTH positions the builder loops over product(R, ...);
-    # lowered to 1, that path (and one chunk per level) runs at arity 2-3.
-    monkeypatch.setattr(formula, "_CHUNK_DEPTH", 1)
-    rng = random.Random(7)
-    points = [(a, b) for a in range(2) for b in range(3)]
-    for arity in (2, 3):
-        for _ in range(10):
-            f = mixed_chain(rng, 4)  # fresh nodes: nothing cached yet
-            table = compile_table(f, arity, 2)(list(enumerate(points)))
-            assert table == brute_table(f, arity, points)
-
-
 def test_table_of_constants():
     points = list(enumerate([(0,), (1,), (1,)]))
     assert compile_table(TRUE, 2, 1)(points) == set(product(range(3), repeat=2))
@@ -355,7 +341,7 @@ def test_table_of_constants():
     assert compile_table(TRUE, 3, 2)([]) == frozenset()
 
 
-@pytest.mark.parametrize("arity", [25, _CHUNK_DEPTH + 1, 5000])
+@pytest.mark.parametrize("arity", [1, 25, 5000])
 def test_table_of_high_arity_on_one_point(arity):
     point = [(0, (7,))]
     assert compile_table(le(0, arity - 1), arity, 1)(point) == {(0,) * arity}
