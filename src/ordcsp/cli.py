@@ -71,7 +71,7 @@ def load_structure(path) -> FiniteStructure:
 
 def load_instance_or_structure(path):
     data = _load_json(path)
-    if "variables" in data:
+    if isinstance(data, dict) and "variables" in data:
         return Instance.from_json_dict(data)
     return FiniteStructure.from_json_dict(data)
 

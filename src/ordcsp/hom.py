@@ -3,17 +3,21 @@
 ``hom_exists`` decides whether an instance (or a whole structure) maps
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
-It runs as a loop over an explicit stack of assigned variables, and undoes
-a failed choice from a trail of ``(variable, old domain)`` entries, so its
+After each assignment it runs ``solver.propagate``, the table reduction
+``ac`` uses, on tuples that give a repeated variable one value. It runs
+as a loop over an explicit stack of assigned variables, and undoes a
+failed choice from the propagator's trail of ``(store, key, old)``
+entries, which restores domains and live tuple lists together. So its
 depth is not bounded by the interpreter's recursion limit and no node
 copies the domains.
 """
 
 from __future__ import annotations
 
-from operator import contains, itemgetter
+from collections import deque
 
 from .errors import SignatureMismatch
+from .solver import network, propagate
 from .structures import FiniteStructure, Instance, instance_view
 
 
@@ -34,25 +38,6 @@ def _constraint_view(a, b: FiniteStructure):
     raise TypeError(f"expected Instance or FiniteStructure, got {type(a)!r}")
 
 
-def _filter_constraint(tuples, args, domains):
-    """Per-variable supported values for one constraint, or None if no
-    tuple is compatible with the domains. A variable repeated in ``args``
-    takes one value per tuple."""
-    first = {}
-    for pos, v in enumerate(args):
-        first.setdefault(v, pos)
-    doms = [domains[v] for v in args]
-    kept = [t for t in tuples if all(map(contains, doms, t))]
-    repeats = [
-        (pos, first[v]) for pos, v in enumerate(args) if pos != first[v]
-    ]
-    if repeats:
-        kept = [t for t in kept if all(t[p] == t[q] for p, q in repeats)]
-    if not kept:
-        return None
-    return {v: set(map(itemgetter(pos), kept)) for v, pos in first.items()}
-
-
 def hom_exists(a, b: FiniteStructure):
     """Search for a homomorphism from ``a`` into ``b``.
 
@@ -63,64 +48,42 @@ def hom_exists(a, b: FiniteStructure):
     variables, constraints = _constraint_view(a, b)
     if not variables:
         return {}
-    relation_tuples = [
-        (b.relations[rel], tuple(args)) for rel, args in constraints
-    ]
-    by_var = {v: [] for v in variables}
-    for idx, (_, args) in enumerate(relation_tuples):
-        for v in set(args):
-            by_var[v].append(idx)
-
+    h, args_of, live, by_var = network(variables, constraints, b)
+    # A repeated variable takes one value per tuple. On the tuples equal
+    # on its positions, each position projects to the same set, so the
+    # propagator's intersection rule gives exactly that.
+    for ci, args in enumerate(args_of):
+        repeats = [(p, q) for p, v in enumerate(args) if (q := args.index(v)) != p]
+        if repeats:
+            live[ci] = [
+                t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)
+            ]
     order_index = {v: i for i, v in enumerate(variables)}
-    domains = {v: set(range(b.size)) for v in variables}
-    trail = []  # (variable, its domain before a narrowing), newest last
-
-    def propagate(dirty):
-        # Re-filter constraints touching changed variables to a fixpoint,
-        # trailing every domain it replaces.
-        queue = list(dict.fromkeys(dirty))
-        queued = set(queue)
-        while queue:
-            ci = queue.pop()
-            queued.discard(ci)
-            tuples, args = relation_tuples[ci]
-            supported = _filter_constraint(tuples, args, domains)
-            if supported is None:
-                return False
-            for v, values in supported.items():
-                if values < domains[v]:
-                    trail.append((v, domains[v]))
-                    domains[v] = values
-                    for cj in by_var[v]:
-                        if cj != ci and cj not in queued:
-                            queue.append(cj)
-                            queued.add(cj)
-        return True
-
-    if not propagate(range(len(relation_tuples))):
+    # The first fixpoint is never undone, so its trail keeps nothing.
+    queue = deque(range(len(args_of)))
+    if not propagate(h, args_of, live, by_var, queue, deque(maxlen=0)):
         return None
+    trail = []  # (store, key, old value) per narrowing, newest last
     # One frame per assigned variable: (variable, its candidate values,
     # how many of them were tried, trail length before the first try).
     stack = []
     unassigned = set(variables)
     while unassigned:
-        var = min(
-            unassigned, key=lambda v: (len(domains[v]), order_index[v])
-        )
+        var = min(unassigned, key=lambda v: (len(h[v]), order_index[v]))
         unassigned.remove(var)
-        stack.append((var, sorted(domains[var]), 0, len(trail)))
+        stack.append((var, sorted(h[var]), 0, len(trail)))
         while stack:
             var, values, tried, mark = stack.pop()
             while len(trail) > mark:
-                v, old = trail.pop()
-                domains[v] = old
+                store, key, old = trail.pop()
+                store[key] = old
             if tried == len(values):
                 unassigned.add(var)
                 continue
             stack.append((var, values, tried + 1, mark))
-            trail.append((var, domains[var]))
-            domains[var] = {values[tried]}
-            if propagate(by_var[var]):
+            trail.append((h, var, h[var]))
+            h[var] = {values[tried]}
+            if propagate(h, args_of, live, by_var, deque(by_var[var]), trail):
                 break
         else:
             return None

@@ -6,14 +6,16 @@ the sample iff it maps into the template.
 
 * Direct templates: the sample is the grid {0..n-1} (standing for n
   increasing rationals); relation tuples are exactly the grid tuples
-  satisfying the defining formulas. A relation whose n**arity grid
-  tuples exceed ``GRID_CAP`` raises ``CapExceeded`` before enumeration.
+  satisfying the defining formulas.
 * Interpretations of dimension d: enumerate the d-tuples over the grid
   {0..dn-1} that satisfy the domain formula, group them into classes of
   the equality formula, and evaluate each relation formula on each
   class's least member.
 
-``formula.compile_table`` builds every relation table in one pass.
+``formula.compile_table`` builds every relation table in one pass, once
+each relation's m**arity candidate tuples over the m sample elements are
+within ``GRID_CAP`` (direct) or ``TABLE_CAP`` (interpretation, whose m
+grows as (dn)**d); past it, ``CapExceeded`` is raised.
 
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
@@ -45,6 +47,7 @@ from .structures import FiniteStructure, Signature
 from .template import DIRECT, INTERPRETATION, Template
 
 GRID_CAP = 10**6
+TABLE_CAP = 10**8
 CHECK_BUDGET = 4 * 10**6
 
 
@@ -75,9 +78,6 @@ def sample_direct(t: Template, n: int) -> Sample:
     if t.kind != DIRECT:
         raise ValueError("sample_direct needs a direct template")
     n = max(n, 1)
-    for rel in t.relations:
-        if n**rel.arity > GRID_CAP:
-            raise CapExceeded(f"grid cap: {n}^{rel.arity} > {GRID_CAP}")
     reps = [(i,) for i in range(n)]
     structure = FiniteStructure(
         Signature(t.signature_symbols()), n, _relation_tables(t, reps)
@@ -106,7 +106,14 @@ def sample_interpretation(t: Template, n: int) -> Sample:
 
 
 def _relation_tables(t: Template, points) -> dict:
-    """Each relation of ``t`` on the given d-tuples, as index tuples."""
+    """Each relation of ``t`` on the given d-tuples, as index tuples. A
+    relation of more candidate tuples than the cap of ``t``'s kind raises
+    ``CapExceeded`` before any table is built."""
+    m = len(points)
+    cap = GRID_CAP if t.kind == DIRECT else TABLE_CAP
+    for rel in t.relations:
+        if m**rel.arity > cap:
+            raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
     r = list(enumerate(points))
     return {
         rel.name: compile_table(rel.formula, rel.arity, t.dimension)(r)

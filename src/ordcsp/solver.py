@@ -11,20 +11,24 @@ constrain every one of their coordinates through the same set; the rule
 does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
-``ac`` reaches that fixpoint by table reduction. Each constraint keeps
-the tuples of its relation that every current candidate set still
-supports. A revision filters that list once, then sets each argument
-variable to the values its coordinates still take, intersected over the
-positions where it appears. Variables that shrank requeue the constraints
-that mention them. A revision leaves its own constraint at a fixpoint
-unless it shrank a variable the constraint repeats: a variable's set is
-then narrower than some position's projection, so live tuples may have
-died, and only then does the constraint requeue itself.
+``propagate`` reaches that fixpoint by table reduction, on the state
+``network`` builds; ``ac`` and ``hom.hom_exists`` share both. Each
+constraint keeps the tuples of its relation that every current candidate
+set still supports. A revision filters that list once, then sets each
+argument variable to the values its coordinates still take, intersected
+over the positions where it appears. Variables that shrank requeue the
+constraints that mention them. A revision leaves its own constraint at a
+fixpoint unless it shrank a variable the constraint repeats: a variable's
+set is then narrower than some position's projection, so live tuples may
+have died, and only then does the constraint requeue itself. Every
+narrowed domain and shrunk live list goes on a trail, which the search
+in ``hom`` undoes on backtracking and ``ac`` discards.
 
-``ac_roundrobin`` is the reference: it sweeps the projection rule over
-every constraint in declaration order until nothing changes. Both run to
-the fixpoint even once a set is empty, and the fixpoint is unique, so
-they return identical domain maps.
+``propagate`` stops when a live list empties; ``ac`` resumes it until
+the queue is empty. ``ac_roundrobin`` is the reference: it sweeps the
+projection rule over every constraint in declaration order until nothing
+changes. Both run to the fixpoint even once a set is empty, and the
+fixpoint is unique, so they return identical domain maps.
 
 ``solve`` ties the pieces together: sample the template at the instance's
 variable count, run ac, and -- for direct templates declaring a
@@ -38,10 +42,10 @@ from collections import deque
 from dataclasses import dataclass
 from operator import contains
 
-from .errors import SignatureMismatch, VerificationFailed
+from .errors import VerificationFailed
 from .formula import compile_formula
 from .sampler import Sample, sample
-from .structures import FiniteStructure, Instance
+from .structures import FiniteStructure, Instance, Signature
 from .template import DIRECT, Template
 
 
@@ -60,46 +64,68 @@ def _projection_pass(tuples, args, h):
     return changed
 
 
-def _prepared(instance: Instance, b: FiniteStructure):
-    instance.check_against(b.signature)
-    return [
-        (sorted(b.relations[rel]), tuple(args))
-        for rel, args in instance.constraints
-    ]
-
-
-def ac(instance: Instance, b: FiniteStructure):
-    """Worklist arc-consistency by table reduction. Returns (accept,
-    domain map)."""
-    instance.check_against(b.signature)
-    h = {v: set(range(b.size)) for v in instance.variables}
-    args_of = [args for _, args in instance.constraints]
-    live = [b.relations[rel] for rel, _ in instance.constraints]
-    by_var: dict[str, list[int]] = {v: [] for v in instance.variables}
+def network(variables, constraints, b: FiniteStructure):
+    """The state ``propagate`` works on: full domains, each constraint's
+    argument tuple and live tuples (its relation in ``b``), and the
+    constraints on each variable."""
+    h = {v: set(range(b.size)) for v in variables}
+    args_of = [tuple(args) for _, args in constraints]
+    live = [b.relations[rel] for rel, _ in constraints]
+    by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
         for v in set(args):
             by_var[v].append(ci)
+    return h, args_of, live, by_var
 
-    queue = deque(range(len(args_of)))
+
+def propagate(h, args_of, live, by_var, queue, trail):
+    """Table reduction from the constraints in ``queue`` (a deque) to the
+    fixpoint. Pushes ``(store, key, old)`` onto ``trail`` for every domain
+    it narrows and every live list a revision shrinks, so ``store[key] =
+    old`` undoes it; a revision that keeps every tuple leaves an equal
+    copy, which needs no undo. Returns True at the fixpoint, and False as
+    soon as a revision leaves its live list empty (so the domains of its
+    variables); the constraints still queued then stay in ``queue``."""
     queued = set(queue)
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
         args = args_of[ci]
         domains = [h[v] for v in args]
-        live[ci] = [t for t in live[ci] if all(map(contains, domains, t))]
-        columns = [set(c) for c in zip(*live[ci])] or [set() for _ in args]
+        old = live[ci]
+        kept = live[ci] = [t for t in old if all(map(contains, domains, t))]
+        if len(kept) < len(old):
+            trail.append((live, ci, old))
+        columns = [set(c) for c in zip(*kept)] or [set() for _ in args]
         support = {}
         for v, column in zip(args, columns):
             support[v] = support[v] & column if v in support else column
         for v, values in support.items():
             if len(values) < len(h[v]):
+                trail.append((h, v, h[v]))
                 h[v] = values
                 repeated = args.count(v) > 1
                 for cj in by_var[v]:
                     if cj not in queued and (cj != ci or repeated):
                         queue.append(cj)
                         queued.add(cj)
+        if not kept:
+            return False
+    return True
+
+
+def ac(instance: Instance, b: FiniteStructure):
+    """Worklist arc-consistency by table reduction. Returns (accept,
+    domain map)."""
+    instance.check_against(b.signature)
+    h, args_of, live, by_var = network(
+        instance.variables, instance.constraints, b
+    )
+    # Resume after each emptied live list, to the whole fixpoint. Nothing
+    # is undone, so the trail keeps nothing.
+    queue = deque(range(len(args_of)))
+    while queue:
+        propagate(h, args_of, live, by_var, queue, deque(maxlen=0))
     accept = all(h[v] for v in instance.variables)
     return accept, h
 
@@ -110,7 +136,10 @@ def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
 
     ``history``, when a list, receives a snapshot of the domain map after
     every sweep (for monotonicity checks)."""
-    constraints = _prepared(instance, b)
+    instance.check_against(b.signature)
+    constraints = [
+        (sorted(b.relations[rel]), args) for rel, args in instance.constraints
+    ]
     h = {v: set(range(b.size)) for v in instance.variables}
     if history is not None:
         history.append({v: frozenset(s) for v, s in h.items()})
@@ -198,7 +227,7 @@ def solve(t: Template, instance: Instance) -> Verdict:
 
     An instance with no variables is accepted immediately (sample_size 0).
     """
-    _check_instance_symbols(t, instance)
+    instance.check_against(Signature(t.signature_symbols()))
     n = len(instance.variables)
     if n == 0:
         verdict = Verdict(True, 0, {})
@@ -215,17 +244,3 @@ def solve(t: Template, instance: Instance) -> Verdict:
         verdict.witness = extract_witness(t, instance, domains)
     return verdict
 
-
-def _check_instance_symbols(t: Template, instance: Instance):
-    names = {rel.name for rel in t.relations}
-    for rel_name, args in instance.constraints:
-        if rel_name not in names:
-            raise SignatureMismatch(
-                f"template {t.name!r} has no relation {rel_name!r}"
-            )
-        rel = t.relation(rel_name)
-        if rel.arity != len(args):
-            raise SignatureMismatch(
-                f"constraint {rel_name!r} has {len(args)} arguments, "
-                f"template arity is {rel.arity}"
-            )

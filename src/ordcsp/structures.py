@@ -32,9 +32,6 @@ class Signature:
                 raise SchemaError(f"relation {name!r} has bad arity {arity!r}")
             seen.add(name)
 
-    def names(self):
-        return [name for name, _ in self.symbols]
-
     def arity(self, name: str) -> int:
         for sym, arity in self.symbols:
             if sym == name:

@@ -3,8 +3,9 @@
 A template names relations and defines each by a quantifier-free order
 formula. Two presentations exist:
 
-* ``direct`` (dimension 1): elements are rational points themselves; a
-  relation of arity m is defined by a formula over m variables.
+* ``direct`` (dimension 1, domain formula ``true``, equality formula
+  ``(eq 0 1)``): elements are rational points themselves; a relation of
+  arity m is defined by a formula over m variables.
 * ``interpretation`` (dimension d): elements are classes of d-tuples of
   rationals. A domain formula selects admissible d-tuples, an equality
   formula says when two d-tuples name the same element, and a relation of
@@ -153,6 +154,10 @@ def validate_template(t: Template) -> list[str]:
         problems.append(f"dimension must be positive, got {t.dimension}")
     if t.kind == DIRECT and t.dimension != 1:
         problems.append("direct templates have dimension 1")
+    if t.kind == DIRECT and t.domain_formula != TRUE:
+        problems.append("direct templates have domain formula true")
+    if t.kind == DIRECT and t.equality_formula != eq(0, 1):
+        problems.append("direct templates have equality formula (eq 0 1)")
     names = [rel.name for rel in t.relations]
     if len(set(names)) != len(names):
         problems.append("relation names must be unique")

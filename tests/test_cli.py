@@ -267,6 +267,13 @@ def test_schema_error_exit(tmp_path, capsys):
     assert "bad.json" in err
     missing = tmp_path / "missing.json"
     assert run_cli(["hom", "--from", str(missing), "--to", str(missing)]) == 2
+    structure = tmp_path / "k2.json"
+    write_json(structure, complete_graph(2).to_json_dict())
+    for i, value in enumerate((5, None)):
+        scalar = tmp_path / f"scalar{i}.json"
+        write_json(scalar, value)
+        args = ["hom", "--from", str(scalar), "--to", str(structure)]
+        assert run_cli(args) == 2
     template = tmp_path / "string_dimension.json"
     _, data = run(capsys, "preset", "--name", "gamma2")
     write_json(template, {**data, "dimension": "2"})
@@ -280,8 +287,6 @@ def test_schema_error_exit(tmp_path, capsys):
             "constraints": [{"rel": 7, "args": [None, True]}],
         },
     )
-    structure = tmp_path / "k2.json"
-    write_json(structure, complete_graph(2).to_json_dict())
     code = run_cli(["ac", "--instance", str(inst), "--structure", str(structure)])
     assert code == 2
     assert "name must be a string" in capsys.readouterr().err

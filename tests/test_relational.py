@@ -144,6 +144,15 @@ def test_hom_matches_recursive_reference():
         found += mapping is not None
         absent += mapping is None
     assert found > 50 and absent > 50
+    # Power structures of template samples: repeated elements within
+    # constraints and long live lists.
+    for name in ("qlt", "ord3"):
+        for n in (3, 4):
+            b = sample(preset(name), n).structure
+            a = power_structure(b)
+            mapping = hom_exists(a, b)
+            assert mapping is not None
+            assert list(mapping.items()) == list(reference_hom(a, b).items())
     # Graphs near the 3-colouring threshold, where the search backtracks.
     names = tuple(f"v{i}" for i in range(12))
     for _ in range(40):

@@ -112,6 +112,31 @@ def test_representatives_satisfy_invariants():
 def test_grid_cap():
     with pytest.raises(CapExceeded):
         sample_interpretation(preset("gamma2"), 600)
+    # 30**6 candidate tuples for one 6-ary relation on 30 elements: refused
+    # before any table is built.
+    t = Template(
+        name="wide",
+        kind="interpretation",
+        dimension=1,
+        domain_formula=TRUE,
+        equality_formula=eq(0, 1),
+        relations=(Relation("W", 6, lt(0, 5)),),
+    )
+    with pytest.raises(CapExceeded, match="grid cap"):
+        sample(t, 30)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_interpretation_samples_beyond_direct_cap(name):
+    # 1,024 elements at n=16, so 1,024**2 candidate pairs: above the
+    # direct cap, below the interpretation cap.
+    smp = sample(preset(name), 16)
+    assert smp.structure.size == 1024
+    sizes = {k: len(v) for k, v in smp.structure.relations.items()}
+    if name == "gamma1":
+        assert sum(sizes.values()) == 1024**2
+    else:
+        assert sizes == {"R": 32 * 496, "S": 496 * 32 * 32}
 
 
 def test_direct_grid_cap():

@@ -122,6 +122,13 @@ def test_from_json_rejects_invalid():
     for key, value in (("dimension", "2"), ("domain_formula", 5)):
         with pytest.raises(SchemaError):
             Template.from_json_dict({**good, key: value})
+    direct = preset("qlt").to_json_dict()
+    for key, value in (
+        ("domain_formula", "(lt 0 0)"),
+        ("equality_formula", "(le 0 1)"),
+    ):
+        with pytest.raises(SchemaError, match="direct templates have"):
+            Template.from_json_dict({**direct, key: value})
 
 
 def test_direct_defaults():
