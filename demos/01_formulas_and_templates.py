@@ -5,13 +5,15 @@ formulas over integer points, written as s-expressions.
 """
 
 import json
+from dataclasses import replace
 
 from ordcsp import (
+    SchemaError,
     eval_formula,
+    lt,
     parse_formula,
     preset,
     print_formula,
-    validate_template,
 )
 
 # Atoms compare positions of a point: (gt 0 1) holds on p iff p[0] > p[1].
@@ -32,12 +34,18 @@ print("  [1, 0, 7] ->", eval_formula(f, [1, 0, 7]))
 # their elements are classes of pairs of rationals.
 for name in ("qlt", "ord3", "gamma1", "gamma2", "gamma3"):
     t = preset(name)
-    problems = validate_template(t)
     rels = ", ".join(f"{r.name}/{r.arity}" for r in t.relations)
     print(
         f"\npreset {name}: kind={t.kind} dimension={t.dimension} "
-        f"relations=[{rels}] valid={not problems}"
+        f"relations=[{rels}]"
     )
+
+# A template checks its structure when it is built, however it is built:
+# a direct template's domain formula must be the literal `true`.
+try:
+    replace(preset("qlt"), domain_formula=lt(0, 0))
+except SchemaError as exc:
+    print("\nrejected at construction:", exc)
 
 # Templates are plain JSON; the file format is the source of truth.
 print("\ngamma2 as JSON:")

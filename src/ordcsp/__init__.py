@@ -74,7 +74,6 @@ from .template import (
     Relation,
     Template,
     preset,
-    validate_template,
 )
 
 __all__ = [
@@ -138,6 +137,5 @@ __all__ = [
     "sample_interpretation",
     "solve",
     "subset_class_count",
-    "validate_template",
     "verify_assignment",
 ]

@@ -35,13 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import FormulaError
+from .errors import CapExceeded, FormulaError
 
 # Comparison operators and the Python source token each compiles to.
 ATOM_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="}
 
 # Connectives may nest this deep; deeper formulas raise FormulaError.
 MAX_DEPTH = 300
+
+# Coordinates per point in a generated table builder. Its source grows
+# with them (10^4 compiled in about 0.4 s and 70 MB on a 2-core Xeon VM),
+# and a one-element sample meets any arity, since 1^arity passes every cap.
+MAX_TABLE_WIDTH = 10**4
 
 # Connective levels inlined into one generated function. A deeper subtree
 # becomes a function of its own, so each source stays far below the 200
@@ -214,7 +219,9 @@ def compile_table(f: Formula, arity: int, d: int):
     index tuples whose points, concatenated, satisfy ``f``: ``lambda R:
     frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)), in
     product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
-    One loop serves every arity. Raises as ``compile_formula`` does.
+    One loop serves every arity. Raises as ``compile_formula`` does, and
+    ``CapExceeded`` when a point has more than ``MAX_TABLE_WIDTH``
+    coordinates (``arity * d``), before any source is written.
     """
     compile_formula(f)  # type and depth checks
     fn = f._tables.get((arity, d))
@@ -227,6 +234,10 @@ def compile_table(f: Formula, arity: int, d: int):
 def _table_source(f, arity, d, env):
     if arity < 1 or d < 1 or f.free_var_count > arity * d:
         raise ValueError(f"formula does not fit arity {arity}, dimension {d}")
+    if arity * d > MAX_TABLE_WIDTH:
+        raise CapExceeded(
+            f"table width: {arity} * {d} coordinates > {MAX_TABLE_WIDTH}"
+        )
     names = ["x%d" % v for v in range(arity * d)]
     targets = [
         "(i%d, (%s,))" % (i, ", ".join(names[i * d : (i + 1) * d]))
@@ -389,7 +400,10 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse s-expression formula text; raises FormulaError on bad input."""
+    """Parse s-expression formula text; raises FormulaError on bad input,
+    including any value that is not a ``str``."""
+    if not isinstance(text, str):
+        raise FormulaError(f"formula must be a string, got {text!r}")
     parser = _Parser(text)
     f = parser.parse_formula()
     tok, at = parser.peek()

@@ -24,8 +24,6 @@ from .structures import FiniteStructure, Instance, instance_view
 def _constraint_view(a, b: FiniteStructure):
     if isinstance(a, FiniteStructure):
         for name, arity in a.signature.symbols:
-            if name not in b.signature:
-                raise SignatureMismatch(f"unknown relation symbol {name!r}")
             if b.signature.arity(name) != arity:
                 raise SignatureMismatch(
                     f"relation {name!r}: arity {arity} vs "

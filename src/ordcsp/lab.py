@@ -48,6 +48,7 @@ EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 EXACT_PRESETS = frozenset({"qlt", "ord3", "gamma1", "gamma2"})
 
+EQUIV_SIZE_CAP = 3
 MAX_ORBIT_N = 7
 DEFAULT_ORBIT_BUDGET = 10**7
 
@@ -76,12 +77,12 @@ class EquivReport:
         }
 
 
-def check_set_hom_equiv(b: FiniteStructure, size_cap: int = 3) -> EquivReport:
+def check_set_hom_equiv(b: FiniteStructure) -> EquivReport:
     """Compare hom(subset structure -> B) with a totally symmetric
     polymorphism search at arity (max arity) * |B|, both exhaustive."""
-    if b.size > size_cap:
+    if b.size > EQUIV_SIZE_CAP:
         raise CapExceeded(
-            f"equivalence check cap: size {b.size} > {size_cap}"
+            f"equivalence check cap: size {b.size} > {EQUIV_SIZE_CAP}"
         )
     arity = max(1, b.max_arity() * b.size)
     set_hom = hom_exists(power_structure(b), b) is not None

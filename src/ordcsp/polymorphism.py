@@ -31,7 +31,10 @@ from .errors import CapExceeded
 from .structures import FiniteStructure
 
 DEFAULT_CONSTRAINT_BUDGET = 10**6
-DEFAULT_SEMILATTICE_CAP = 6
+SEMILATTICE_CAP = 6
+# Entries of a TS table, the non-empty subsets of size <= n; 562,625 of
+# them (150 elements, n = 3) took 2.75 s and 157 MB on a 2-core Xeon VM.
+TS_TABLE_CAP = 10**5
 
 
 @dataclass
@@ -156,11 +159,18 @@ def has_ts_polymorphism(
     so idempotent witnesses come out when they exist. Each constraint is
     checked once, when the last of its variables in that order is
     assigned. Entries not pinned down by any constraint default to the
-    minimum of the subset.
+    minimum of the subset. A table of more than ``TS_TABLE_CAP`` entries
+    raises ``CapExceeded`` before anything is built.
     """
     if n < 1:
         raise ValueError("arity must be positive")
     m = b.size
+    entries, count = 0, 1
+    for k in range(1, min(m, n) + 1):
+        count = count * (m - k + 1) // k  # C(m, k)
+        entries += count
+        if entries > TS_TABLE_CAP:
+            raise CapExceeded(f"TS table cap: over {TS_TABLE_CAP} subsets")
     if m == 0:
         return SubsetFunctionTable(n, {})
     if n == 1:
@@ -253,9 +263,7 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
     raise TypeError(f"expected an operation table, got {type(op)!r}")
 
 
-def find_semilattice(
-    b: FiniteStructure, size_cap: int = DEFAULT_SEMILATTICE_CAP
-):
+def find_semilattice(b: FiniteStructure):
     """Exhaustive search for a semilattice polymorphism of ``b``.
 
     The table is filled cell by cell in lexicographic order with the
@@ -264,8 +272,10 @@ def find_semilattice(
     completed tables. Returns a BinaryOpTable or None.
     """
     m = b.size
-    if m > size_cap:
-        raise CapExceeded(f"semilattice search cap: size {m} > {size_cap}")
+    if m > SEMILATTICE_CAP:
+        raise CapExceeded(
+            f"semilattice search cap: size {m} > {SEMILATTICE_CAP}"
+        )
     if m == 0:
         return BinaryOpTable(0, ())
 

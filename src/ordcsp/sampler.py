@@ -12,10 +12,14 @@ the sample iff it maps into the template.
   the equality formula, and evaluate each relation formula on each
   class's least member.
 
+Templates arrive structurally checked (``Template`` checks itself when it
+is built), and a sample's signature is the template's ``signature``.
 ``formula.compile_table`` builds every relation table in one pass, once
 each relation's m**arity candidate tuples over the m sample elements are
 within ``GRID_CAP`` (direct) or ``TABLE_CAP`` (interpretation, whose m
-grows as (dn)**d); past it, ``CapExceeded`` is raised.
+grows as (dn)**d); past it, ``CapExceeded`` is raised. The comparisons
+never compute a giant power, so an arity or dimension of 2**70 is refused
+at once; on one element, by ``formula.MAX_TABLE_WIDTH``.
 
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
@@ -43,7 +47,7 @@ from .errors import (
     SchemaError,
 )
 from .formula import compile_formula, compile_table
-from .structures import FiniteStructure, Signature
+from .structures import FiniteStructure
 from .template import DIRECT, INTERPRETATION, Template
 
 GRID_CAP = 10**6
@@ -79,9 +83,7 @@ def sample_direct(t: Template, n: int) -> Sample:
         raise ValueError("sample_direct needs a direct template")
     n = max(n, 1)
     reps = [(i,) for i in range(n)]
-    structure = FiniteStructure(
-        Signature(t.signature_symbols()), n, _relation_tables(t, reps)
-    )
+    structure = FiniteStructure(t.signature, n, _relation_tables(t, reps))
     return Sample(structure, tuple(reps), n)
 
 
@@ -97,7 +99,7 @@ def sample_interpretation(t: Template, n: int) -> Sample:
     classes = _group(points, compile_formula(t.equality_formula))
     reps = [points[members[0]] for members in classes]
     structure = FiniteStructure(
-        Signature(t.signature_symbols()),
+        t.signature,
         len(reps),
         _relation_tables(t, reps),
         tuple(str(tuple(r)) for r in reps),
@@ -112,7 +114,7 @@ def _relation_tables(t: Template, points) -> dict:
     m = len(points)
     cap = GRID_CAP if t.kind == DIRECT else TABLE_CAP
     for rel in t.relations:
-        if m**rel.arity > cap:
+        if _power_exceeds(m, rel.arity, cap):
             raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
     r = list(enumerate(points))
     return {
@@ -121,10 +123,16 @@ def _relation_tables(t: Template, points) -> dict:
     }
 
 
+def _power_exceeds(base, exponent, cap):
+    """``base ** exponent > cap``, without computing a giant power: any
+    base >= 2 passes the cap within cap.bit_length() + 1 factors."""
+    return base ** min(exponent, cap.bit_length() + 1) > cap
+
+
 def _domain_points(t, g):
     """The domain's d-tuples over {0..g-1}, in lexicographic order."""
     d = t.dimension
-    if g**d > GRID_CAP:
+    if _power_exceeds(g, d, GRID_CAP):
         raise CapExceeded(f"grid cap: {g}^{d} > {GRID_CAP}")
     dom = compile_formula(t.domain_formula)
     return [p for p in product(range(g), repeat=d) if dom(p)]

@@ -45,8 +45,8 @@ from operator import contains
 from .errors import VerificationFailed
 from .formula import compile_formula
 from .sampler import Sample, sample
-from .structures import FiniteStructure, Instance, Signature
-from .template import DIRECT, Template
+from .structures import FiniteStructure, Instance
+from .template import Template
 
 
 def _projection_pass(tuples, args, h):
@@ -202,7 +202,7 @@ def verify_assignment(t: Template, instance: Instance, assignment) -> bool:
 def extract_witness(t: Template, instance: Instance, domains) -> dict:
     """Fold the declared semilattice operation over each accepted
     candidate set and verify the result. Never returns unverified."""
-    if t.kind != DIRECT or t.semilattice is None:
+    if t.semilattice is None:
         raise ValueError(
             "witness extraction needs a direct template with a declared "
             "semilattice"
@@ -227,11 +227,11 @@ def solve(t: Template, instance: Instance) -> Verdict:
 
     An instance with no variables is accepted immediately (sample_size 0).
     """
-    instance.check_against(Signature(t.signature_symbols()))
+    instance.check_against(t.signature)
     n = len(instance.variables)
     if n == 0:
         verdict = Verdict(True, 0, {})
-        if t.kind == DIRECT and t.semilattice is not None:
+        if t.semilattice is not None:
             verdict.witness = {}
         return verdict
     smp: Sample = sample(t, n)
@@ -240,7 +240,7 @@ def solve(t: Template, instance: Instance) -> Verdict:
         return Verdict(False, smp.structure.size)
     domains = {v: sorted(h[v]) for v in instance.variables}
     verdict = Verdict(True, smp.structure.size, domains)
-    if t.kind == DIRECT and t.semilattice is not None:
+    if t.semilattice is not None:
         verdict.witness = extract_witness(t, instance, domains)
     return verdict
 

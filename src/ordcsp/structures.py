@@ -38,9 +38,6 @@ class Signature:
                 return arity
         raise SignatureMismatch(f"unknown relation symbol {name!r}")
 
-    def __contains__(self, name):
-        return any(sym == name for sym, _ in self.symbols)
-
 
 @dataclass
 class FiniteStructure:

@@ -21,13 +21,22 @@ is restricted to direct templates: folding coordinatewise min/max on
 interpretation representatives can leave the domain formula (for
 gamma3, min of (1,2) and (2,1) is (1,1), violating x != y).
 
+A ``Template`` checks its structure when it is built, whether from JSON,
+by ``preset``, by a direct call or by ``dataclasses.replace``, and raises
+``SchemaError`` on the first fault: field types, a known kind, relation
+symbols (checked by the ``Signature`` it keeps as ``signature``), formula
+indices within their arity, the literal ``true`` and ``(eq 0 1)`` of a
+direct template, and a semilattice only on a direct template. Whether the
+equality formula is an equivalence and a congruence is decided later, on
+the template's first sample (see ``sampler``).
+
 The JSON file format is the single source of truth; ``preset`` builds
 named built-in templates as ordinary values of that format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SchemaError
 from .formula import (
@@ -42,11 +51,14 @@ from .formula import (
     parse_formula,
     print_formula,
 )
+from .structures import Signature
 
 PRESET_NAMES = ("qlt", "ord3", "gamma1", "gamma2", "gamma3")
 
 DIRECT = "direct"
 INTERPRETATION = "interpretation"
+# Built once: a new Atom costs more than the rest of a template's check.
+_DIRECT_EQUALITY = eq(0, 1)
 
 
 @dataclass(frozen=True)
@@ -65,15 +77,53 @@ class Template:
     equality_formula: Formula
     relations: tuple[Relation, ...]
     semilattice: str | None = None
+    signature: Signature = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        d = self.dimension
+        if type(self.name) is not str:
+            raise SchemaError(f"name must be str, got {self.name!r}")
+        if self.kind not in (DIRECT, INTERPRETATION):
+            raise SchemaError(
+                f"kind must be direct or interpretation, got {self.kind!r}"
+            )
+        if type(d) is not int or d < 1:
+            raise SchemaError(f"dimension must be a positive int, got {d!r}")
+        symbols = tuple((rel.name, rel.arity) for rel in self.relations)
+        object.__setattr__(self, "signature", Signature(symbols))
+        fixed = (d, self.domain_formula, self.equality_formula)
+        if self.kind == DIRECT and fixed != (1, TRUE, _DIRECT_EQUALITY):
+            raise SchemaError(
+                "direct templates have dimension 1, domain formula true "
+                "and equality formula (eq 0 1)"
+            )
+        limits = [
+            ("domain formula", self.domain_formula, d),
+            ("equality formula", self.equality_formula, 2 * d),
+        ] + [(rel, rel.formula, rel.arity * d) for rel in self.relations]
+        for what, formula, limit in limits:
+            if formula.free_var_count > limit:
+                if isinstance(what, Relation):
+                    what = f"relation {what.name!r}: formula"
+                raise SchemaError(
+                    f"{what} uses index {formula.free_var_count - 1}, "
+                    f"limit is {limit - 1}"
+                )
+        if self.semilattice not in (None, "min", "max"):
+            raise SchemaError(
+                f"semilattice must be 'min' or 'max', got {self.semilattice!r}"
+            )
+        if self.semilattice is not None and self.kind != DIRECT:
+            raise SchemaError(
+                "semilattice witness extraction is direct-only; "
+                "interpretation templates cannot declare one"
+            )
 
     def relation(self, name: str) -> Relation:
         for rel in self.relations:
             if rel.name == name:
                 return rel
         raise SchemaError(f"template {self.name!r} has no relation {name!r}")
-
-    def signature_symbols(self):
-        return tuple((rel.name, rel.arity) for rel in self.relations)
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "kind": self.kind}
@@ -96,103 +146,20 @@ class Template:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Template":
         try:
-            name = data["name"]
-            kind = data["kind"]
-            relations = tuple(
-                Relation(r["name"], r["arity"], parse_formula(r["formula"]))
-                for r in data["relations"]
-            )
-            dimension = data.get("dimension", 1)
-            domain_formula = (
-                parse_formula(data["domain_formula"])
-                if "domain_formula" in data
-                else TRUE
-            )
-            equality_formula = (
-                parse_formula(data["equality_formula"])
-                if "equality_formula" in data
-                else eq(0, 1)
+            return cls(
+                data["name"],
+                data["kind"],
+                data.get("dimension", 1),
+                parse_formula(data.get("domain_formula", "true")),
+                parse_formula(data.get("equality_formula", "(eq 0 1)")),
+                tuple(
+                    Relation(r["name"], r["arity"], parse_formula(r["formula"]))
+                    for r in data["relations"]
+                ),
+                data.get("semilattice"),
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad template JSON: {exc}") from exc
-        if kind not in (DIRECT, INTERPRETATION):
-            raise SchemaError(f"bad template kind {kind!r}")
-        template = cls(
-            name,
-            kind,
-            dimension,
-            domain_formula,
-            equality_formula,
-            relations,
-            data.get("semilattice"),
-        )
-        problems = validate_template(template)
-        if problems:
-            raise SchemaError("; ".join(problems))
-        return template
-
-
-def validate_template(t: Template) -> list[str]:
-    """Structural checks; returns a list of violations (empty = valid).
-
-    Semantic properties of the equality formula (equivalence, congruence)
-    are checked once per template, on its first sample.
-    """
-    typed = [("name", t.name, str), ("dimension", t.dimension, int)]
-    for rel in t.relations:
-        typed += [("relation name", rel.name, str), ("arity", rel.arity, int)]
-    problems = [
-        f"{what} must be {kind.__name__}, got {value!r}"
-        for what, value, kind in typed
-        if type(value) is not kind
-    ]
-    if problems:
-        return problems
-    if t.kind not in (DIRECT, INTERPRETATION):
-        problems.append(f"kind must be direct or interpretation, got {t.kind!r}")
-    if t.dimension < 1:
-        problems.append(f"dimension must be positive, got {t.dimension}")
-    if t.kind == DIRECT and t.dimension != 1:
-        problems.append("direct templates have dimension 1")
-    if t.kind == DIRECT and t.domain_formula != TRUE:
-        problems.append("direct templates have domain formula true")
-    if t.kind == DIRECT and t.equality_formula != eq(0, 1):
-        problems.append("direct templates have equality formula (eq 0 1)")
-    names = [rel.name for rel in t.relations]
-    if len(set(names)) != len(names):
-        problems.append("relation names must be unique")
-    d = t.dimension
-    if t.domain_formula.free_var_count > d:
-        problems.append(
-            f"domain formula uses index "
-            f"{t.domain_formula.free_var_count - 1}, limit is {d - 1}"
-        )
-    if t.equality_formula.free_var_count > 2 * d:
-        problems.append(
-            f"equality formula uses index "
-            f"{t.equality_formula.free_var_count - 1}, limit is {2 * d - 1}"
-        )
-    for rel in t.relations:
-        if rel.arity < 1:
-            problems.append(f"relation {rel.name!r}: arity must be positive")
-            continue
-        limit = rel.arity * d
-        if rel.formula.free_var_count > limit:
-            problems.append(
-                f"relation {rel.name!r}: formula uses index "
-                f"{rel.formula.free_var_count - 1}, limit is {limit - 1}"
-            )
-    if t.semilattice is not None:
-        if t.semilattice not in ("min", "max"):
-            problems.append(
-                f"semilattice must be 'min' or 'max', got {t.semilattice!r}"
-            )
-        if t.kind != DIRECT:
-            problems.append(
-                "semilattice witness extraction is direct-only; "
-                "interpretation templates cannot declare one"
-            )
-    return problems
 
 
 def _componentwise_equality(d: int) -> Formula:
@@ -207,7 +174,7 @@ def preset(name: str) -> Template:
             kind=DIRECT,
             dimension=1,
             domain_formula=TRUE,
-            equality_formula=eq(0, 1),
+            equality_formula=_DIRECT_EQUALITY,
             relations=(Relation("Lt", 2, lt(0, 1)),),
             semilattice="min",
         )
@@ -217,7 +184,7 @@ def preset(name: str) -> Template:
             kind=DIRECT,
             dimension=1,
             domain_formula=TRUE,
-            equality_formula=eq(0, 1),
+            equality_formula=_DIRECT_EQUALITY,
             relations=(Relation("T", 3, or_(gt(0, 1), gt(0, 2))),),
             semilattice="min",
         )

@@ -135,7 +135,7 @@ def test_criterion_5_ord3_vs_weak_order_oracle():
     accepted = 0
     for _ in range(300):
         a = random_instance(
-            rng, ord3.signature_symbols(), max_vars=6, max_constraints=6
+            rng, ord3.signature.symbols, max_vars=6, max_constraints=6
         )
         verdict = solve(ord3, a)
         assert verdict.accept == satisfiable_by_weak_order(ord3, a)
@@ -157,7 +157,7 @@ def test_criterion_6_interpretations_vs_sampling_oracle():
     oracle_samples = {}
     for name in ("gamma2", "gamma3"):
         t = preset(name)
-        symbols = t.signature_symbols()
+        symbols = t.signature.symbols
         for _ in range(100):
             a = random_instance(rng, symbols, max_vars=4, max_constraints=5)
             verdict = solve(t, a)

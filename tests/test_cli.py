@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ordcsp
 from ordcsp.cli import run_cli
 
 from conftest import complete_graph
@@ -307,6 +309,116 @@ def test_deep_formula_schema_error(tmp_path, capsys, formula):
     write_json(template, data)
     assert run_cli(["sample", "--template", str(template), "--size", "3"]) == 2
     assert "connectives nest deeper than 300" in capsys.readouterr().err
+
+
+def test_template_fields_that_used_to_crash(tmp_path, capsys):
+    template = tmp_path / "t.json"
+    _, qlt = run(capsys, "preset", "--name", "qlt")
+    _, gamma2 = run(capsys, "preset", "--name", "gamma2")
+    cases = [
+        # (relation field, value, command, size, exit code)
+        ("formula", ["lt", 0, 1], "sample", 2, 2),
+        ("name", "", "orbits", 2, 2),
+        # 2^(2^70) candidate tuples, or one tuple of 2^70 coordinates.
+        ("arity", 2**70, "sample", 2, 3),
+        ("arity", 2**70, "sample", 1, 3),
+        ("arity", 2**70, "orbits", 2, 3),
+    ]
+    for field, value, command, size, expected in cases:
+        data = json.loads(json.dumps(qlt))
+        data["relations"][0][field] = value
+        write_json(template, data)
+        argv = [command, "--template", str(template), "--size", str(size)]
+        assert run_cli(argv) == expected, capsys.readouterr().err
+    # A grid of (2n)^(2^70) points.
+    write_json(template, {**gamma2, "dimension": 2**70})
+    argv = ["sample", "--template", str(template), "--size", "2"]
+    assert run_cli(argv) == 3
+    assert "grid cap" in capsys.readouterr().err
+
+
+BASES = {
+    "qlt": [{"rel": "Lt", "args": ["x", "y"]}],
+    "ord3": [{"rel": "T", "args": ["x", "y", "z"]}],
+    "gamma2": [{"rel": "R", "args": ["x", "y"]}, {"rel": "S", "args": ["y", "z"]}],
+    "gamma3": [{"rel": "Ord", "args": ["x", "y"]}, {"rel": "M", "args": ["y", "z"]}],
+}
+TEMPLATE_KEYS = (
+    "name",
+    "kind",
+    "dimension",
+    "domain_formula",
+    "equality_formula",
+    "relations",
+    "semilattice",
+)
+RELATION_KEYS = ("name", "arity", "formula")
+HUGE = (2**31, 2**63, 2**70)
+ints = st.sampled_from((-1, 0, 1, 2, 3, *HUGE)) | st.integers(-3, 2**70)
+scalars = (
+    ints
+    | st.sampled_from(
+        ["direct", "interpretation", "min", "true", "(eq 0 1)", "(lt 0 2)"]
+    )
+    | st.builds("(lt 0 {})".format, st.sampled_from((3, 7, *HUGE)))
+    | st.none()
+    | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+# ints twice: the integer fields (arity, dimension) reach the most code.
+json_values = (
+    ints
+    | scalars
+    | st.lists(scalars, max_size=3)
+    | st.dictionaries(st.sampled_from(RELATION_KEYS), scalars, max_size=3)
+)
+
+
+@st.composite
+def fuzzed_templates(draw):
+    base = draw(st.sampled_from(sorted(BASES)))
+    data = ordcsp.preset(base).to_json_dict()
+    for _ in range(draw(st.integers(1, 2))):
+        rels = data.get("relations")
+        first = rels[0] if isinstance(rels, list) and rels else None
+        if isinstance(first, dict) and draw(st.booleans()):
+            target, keys = first, RELATION_KEYS
+        else:
+            target, keys = data, TEMPLATE_KEYS
+        key = draw(st.sampled_from(keys))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(json_values)
+    return base, data
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fuzzed_templates(), st.integers(0, 3))
+def test_fuzzed_template_json_never_crashes(tmp_path, capsys, case, size):
+    base, data = case
+    template, instance = tmp_path / "t.json", tmp_path / "i.json"
+    write_json(template, data)
+    write_json(
+        instance, {"variables": ["x", "y", "z"], "constraints": BASES[base]}
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordcsp.sampler, "GRID_CAP", 10**3)
+        mp.setattr(ordcsp.sampler, "TABLE_CAP", 10**4)
+        mp.setattr(ordcsp.sampler, "CHECK_BUDGET", 10**4)
+        mp.setattr(ordcsp.formula, "MAX_TABLE_WIDTH", 100)
+        for argv in (
+            ["sample", "--template", str(template), "--size", str(size)],
+            ["solve", "--template", str(template), "--instance", str(instance)],
+        ):
+            code = run_cli(argv)
+            assert 0 <= code <= 3, capsys.readouterr().err
+            capsys.readouterr()
 
 
 def test_internal_error_exit(monkeypatch, capsys):

@@ -19,7 +19,7 @@ from ordcsp import (
     preset,
     sample,
 )
-from ordcsp.polymorphism import SubsetFunctionTable
+from ordcsp.polymorphism import TS_TABLE_CAP, SubsetFunctionTable
 
 from conftest import (
     binary_structure,
@@ -305,6 +305,16 @@ def test_ts_budget():
     k3 = complete_graph(3)
     with pytest.raises(CapExceeded):
         has_ts_polymorphism(k3, 6, budget=3)
+
+
+def test_ts_table_cap():
+    # 300 elements at arity 3 make 4,500,250 subsets; the unary shortcut
+    # is capped too. Both raise before any table is built.
+    for m, n in ((300, 3), (TS_TABLE_CAP + 1, 1)):
+        with pytest.raises(CapExceeded, match="TS table cap"):
+            has_ts_polymorphism(binary_structure(m, ()), n)
+    table = has_ts_polymorphism(binary_structure(TS_TABLE_CAP, ()), 1)
+    assert len(table.entries) == TS_TABLE_CAP
 
 
 def test_ts_matches_reference_search():

@@ -257,7 +257,7 @@ def test_direct_sampling_stability():
     rng = random.Random(17)
     for name in ("qlt", "ord3"):
         t = preset(name)
-        symbols = t.signature_symbols()
+        symbols = t.signature.symbols
         for _ in range(40):
             a = random_instance(rng, symbols, max_vars=4, max_constraints=5)
             n = len(a.variables)

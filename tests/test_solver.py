@@ -217,7 +217,7 @@ def test_solve_agrees_with_weak_order_oracle():
     ord3 = preset("ord3")
     for _ in range(100):
         a = random_instance(
-            rng, ord3.signature_symbols(), max_vars=5, max_constraints=5
+            rng, ord3.signature.symbols, max_vars=5, max_constraints=5
         )
         assert solve(ord3, a).accept == satisfiable_by_weak_order(ord3, a)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from ordcsp import (
     eq,
     lt,
     preset,
-    validate_template,
 )
 from ordcsp.formula import TRUE, and_
 
@@ -60,7 +60,8 @@ def test_preset_gamma3():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_validate(name):
-    assert validate_template(preset(name)) == []
+    t = preset(name)
+    assert t.signature.symbols == tuple((r.name, r.arity) for r in t.relations)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -73,42 +74,60 @@ def test_preset_json_roundtrip_bit_identical(name):
 
 
 def test_validate_out_of_range_index():
-    t = Template(
-        name="bad",
-        kind="direct",
-        dimension=1,
-        domain_formula=TRUE,
-        equality_formula=eq(0, 1),
-        relations=(Relation("R", 2, lt(0, 2)),),
-    )
-    problems = validate_template(t)
-    assert any("index" in p for p in problems)
+    with pytest.raises(SchemaError, match="uses index 2, limit is 1"):
+        Template(
+            name="bad",
+            kind="direct",
+            dimension=1,
+            domain_formula=TRUE,
+            equality_formula=eq(0, 1),
+            relations=(Relation("R", 2, lt(0, 2)),),
+        )
 
 
 def test_validate_semilattice_direct_only():
-    t = Template(
-        name="bad",
-        kind="interpretation",
-        dimension=2,
-        domain_formula=TRUE,
-        equality_formula=and_(eq(0, 2), eq(1, 3)),
-        relations=(Relation("S", 2, lt(0, 2)),),
-        semilattice="min",
-    )
-    problems = validate_template(t)
-    assert any("direct-only" in p for p in problems)
+    with pytest.raises(SchemaError, match="direct-only"):
+        Template(
+            name="bad",
+            kind="interpretation",
+            dimension=2,
+            domain_formula=TRUE,
+            equality_formula=and_(eq(0, 2), eq(1, 3)),
+            relations=(Relation("S", 2, lt(0, 2)),),
+            semilattice="min",
+        )
 
 
 def test_validate_duplicate_relation_names():
-    t = Template(
-        name="bad",
-        kind="direct",
-        dimension=1,
-        domain_formula=TRUE,
-        equality_formula=eq(0, 1),
-        relations=(Relation("R", 2, lt(0, 1)), Relation("R", 2, lt(1, 0))),
-    )
-    assert any("unique" in p for p in validate_template(t))
+    with pytest.raises(SchemaError, match="duplicate relation name 'R'"):
+        Template(
+            name="bad",
+            kind="direct",
+            dimension=1,
+            domain_formula=TRUE,
+            equality_formula=eq(0, 1),
+            relations=(Relation("R", 2, lt(0, 1)), Relation("R", 2, lt(1, 0))),
+        )
+
+
+def test_every_construction_path_checks():
+    # A direct template whose domain is (lt 0 0) would sample 3 elements
+    # and let solve accept Lt(a, b), while orbit_count finds 0 classes; no
+    # way of building a template may skip the check.
+    qlt = preset("qlt")
+    fields = {
+        f: getattr(qlt, f)
+        for f in ("name", "kind", "dimension", "equality_formula", "relations")
+    }
+    for build in (
+        lambda: Template(**fields, domain_formula=lt(0, 0)),
+        lambda: replace(qlt, domain_formula=lt(0, 0)),
+        lambda: replace(qlt, relations=(Relation("", 2, lt(0, 1)),)),
+        lambda: replace(qlt, semilattice="median"),
+        lambda: replace(preset("gamma2"), dimension=0),
+    ):
+        with pytest.raises(SchemaError):
+            build()
 
 
 def test_from_json_rejects_invalid():
