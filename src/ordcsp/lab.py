@@ -41,6 +41,7 @@ from .polymorphism import (
     has_ts_polymorphism,
 )
 from .powerset import power_structure
+from .sampler import _power_exceeds
 from .structures import FiniteStructure
 from .template import Template, preset
 
@@ -425,13 +426,26 @@ def orbit_count(
 
     Grows one representative configuration per class, level by level; see
     the module docstring for why this matches subset enumeration on the
-    homogeneous built-ins and is a lower bound otherwise.
+    homogeneous built-ins and is a lower bound otherwise. Raises
+    ``CapExceeded`` past ``MAX_ORBIT_N``, and when the d^d first-level
+    patterns, a level's candidate points, a table's n^arity candidate
+    tuples or the configurations grown exceed ``budget``; no giant power
+    is computed for the comparison.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_ORBIT_N:
         raise CapExceeded(f"orbit counting cap: n {n} > {MAX_ORBIT_N}")
     d = t.dimension
+    if _power_exceeds(d, d, budget):
+        raise CapExceeded(f"orbit counting budget: {d}^{d} patterns > {budget}")
+    # A configuration has at most n points, so n^arity bounds every table.
+    for rel in t.relations:
+        if _power_exceeds(n, rel.arity, budget):
+            raise CapExceeded(
+                f"orbit counting budget: {n}^{rel.arity} table candidates "
+                f"> {budget}"
+            )
     dom = compile_formula(t.domain_formula)
     eqf = compile_formula(t.equality_formula)
     tables = [
@@ -468,6 +482,10 @@ def orbit_count(
                 tuple(remap[x] for x in point) for point in config
             )
             fine = d + len(values) * (d + 1)
+            if _power_exceeds(fine, d, budget):
+                raise CapExceeded(
+                    f"orbit counting budget: {fine}^{d} points > {budget}"
+                )
             for w in product(range(fine), repeat=d):
                 if not dom(w):
                     continue

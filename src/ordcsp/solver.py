@@ -11,18 +11,15 @@ constrain every one of their coordinates through the same set; the rule
 does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
-``propagate`` reaches that fixpoint by table reduction, on the state
-``network`` builds; ``ac`` and ``hom.hom_exists`` share both. Each
-constraint keeps the tuples of its relation that every current candidate
-set still supports. A revision filters that list once, then sets each
-argument variable to the values its coordinates still take, intersected
-over the positions where it appears. Variables that shrank requeue the
-constraints that mention them. A revision leaves its own constraint at a
-fixpoint unless it shrank a variable the constraint repeats: a variable's
-set is then narrower than some position's projection, so live tuples may
-have died, and only then does the constraint requeue itself. Every
-narrowed domain and shrunk live list goes on a trail, which the search
-in ``hom`` undoes on backtracking and ``ac`` discards.
+``propagate`` reaches that fixpoint by table reduction (Ullmann 2007), on
+the state ``network`` builds; ``ac`` and ``hom.hom_exists`` share both.
+Each constraint keeps the tuples of its relation that every current
+candidate set still supports. A revision filters that list and projects
+it onto each position in C-level passes, with no Python frame and no
+allocation per tuple; each argument variable gets its positions'
+projections intersected. Shrunk variables requeue their constraints, a
+revision's own only if it shrank a variable the constraint repeats (that
+set is then narrower than a projection, so live tuples may have died).
 
 ``propagate`` stops when a live list empties; ``ac`` resumes it until
 the queue is empty. ``ac_roundrobin`` is the reference: it sweeps the
@@ -40,7 +37,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import contains
+from itertools import compress
+from operator import itemgetter
 
 from .errors import VerificationFailed
 from .formula import compile_formula
@@ -80,23 +78,28 @@ def network(variables, constraints, b: FiniteStructure):
 
 def propagate(h, args_of, live, by_var, queue, trail):
     """Table reduction from the constraints in ``queue`` (a deque) to the
-    fixpoint. Pushes ``(store, key, old)`` onto ``trail`` for every domain
-    it narrows and every live list a revision shrinks, so ``store[key] =
-    old`` undoes it; a revision that keeps every tuple leaves an equal
-    copy, which needs no undo. Returns True at the fixpoint, and False as
-    soon as a revision leaves its live list empty (so the domains of its
+    fixpoint. A revision streams each position's membership tests with
+    ``map``, joins them with ``zip`` (which reuses its result tuple) and
+    keeps the passing tuples with ``compress``. The streams walk one live
+    list in lockstep, safely: an unmodified list or frozenset iterates in
+    the same order each time. Every narrowed domain and shrunk live list
+    pushes ``(store, key, old)`` onto ``trail``, so ``store[key] = old``
+    undoes it (``hom`` on backtracking); an unshrunk list is an equal copy
+    and needs no undo. Returns True at the fixpoint, and False as soon as
+    a revision leaves its live list empty (so the domains of its
     variables); the constraints still queued then stay in ``queue``."""
     queued = set(queue)
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
         args = args_of[ci]
-        domains = [h[v] for v in args]
         old = live[ci]
-        kept = live[ci] = [t for t in old if all(map(contains, domains, t))]
+        gets = [itemgetter(i) for i in range(len(args))]
+        tests = [map(h[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
+        kept = live[ci] = list(compress(old, map(all, zip(*tests))))
         if len(kept) < len(old):
             trail.append((live, ci, old))
-        columns = [set(c) for c in zip(*kept)] or [set() for _ in args]
+        columns = [set(map(g, kept)) for g in gets]
         support = {}
         for v, column in zip(args, columns):
             support[v] = support[v] & column if v in support else column
@@ -121,8 +124,7 @@ def ac(instance: Instance, b: FiniteStructure):
     h, args_of, live, by_var = network(
         instance.variables, instance.constraints, b
     )
-    # Resume after each emptied live list, to the whole fixpoint. Nothing
-    # is undone, so the trail keeps nothing.
+    # Resume after each emptied live list; nothing is undone, so no trail.
     queue = deque(range(len(args_of)))
     while queue:
         propagate(h, args_of, live, by_var, queue, deque(maxlen=0))

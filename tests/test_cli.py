@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -261,6 +262,31 @@ def test_orbits_budget_cap(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "base, change, cap",
+    [
+        # 2^70 patterns of 2^70 coordinates each on the first level.
+        ("gamma2", {"dimension": 2**70, "relations": []}, "patterns"),
+        # 2^30 candidate tuples for each 2-point configuration's table.
+        (
+            "qlt",
+            {"relations": [{"name": "W", "arity": 30, "formula": "(lt 0 1)"}]},
+            "table candidates",
+        ),
+    ],
+    ids=["dimension-2^70", "arity-30"],
+)
+def test_orbits_refuses_before_enumerating(tmp_path, capsys, base, change, cap):
+    template = tmp_path / "t.json"
+    _, data = run(capsys, "preset", "--name", base)
+    write_json(template, {**data, **change})
+    start = perf_counter()
+    code = run_cli(["orbits", "--template", str(template), "--size", "2"])
+    assert code == 3
+    assert perf_counter() - start < 5
+    assert f"{cap} > 10000000" in capsys.readouterr().err
+
+
 def test_schema_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -399,8 +425,8 @@ def fuzzed_templates(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(fuzzed_templates(), st.integers(0, 3))
-def test_fuzzed_template_json_never_crashes(tmp_path, capsys, case, size):
+@given(fuzzed_templates(), st.integers(0, 3), st.integers(1, 3))
+def test_fuzzed_template_json_never_crashes(tmp_path, capsys, case, size, n):
     base, data = case
     template, instance = tmp_path / "t.json", tmp_path / "i.json"
     write_json(template, data)
@@ -415,6 +441,7 @@ def test_fuzzed_template_json_never_crashes(tmp_path, capsys, case, size):
         for argv in (
             ["sample", "--template", str(template), "--size", str(size)],
             ["solve", "--template", str(template), "--instance", str(instance)],
+            ["orbits", "--template", str(template), "--size", str(n), "--budget=1000"],
         ):
             code = run_cli(argv)
             assert 0 <= code <= 3, capsys.readouterr().err

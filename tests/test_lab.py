@@ -173,6 +173,16 @@ def test_orbit_caps():
         orbit_count(preset("qlt"), 0)
     with pytest.raises(CapExceeded):
         orbit_count(preset("gamma1"), 5, budget=100)
+    # Each cap is checked before its enumeration: 3^3 first-level
+    # patterns, 3^2 table candidates, and 8^2 points for a one-point
+    # gamma2 configuration (two used values, spread 3 apart).
+    three = replace(preset("gamma2"), dimension=3)
+    with pytest.raises(CapExceeded, match=r"3\^3 patterns > 20"):
+        orbit_count(three, 2, budget=20)
+    with pytest.raises(CapExceeded, match=r"3\^2 table candidates > 8"):
+        orbit_count(preset("gamma2"), 3, budget=8)
+    with pytest.raises(CapExceeded, match=r"8\^2 points > 50"):
+        orbit_count(preset("gamma2"), 3, budget=50)
 
 
 def test_orbit_report_json():

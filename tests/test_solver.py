@@ -1,9 +1,13 @@
+import gc
 import random
+from itertools import product
 
 import pytest
 
 from ordcsp import (
+    FiniteStructure,
     Instance,
+    Signature,
     SignatureMismatch,
     VerificationFailed,
     ac,
@@ -25,6 +29,7 @@ from conftest import (
     covering_tuple,
     random_binary_structure,
     random_instance,
+    reference_hom,
     satisfiable_by_weak_order,
 )
 
@@ -103,6 +108,85 @@ def test_ac_matches_roundrobin_on_template_samples():
         repeats += any(len(set(args)) < len(args) for _, args in a.constraints)
         assert ac(a, b) == ac_roundrobin(a, b)
     assert repeats >= 100
+
+
+def random_mixed_structure(rng, max_size=3):
+    """Up to three relations of arity 1 to 4, each empty about half the
+    time, on 1 to ``max_size`` elements."""
+    m = rng.randint(1, max_size)
+    symbols = tuple(
+        (f"R{r}", rng.randint(1, 4)) for r in range(rng.randint(1, 3))
+    )
+    relations = {}
+    for name, arity in symbols:
+        density = rng.choice((0.0, rng.random()))
+        relations[name] = frozenset(
+            t for t in product(range(m), repeat=arity) if rng.random() < density
+        )
+    return FiniteStructure(Signature(symbols), m, relations)
+
+
+def satisfies(a, b, mapping):
+    return all(
+        tuple(mapping[v] for v in args) in b.relations[rel]
+        for rel, args in a.constraints
+    )
+
+
+def test_ac_and_hom_on_mixed_arities():
+    # Arities 1 to 4, empty relations and repeated variables: the 1-tuple
+    # and empty-table paths of the propagator's filter, against the
+    # round-robin scheduler, the reference search and brute force.
+    rng = random.Random(36)
+    unary = empty = repeats = 0
+    for _ in range(300):
+        b = random_mixed_structure(rng)
+        a = random_instance(
+            rng, list(b.signature.symbols), max_vars=4, max_constraints=5
+        )
+        unary += any(len(args) == 1 for _, args in a.constraints)
+        empty += any(not b.relations[rel] for rel, _ in a.constraints)
+        repeats += any(len(set(args)) < len(args) for _, args in a.constraints)
+        accept, h = ac(a, b)
+        assert (accept, h) == ac_roundrobin(a, b)
+        mapping = hom_exists(a, b)
+        assert mapping == reference_hom(a, b)
+        if mapping is None:
+            assert not any(
+                satisfies(a, b, dict(zip(a.variables, values)))
+                for values in product(range(b.size), repeat=len(a.variables))
+            )
+        else:
+            assert accept and set(mapping) == set(a.variables)
+            assert satisfies(a, b, mapping)
+    assert unary >= 50 and empty >= 50 and repeats >= 50
+
+
+def test_ac_sets_off_no_garbage_collection():
+    # A revision filters and projects its live tuples in C-level passes
+    # that allocate nothing per tuple, so even the 450- and 4,500-tuple
+    # tables of this sample revise without setting off a collection.
+    b = sample(preset("gamma2"), 5).structure
+    assert sorted(map(len, b.relations.values())) == [450, 4500]
+    rng = random.Random(30)
+    instances = [
+        random_instance(rng, list(b.signature.symbols), max_vars=5)
+        for _ in range(15)
+    ]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for a in instances:
+            ac(a, b)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
 
 
 def test_ac_domains_never_grow():
