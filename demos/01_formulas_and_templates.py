@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from ordcsp import (
     SchemaError,
-    eval_formula,
+    compile_formula,
     lt,
     parse_formula,
     preset,
@@ -21,13 +21,13 @@ f = parse_formula("(or (gt 0 1) (gt 0 2))")
 print("formula:       ", print_formula(f))
 print("free variables:", f.free_var_count)
 for point in ([3, 1, 5], [1, 2, 3], [0, 0, 0]):
-    print(f"  on {point}: {eval_formula(f, point)}")
+    print(f"  on {point}: {compile_formula(f)(point)}")
 
 # Only the relative order of values matters; these two points agree on
 # every order formula.
 print("\norder-isomorphic points evaluate alike:")
-print("  [2, 0, 9] ->", eval_formula(f, [2, 0, 9]))
-print("  [1, 0, 7] ->", eval_formula(f, [1, 0, 7]))
+print("  [2, 0, 9] ->", compile_formula(f)([2, 0, 9]))
+print("  [1, 0, 7] ->", compile_formula(f)([1, 0, 7]))
 
 # Built-in templates. 'qlt' is the strict order itself; 'ord3' has the
 # ternary relation x > y or x > z; gamma1..gamma3 are two-dimensional:

@@ -8,6 +8,8 @@ checks the last two sides against each other, plus a walk-based
 consequence.
 """
 
+from dataclasses import asdict
+
 from ordcsp import (
     FiniteStructure,
     Signature,
@@ -50,7 +52,7 @@ k3 = FiniteStructure(
     {"E": {(i, j) for i in range(3) for j in range(3) if i != j}},
 )
 report = check_set_hom_equiv(k3)
-print("\nK3 equivalence report:", report.to_json_dict())
+print("\nK3 equivalence report:", asdict(report))
 
 # Alternating closed walks: with a totally symmetric polymorphism of
 # arity n, a walk of length exactly 2n on (R, S) forces R and the

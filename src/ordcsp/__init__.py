@@ -26,8 +26,8 @@ from .formula import (
     Or,
     TRUE,
     and_,
+    compile_formula,
     eq,
-    eval_formula,
     ge,
     gt,
     le,
@@ -40,10 +40,6 @@ from .formula import (
 )
 from .hom import hom_exists
 from .lab import (
-    EquivReport,
-    OrbitReport,
-    Walk,
-    WalkLemmaReport,
     check_aclwalk_lemma,
     check_set_hom_equiv,
     find_alternating_walk,
@@ -84,7 +80,6 @@ __all__ = [
     "Const",
     "EqualityNotCongruence",
     "EqualityNotEquivalence",
-    "EquivReport",
     "FALSE",
     "FiniteStructure",
     "Formula",
@@ -92,7 +87,6 @@ __all__ = [
     "Instance",
     "Not",
     "Or",
-    "OrbitReport",
     "PRESET_NAMES",
     "Relation",
     "Sample",
@@ -104,15 +98,13 @@ __all__ = [
     "Template",
     "Verdict",
     "VerificationFailed",
-    "Walk",
-    "WalkLemmaReport",
     "ac",
     "ac_roundrobin",
     "and_",
     "check_aclwalk_lemma",
     "check_set_hom_equiv",
+    "compile_formula",
     "eq",
-    "eval_formula",
     "extract_witness",
     "find_alternating_walk",
     "find_semilattice",

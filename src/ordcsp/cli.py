@@ -14,9 +14,12 @@ One verb per capability::
     walk              shortest alternating closed walk on two relations
     orbits            growth report for a template
 
-JSON goes to --out or stdout; human-readable summaries go to stderr.
-Exit codes: 0 accept/found/success, 1 reject/absent, 2 usage or format
-error, 3 internal cap exceeded, 4 internal error (any other exception).
+Each command returns ``(data, ok, note)``; ``run_cli`` writes ``data`` as
+JSON to --out or stdout, the human-readable ``note`` to stderr, and exits
+0 when ``ok`` (accept/found/success) and 1 otherwise (reject/absent).
+Other exit codes: 2 usage or format error, or a path that cannot be read
+or written; 3 internal cap exceeded; 4 internal error (any other
+exception).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import CapExceeded, SchemaError, VerificationFailed
 from .hom import hom_exists
@@ -51,7 +55,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -76,79 +80,58 @@ def load_instance_or_structure(path):
     return FiniteStructure.from_json_dict(data)
 
 
-def _emit(data: dict, out_path, note=None):
-    text = json.dumps(data, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if note:
-        print(note, file=sys.stderr)
-
-
 def _cmd_preset(args):
-    t = preset(args.name)
-    _emit(t.to_json_dict(), args.out, f"preset {args.name!r}")
-    return EXIT_ACCEPT
+    return preset(args.name).to_json_dict(), True, f"preset {args.name!r}"
 
 
 def _cmd_sample(args):
     t = load_template(args.template)
     smp = sample(t, args.size)
+    if args.sidecar:
+        with open(args.sidecar, "w") as fh:
+            fh.write(json.dumps(smp.sidecar_json_dict(), indent=2) + "\n")
     note = (
         f"sample of {t.name!r} at n={args.size}: "
         f"{smp.structure.size} elements"
     )
-    _emit(smp.structure.to_json_dict(), args.out, note)
-    if args.sidecar:
-        with open(args.sidecar, "w") as fh:
-            fh.write(json.dumps(smp.sidecar_json_dict(), indent=2) + "\n")
-    return EXIT_ACCEPT
+    return smp.structure.to_json_dict(), True, note
 
 
 def _cmd_solve(args):
     t = load_template(args.template)
-    instance = load_instance(args.instance)
-    verdict = solve(t, instance)
+    verdict = solve(t, load_instance(args.instance))
     data = verdict.to_json_dict()
     if not args.witness:
         data.pop("witness", None)
-    _emit(data, args.out, "accept" if verdict.accept else "reject")
-    return EXIT_ACCEPT if verdict.accept else EXIT_REJECT
+    return data, verdict.accept, "accept" if verdict.accept else "reject"
 
 
 def _cmd_ac(args):
     instance = load_instance(args.instance)
-    structure = load_structure(args.structure)
-    accept, h = ac(instance, structure)
+    accept, h = ac(instance, load_structure(args.structure))
     data = {
         "accept": accept,
         "domains": {v: sorted(h[v]) for v in instance.variables},
     }
-    _emit(data, args.out, "accept" if accept else "reject")
-    return EXIT_ACCEPT if accept else EXIT_REJECT
+    return data, accept, "accept" if accept else "reject"
 
 
 def _cmd_hom(args):
     a = load_instance_or_structure(getattr(args, "from"))
-    b = load_structure(args.to)
-    mapping = hom_exists(a, b)
+    mapping = hom_exists(a, load_structure(args.to))
+    found = mapping is not None
     data = {
-        "exists": mapping is not None,
+        "exists": found,
         "mapping": (
             {str(k): v for k, v in mapping.items()} if mapping else None
         ),
     }
-    _emit(data, args.out, "found" if mapping is not None else "absent")
-    return EXIT_ACCEPT if mapping is not None else EXIT_REJECT
+    return data, found, "found" if found else "absent"
 
 
 def _cmd_powerset(args):
-    structure = load_structure(args.structure)
-    p = power_structure(structure, args.max_subset_bits)
-    _emit(p.to_json_dict(), args.out, f"{p.size} subsets")
-    return EXIT_ACCEPT
+    p = power_structure(load_structure(args.structure), args.max_subset_bits)
+    return p.to_json_dict(), True, f"{p.size} subsets"
 
 
 def _cmd_check_ts(args):
@@ -159,29 +142,21 @@ def _cmd_check_ts(args):
         "found": table is not None,
         "table": table.to_json_dict() if table else None,
     }
-    _emit(data, args.out, "found" if table else "absent")
-    return EXIT_ACCEPT if table else EXIT_REJECT
+    return data, table is not None, "found" if table else "absent"
 
 
 def _cmd_check_semilattice(args):
-    structure = load_structure(args.structure)
-    table = find_semilattice(structure)
+    table = find_semilattice(load_structure(args.structure))
     data = {"found": table is not None}
     if table:
         data["table"] = table.to_json_dict()
-    _emit(data, args.out, "found" if table else "absent")
-    return EXIT_ACCEPT if table else EXIT_REJECT
+    return data, table is not None, "found" if table else "absent"
 
 
 def _cmd_check_equiv(args):
-    structure = load_structure(args.structure)
-    report = check_set_hom_equiv(structure)
-    _emit(
-        report.to_json_dict(),
-        args.out,
-        "consistent" if report.consistent else "INCONSISTENT",
-    )
-    return EXIT_ACCEPT if report.consistent else EXIT_REJECT
+    report = check_set_hom_equiv(load_structure(args.structure))
+    note = "consistent" if report.consistent else "INCONSISTENT"
+    return asdict(report), report.consistent, note
 
 
 def _cmd_walk(args):
@@ -192,31 +167,22 @@ def _cmd_walk(args):
     walk = find_alternating_walk(r, s, args.size)
     data = {"found": walk is not None}
     if walk:
-        data["walk"] = walk.to_json_dict()
-    _emit(data, args.out, "found" if walk else "absent")
-    return EXIT_ACCEPT if walk else EXIT_REJECT
+        data["walk"] = asdict(walk)
+    return data, walk is not None, "found" if walk else "absent"
 
 
 def _cmd_orbits(args):
     t = load_template(args.template)
     report = orbit_count(t, args.size, args.budget)
-    _emit(
-        report.to_json_dict(),
-        args.out,
-        f"{report.class_count} classes ({report.exactness})",
-    )
-    return EXIT_ACCEPT
+    note = f"{report.class_count} classes ({report.exactness})"
+    return asdict(report), True, note
 
 
 def _cmd_walk_lemma(args):
-    structure = load_structure(args.structure)
-    report = check_aclwalk_lemma(structure, args.arity)
-    _emit(
-        report.to_json_dict(),
-        args.out,
-        f"{len(report.violations)} violations over {len(report.pairs)} pairs",
-    )
-    return EXIT_ACCEPT if not report.violations else EXIT_REJECT
+    report = check_aclwalk_lemma(load_structure(args.structure), args.arity)
+    n = len(report.violations)
+    note = f"{n} violations over {len(report.pairs)} pairs"
+    return report.to_json_dict(), n == 0, note
 
 
 def _single_binary_relation(structure, path):
@@ -313,11 +279,19 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_ACCEPT
     try:
-        return args.fn(args)
+        data, ok, note = args.fn(args)
+        text = json.dumps(data, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        print(note, file=sys.stderr)
+        return EXIT_ACCEPT if ok else EXIT_REJECT
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SchemaError, VerificationFailed, ValueError) as exc:
+    except (SchemaError, VerificationFailed, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

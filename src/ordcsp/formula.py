@@ -276,20 +276,6 @@ def _source(f, env, levels, names=None):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def eval_formula(f: Formula, point) -> bool:
-    """Evaluate ``f`` on an integer point (a sequence of ints).
-
-    The point must be at least as long as the formula's free-variable
-    count; extra positions are ignored.
-    """
-    if len(point) < f.free_var_count:
-        raise ValueError(
-            f"point of length {len(point)} too short for formula with "
-            f"{f.free_var_count} free variables"
-        )
-    return compile_formula(f)(point)
-
-
 def print_formula(f: Formula) -> str:
     if isinstance(f, Const):
         return "true" if f.value else "false"

@@ -29,7 +29,7 @@ makes counts like n = 5 over a 100-element sample feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
@@ -66,17 +66,6 @@ class EquivReport:
     semilattice: BinaryOpTable | None
     consistent: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "set_hom": self.set_hom,
-            "ts_at_km": self.ts_at_km,
-            "ts_arity": self.ts_arity,
-            "semilattice": (
-                self.semilattice.to_json_dict() if self.semilattice else None
-            ),
-            "consistent": self.consistent,
-        }
-
 
 def check_set_hom_equiv(b: FiniteStructure) -> EquivReport:
     """Compare hom(subset structure -> B) with a totally symmetric
@@ -102,10 +91,10 @@ class Walk:
     positions and S at odd positions."""
 
     elements: tuple[int, ...]
+    half_length: int = field(init=False)
 
-    @property
-    def half_length(self) -> int:
-        return (len(self.elements) - 1) // 2
+    def __post_init__(self):
+        self.half_length = (len(self.elements) - 1) // 2
 
     def validate(self, r_tuples, s_tuples) -> bool:
         e = self.elements
@@ -118,12 +107,6 @@ class Walk:
             if (e[i], e[i + 1]) not in s_tuples:
                 return False
         return True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "half_length": self.half_length,
-        }
 
 
 def _successors(tuples):
@@ -213,20 +196,8 @@ class PairCheck:
     violation: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r_name,
-            "s": self.s_name,
-            "exact_walk": (
-                self.exact_walk.to_json_dict() if self.exact_walk else None
-            ),
-            "shortest_walk": (
-                self.shortest_walk.to_json_dict()
-                if self.shortest_walk
-                else None
-            ),
-            "intersection_nonempty": self.intersection_nonempty,
-            "violation": self.violation,
-        }
+        data = asdict(self)
+        return {"r": data.pop("r_name"), "s": data.pop("s_name"), **data}
 
 
 @dataclass
@@ -404,13 +375,6 @@ class OrbitReport:
     n: int
     class_count: int
     exactness: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "class_count": self.class_count,
-            "exactness": self.exactness,
-        }
 
 
 def _rank_normalize(config):

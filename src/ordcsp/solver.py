@@ -36,15 +36,19 @@ max) over each accepted candidate set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .errors import VerificationFailed
+from .errors import CapExceeded, VerificationFailed
 from .formula import compile_formula
 from .sampler import Sample, sample
 from .structures import FiniteStructure, Instance
 from .template import Template
+
+# Full-domain values over all variables. qlt at n = 1000, the largest
+# preset sample ``solve`` builds, takes 10^6; 10^7 take about 0.7 GB.
+NETWORK_CAP = 10**7
 
 
 def _projection_pass(tuples, args, h):
@@ -65,7 +69,13 @@ def _projection_pass(tuples, args, h):
 def network(variables, constraints, b: FiniteStructure):
     """The state ``propagate`` works on: full domains, each constraint's
     argument tuple and live tuples (its relation in ``b``), and the
-    constraints on each variable."""
+    constraints on each variable. Raises ``CapExceeded`` when the domains
+    would hold more than ``NETWORK_CAP`` values together."""
+    if len(variables) * b.size > NETWORK_CAP:
+        raise CapExceeded(
+            f"network cap: {len(variables)} variables x {b.size} values "
+            f"> {NETWORK_CAP}"
+        )
     h = {v: set(range(b.size)) for v in variables}
     args_of = [tuple(args) for _, args in constraints]
     live = [b.relations[rel] for rel, _ in constraints]
@@ -169,12 +179,7 @@ class Verdict:
     witness: dict[str, int] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"accept": self.accept, "sample_size": self.sample_size}
-        if self.domains is not None:
-            out["domains"] = self.domains
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def verify_assignment(t: Template, instance: Instance, assignment) -> bool:

@@ -196,8 +196,9 @@ def _json_list(value, what):
 
 def instance_view(structure: FiniteStructure):
     """View a structure as (variables, constraints) with its elements as
-    variables, for feeding structures to instance-shaped searches."""
-    variables = list(range(structure.size))
+    variables, for feeding structures to instance-shaped searches. The
+    variables are a ``range``, so none is built before a size check."""
+    variables = range(structure.size)
     constraints = [
         (name, t)
         for name, tuples in structure.relations.items()

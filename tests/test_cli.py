@@ -287,6 +287,57 @@ def test_orbits_refuses_before_enumerating(tmp_path, capsys, base, change, cap):
     assert f"{cap} > 10000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ac", "--instance", "edge.json", "--structure", "huge.json"],
+        ["hom", "--from", "edge.json", "--to", "huge.json"],
+        ["hom", "--from", "huge.json", "--to", "k2.json"],
+    ],
+    ids=["ac-structure", "hom-to", "hom-from"],
+)
+def test_huge_structure_hits_network_cap(tmp_path, monkeypatch, capsys, argv):
+    # A billion-element structure would need a billion-value domain per
+    # variable (or a billion variables); both are refused before any is built.
+    write_json(
+        tmp_path / "huge.json",
+        {
+            "signature": [{"name": "E", "arity": 2}],
+            "size": 10**9,
+            "relations": {"E": [[0, 1]]},
+        },
+    )
+    write_json(
+        tmp_path / "edge.json",
+        {
+            "variables": ["x", "y"],
+            "constraints": [{"rel": "E", "args": ["x", "y"]}],
+        },
+    )
+    write_json(tmp_path / "k2.json", complete_graph(2).to_json_dict())
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 3
+    assert "network cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "--name", "qlt", "--out", "{missing}/x.json"],
+        ["sample", "--template", "{qlt}", "--size", "2", "--sidecar",
+         "{missing}/s.json"],
+        ["solve", "--template", "{dir}", "--instance", "{qlt}"],
+    ],
+    ids=["out", "sidecar", "template-directory"],
+)
+def test_unusable_path_is_usage_error(tmp_path, capsys, qlt_path, argv):
+    paths = {"missing": tmp_path / "missing", "qlt": qlt_path, "dir": tmp_path}
+    assert run_cli([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_schema_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -492,3 +543,195 @@ def test_determinism(tmp_path, capsys, qlt_path):
         assert code == 0
         outs.add(json.dumps(data, sort_keys=True))
     assert len(outs) == 1
+
+
+# Every subcommand on small fixed inputs: its exact stdout and exit code.
+GOLDEN = [
+    (
+        "preset --name qlt",
+        0,
+        {'name': 'qlt',
+         'kind': 'direct',
+         'domain_formula': 'true',
+         'equality_formula': '(eq 0 1)',
+         'relations': [{'name': 'Lt', 'arity': 2, 'formula': '(lt 0 1)'}],
+         'semilattice': 'min'},
+    ),
+    (
+        "sample --template qlt.json --size 2",
+        0,
+        {'signature': [{'name': 'Lt', 'arity': 2}],
+         'size': 2,
+         'relations': {'Lt': [[0, 1]]}},
+    ),
+    (
+        "sample --template gamma3.json --size 1 --sidecar side.json",
+        0,
+        {'signature': [{'name': 'M', 'arity': 2},
+                       {'name': 'Ord', 'arity': 2}],
+         'size': 2,
+         'relations': {'M': [], 'Ord': [[0, 1]]},
+         'labels': ['(0, 1)', '(1, 0)']},
+    ),
+    (
+        "solve --template ord3.json --instance t.json",
+        0,
+        {'accept': True,
+         'sample_size': 3,
+         'domains': {'x': [1, 2], 'y': [0, 1, 2], 'z': [0, 1, 2]}},
+    ),
+    (
+        "solve --template ord3.json --instance t.json --witness",
+        0,
+        {'accept': True,
+         'sample_size': 3,
+         'domains': {'x': [1, 2], 'y': [0, 1, 2], 'z': [0, 1, 2]},
+         'witness': {'x': 1, 'y': 0, 'z': 0}},
+    ),
+    (
+        "solve --template ord3.json --instance txxx.json --witness",
+        1,
+        {'accept': False, 'sample_size': 1},
+    ),
+    (
+        "ac --instance k4.json --structure k3.json",
+        0,
+        {'accept': True,
+         'domains': {'a': [0, 1, 2],
+                     'b': [0, 1, 2],
+                     'c': [0, 1, 2],
+                     'd': [0, 1, 2]}},
+    ),
+    ("hom --from k4.json --to k3.json", 1, {'exists': False, 'mapping': None}),
+    (
+        "hom --from k3.json --to k3.json",
+        0,
+        {'exists': True, 'mapping': {'0': 0, '1': 1, '2': 2}},
+    ),
+    (
+        "powerset --structure k2.json",
+        0,
+        {'signature': [{'name': 'E', 'arity': 2}],
+         'size': 3,
+         'relations': {'E': [[0, 1], [1, 0], [2, 2]]},
+         'labels': ['{0}', '{1}', '{0,1}']},
+    ),
+    (
+        "check-ts --structure chain.json --arity 2",
+        0,
+        {'arity': 2,
+         'found': True,
+         'table': {'arity': 2,
+                   'entries': [{'subset': [0], 'value': 0},
+                               {'subset': [1], 'value': 1},
+                               {'subset': [0, 1], 'value': 0}]}},
+    ),
+    (
+        "check-ts --structure k3.json --arity 2",
+        1,
+        {'arity': 2, 'found': False, 'table': None},
+    ),
+    (
+        "check-semilattice --structure chain.json",
+        0,
+        {'found': True, 'table': {'size': 2, 'table': [[0, 0], [0, 1]]}},
+    ),
+    ("check-semilattice --structure k3.json", 1, {'found': False}),
+    (
+        "check-equiv --structure chain.json",
+        0,
+        {'set_hom': True,
+         'ts_at_km': True,
+         'ts_arity': 4,
+         'semilattice': {'size': 2, 'table': [[0, 0], [0, 1]]},
+         'consistent': True},
+    ),
+    (
+        "check-equiv --structure k3.json",
+        0,
+        {'set_hom': False,
+         'ts_at_km': False,
+         'ts_arity': 6,
+         'semilattice': None,
+         'consistent': True},
+    ),
+    (
+        "walk --from swap.json --to swap.json --size 3",
+        0,
+        {'found': True, 'walk': {'elements': [0, 1, 0], 'half_length': 1}},
+    ),
+    ("walk --from arc.json --to arc.json --size 3", 1, {'found': False}),
+    (
+        "walk-lemma --structure chain.json --arity 2",
+        0,
+        {'arity': 2,
+         'pairs': [{'r': 'R',
+                    's': 'R',
+                    'exact_walk': {'elements': [0, 0, 0, 0, 0],
+                                   'half_length': 2},
+                    'shortest_walk': {'elements': [0, 0, 0],
+                                      'half_length': 1},
+                    'intersection_nonempty': True,
+                    'violation': False}],
+         'violations': 0},
+    ),
+    (
+        "orbits --template gamma2.json --size 3",
+        0,
+        {'n': 3, 'class_count': 4, 'exactness': 'exact'},
+    ),
+]
+SIDECAR = {"representatives": [[0, 1], [1, 0]], "base_grid_size": 2}
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    for name in ("qlt", "ord3", "gamma2", "gamma3"):
+        data = ordcsp.preset(name).to_json_dict()
+        write_json(tmp_path / f"{name}.json", data)
+    write_json(tmp_path / "k2.json", complete_graph(2).to_json_dict())
+    write_json(tmp_path / "k3.json", complete_graph(3).to_json_dict())
+    for name, tuples in (
+        ("chain", [[0, 0], [0, 1], [1, 1]]),
+        ("swap", [[0, 1], [1, 0]]),
+        ("arc", [[0, 1]]),
+    ):
+        write_json(
+            tmp_path / f"{name}.json",
+            {
+                "signature": [{"name": "R", "arity": 2}],
+                "size": 2,
+                "relations": {"R": tuples},
+            },
+        )
+    vs = ["a", "b", "c", "d"]
+    write_json(
+        tmp_path / "k4.json",
+        {
+            "variables": vs,
+            "constraints": [
+                {"rel": "E", "args": [p, q]} for p in vs for q in vs if p != q
+            ],
+        },
+    )
+    for name, args in (("t", ["x", "y", "z"]), ("txxx", ["x", "x", "x"])):
+        write_json(
+            tmp_path / f"{name}.json",
+            {
+                "variables": sorted(set(args)),
+                "constraints": [{"rel": "T", "args": args}],
+            },
+        )
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", GOLDEN, ids=[argv for argv, _, _ in GOLDEN]
+)
+def test_cli_golden(golden_inputs, capsys, argv, code, expected):
+    assert run_cli(argv.split()) == code
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    if "--sidecar" in argv:
+        side = (golden_inputs / "side.json").read_text()
+        assert side == json.dumps(SIDECAR, indent=2) + "\n"

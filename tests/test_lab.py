@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -187,7 +187,7 @@ def test_orbit_caps():
 
 def test_orbit_report_json():
     report = orbit_count(preset("gamma2"), 4)
-    assert report.to_json_dict() == {
+    assert asdict(report) == {
         "n": 4,
         "class_count": 8,
         "exactness": "exact",

@@ -12,7 +12,7 @@ from ordcsp import (
     EqualityNotEquivalence,
     Relation,
     Template,
-    eval_formula,
+    compile_formula,
     hom_exists,
     preset,
     sample,
@@ -98,15 +98,15 @@ def test_representatives_satisfy_invariants():
         eqf = t.equality_formula
         reps = smp.representatives
         for r in reps:
-            assert eval_formula(dom, r)
+            assert compile_formula(dom)(r)
         for i in range(len(reps)):
             for j in range(len(reps)):
                 if i != j:
-                    assert not eval_formula(eqf, reps[i] + reps[j])
+                    assert not compile_formula(eqf)(reps[i] + reps[j])
         for rel in t.relations:
             for tu in smp.structure.relations[rel.name]:
                 flat = tuple(x for ci in tu for x in reps[ci])
-                assert eval_formula(rel.formula, flat)
+                assert compile_formula(rel.formula)(flat)
 
 
 def test_grid_cap():
