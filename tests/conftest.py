@@ -5,6 +5,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
+from ordcsp.polymorphism import BinaryOpTable
 
 
 def complete_graph(n):
@@ -227,6 +228,31 @@ def reference_ts_entries(b, n):
     if not search(0):
         return None
     return {s: assignment.get(s, min(s)) for s in subsets}
+
+
+def reference_semilattice(b):
+    """The first semilattice polymorphism of ``b`` in the order
+    ``find_semilattice`` promises, or None: the cells above the diagonal
+    take their values in ``product(range(m), repeat=len(cells))`` order,
+    cells in lexicographic order, and the first symmetric idempotent table
+    that is associative and preserves every relation is returned."""
+    m = b.size
+    cells = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    r = range(m)
+    for values in product(r, repeat=len(cells)):
+        t = [[i] * m for i in r]
+        for (i, j), v in zip(cells, values):
+            t[i][j] = t[j][i] = v
+        associative = all(
+            t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r
+        )
+        if associative and all(
+            tuple(t[x][y] for x, y in zip(t1, t2)) in tuples
+            for tuples in b.relations.values()
+            for t1, t2 in product(tuples, repeat=2)
+        ):
+            return BinaryOpTable(m, tuple(map(tuple, t)))
+    return None
 
 
 def reference_hom(a, b):

@@ -72,6 +72,41 @@ def test_parse_rejects(text):
     assert "position" in str(err.value)
 
 
+DEEP_NOT = "(not " * (MAX_DEPTH + 1) + "true" + ")" * (MAX_DEPTH + 1)
+
+
+# One input per error path, with the exact message and position.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of input (at position 0)"),
+        (")", "unexpected ')' (at position 0)"),
+        ("x", "expected formula, got 'x' (at position 0)"),
+        ("(", "unexpected end of input after '(' (at position 1)"),
+        ("(lt 0)", "'lt' expects two indices (at position 5)"),
+        (
+            "(lt x 1)",
+            "expected non-negative integer index, got 'x' (at position 4)",
+        ),
+        ("(lt 0 1 2)", "expected ')' closing 'lt', got '2' (at position 8)"),
+        (
+            "(not true",
+            "expected ')' closing 'not', got end of input (at position 9)",
+        ),
+        ("(and true", "unterminated (and ...) (at position 9)"),
+        ("(and)", "'and' needs at least one operand (at position 1)"),
+        ("(frob 0 1)", "unknown operator 'frob' (at position 1)"),
+        (DEEP_NOT, "connectives nest deeper than 300 (at position 1501)"),
+        ("(lt 0 1) junk", "trailing input 'junk' (at position 9)"),
+        (5, "formula must be a string, got 5"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(FormulaError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
 def test_eval_examples():
     f = or_(gt(0, 1), gt(0, 2))
     assert compile_formula(f)([3, 1, 5]) is True

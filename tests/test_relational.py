@@ -22,12 +22,14 @@ from ordcsp import (
 from ordcsp.polymorphism import TS_TABLE_CAP, SubsetFunctionTable
 
 from conftest import (
+    all_binary_structures,
     binary_structure,
     complete_graph,
     random_binary_structure,
     random_instance,
     reference_hom,
     reference_power_relations,
+    reference_semilattice,
     reference_signatures,
     reference_ts_entries,
 )
@@ -402,6 +404,25 @@ def test_semilattice_results_always_valid():
             assert op.is_commutative()
             assert op.is_associative()
             assert is_polymorphism(op, b)
+
+
+def test_semilattice_matches_reference_order():
+    # Every one-relation structure on 3 elements, then seeded 4-element
+    # ones: the search returns the reference's first table, or None.
+    structures = list(all_binary_structures(3))
+    rng = random.Random(31)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    for _ in range(60):
+        density = rng.random()
+        tuples = [p for p in pairs if rng.random() < density]
+        structures.append(binary_structure(4, tuples))
+    found = 0
+    for b in structures:
+        op = find_semilattice(b)
+        assert op == reference_semilattice(b)
+        found += op is not None
+    assert found >= 100
+    assert find_semilattice(complete_graph(5)) is None
 
 
 # ---------------------------------------------------------------------------
