@@ -123,7 +123,7 @@ def _cmd_hom(args):
     data = {
         "exists": found,
         "mapping": (
-            {str(k): v for k, v in mapping.items()} if mapping else None
+            {str(k): v for k, v in mapping.items()} if found else None
         ),
     }
     return data, found, "found" if found else "absent"

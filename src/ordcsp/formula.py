@@ -32,6 +32,7 @@ is pasted in as text, and node fields are type-checked at construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 
@@ -290,109 +291,74 @@ def print_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+def parse_formula(text: str) -> Formula:
+    """Parse s-expression formula text; raises FormulaError on bad input,
+    including any value that is not a ``str``. The tokens, with their
+    offsets, lie on a stack, next token last, above ``(None, len(text))``
+    for the end of input, where every parse that reaches it fails."""
+    if not isinstance(text, str):
+        raise FormulaError(f"formula must be a string, got {text!r}")
+    tokens = [(t[0], t.start()) for t in re.finditer(r"[()]|[^\s()]+", text)]
+    tokens.append((None, len(text)))
+    tokens.reverse()
 
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.end = len(text)
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, self.end)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, message, position):
-        raise FormulaError(message, position)
-
-    def parse_formula(self, depth=0):
+    def formula(depth):
         """Parse one formula lying ``depth`` connectives deep."""
-        tok, at = self.next()
+        tok, at = tokens.pop()
         if tok is None:
-            self.fail("unexpected end of input", at)
+            raise FormulaError("unexpected end of input", at)
         if tok == "true":
             return TRUE
         if tok == "false":
             return FALSE
         if tok == ")":
-            self.fail("unexpected ')'", at)
+            raise FormulaError("unexpected ')'", at)
         if tok != "(":
-            self.fail(f"expected formula, got {tok!r}", at)
-        op, op_at = self.next()
+            raise FormulaError(f"expected formula, got {tok!r}", at)
+        op, op_at = tokens.pop()
         if op is None:
-            self.fail("unexpected end of input after '('", op_at)
+            raise FormulaError("unexpected end of input after '('", op_at)
         if op in ATOM_OPS:
-            i = self.parse_index(op)
-            j = self.parse_index(op)
-            self.expect_close(op)
+            i = index(op)
+            j = index(op)
+            close(op)
             return Atom(op, i, j)
         if op in ("not", "and", "or") and depth == MAX_DEPTH:
-            self.fail(f"connectives nest deeper than {MAX_DEPTH}", op_at)
+            raise FormulaError(f"connectives nest deeper than {MAX_DEPTH}", op_at)
         if op == "not":
-            child = self.parse_formula(depth + 1)
-            self.expect_close(op)
+            child = formula(depth + 1)
+            close(op)
             return Not(child)
         if op in ("and", "or"):
             children = []
-            while True:
-                tok, at = self.peek()
-                if tok == ")":
-                    self.next()
-                    break
-                if tok is None:
-                    self.fail(f"unterminated ({op} ...)", at)
-                children.append(self.parse_formula(depth + 1))
+            while tokens[-1][0] != ")":
+                if tokens[-1][0] is None:
+                    raise FormulaError(f"unterminated ({op} ...)", tokens[-1][1])
+                children.append(formula(depth + 1))
+            tokens.pop()
             if not children:
-                self.fail(f"'{op}' needs at least one operand", op_at)
+                raise FormulaError(f"'{op}' needs at least one operand", op_at)
             return (And if op == "and" else Or)(tuple(children))
-        self.fail(f"unknown operator {op!r}", op_at)
+        raise FormulaError(f"unknown operator {op!r}", op_at)
 
-    def parse_index(self, op):
-        tok, at = self.next()
+    def index(op):
+        tok, at = tokens.pop()
         if tok is None or tok in "()":
-            self.fail(f"'{op}' expects two indices", at)
+            raise FormulaError(f"'{op}' expects two indices", at)
         if not tok.isdigit():
-            self.fail(f"expected non-negative integer index, got {tok!r}", at)
+            raise FormulaError(
+                f"expected non-negative integer index, got {tok!r}", at
+            )
         return int(tok)
 
-    def expect_close(self, op):
-        tok, at = self.next()
+    def close(op):
+        tok, at = tokens.pop()
         if tok != ")":
             shown = "end of input" if tok is None else repr(tok)
-            self.fail(f"expected ')' closing '{op}', got {shown}", at)
+            raise FormulaError(f"expected ')' closing '{op}', got {shown}", at)
 
-
-def parse_formula(text: str) -> Formula:
-    """Parse s-expression formula text; raises FormulaError on bad input,
-    including any value that is not a ``str``."""
-    if not isinstance(text, str):
-        raise FormulaError(f"formula must be a string, got {text!r}")
-    parser = _Parser(text)
-    f = parser.parse_formula()
-    tok, at = parser.peek()
+    f = formula(0)
+    tok, at = tokens[-1]
     if tok is not None:
-        parser.fail(f"trailing input {tok!r}", at)
+        raise FormulaError(f"trailing input {tok!r}", at)
     return f

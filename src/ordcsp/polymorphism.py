@@ -263,71 +263,58 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
     raise TypeError(f"expected an operation table, got {type(op)!r}")
 
 
+def _associative_so_far(t) -> bool:
+    """False if (xy)z and x(yz) are both filled in and differ somewhere."""
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            xy = t[x][y]
+            if xy is None:
+                continue
+            for z in rng:
+                yz = t[y][z]
+                if yz is None:
+                    continue
+                left, right = t[xy][z], t[x][yz]
+                if left is not None and right is not None and left != right:
+                    return False
+    return True
+
+
 def find_semilattice(b: FiniteStructure):
     """Exhaustive search for a semilattice polymorphism of ``b``.
 
-    The table is filled cell by cell in lexicographic order with the
-    diagonal pinned to idempotence and commutativity built in;
-    associativity is checked incrementally, the polymorphism condition on
-    completed tables. Returns a BinaryOpTable or None.
+    A backtracking loop fills the cells above the diagonal of a symmetric
+    table, diagonal pinned, in lexicographic order with values ascending,
+    writing each to ``t[x][y]`` and ``t[y][x]``. Associativity is checked
+    after each write, the polymorphism condition on completed tables. The
+    result is the first such table in that order as a BinaryOpTable, or None.
     """
     m = b.size
     if m > SEMILATTICE_CAP:
         raise CapExceeded(
             f"semilattice search cap: size {m} > {SEMILATTICE_CAP}"
         )
-    if m == 0:
-        return BinaryOpTable(0, ())
-
-    cells = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    value = [[i if i == j else None for j in range(m)] for i in range(m)]
-
-    def get(x, y):
-        return value[x][y] if x <= y else value[y][x]
-
-    def put(x, y, v):
-        if x <= y:
-            value[x][y] = v
-        else:
-            value[y][x] = v
-
-    rng = range(m)
-
-    def associativity_consistent():
-        for x in rng:
-            for y in rng:
-                xy = get(x, y)
-                if xy is None:
-                    continue
-                for z in rng:
-                    yz = get(y, z)
-                    if yz is None:
-                        continue
-                    left = get(xy, z)
-                    right = get(x, yz)
-                    if left is not None and right is not None and left != right:
-                        return False
-        return True
-
-    def full_table():
-        return BinaryOpTable(
-            m, tuple(tuple(get(i, j) for j in rng) for i in rng)
-        )
-
-    def search(ci):
-        if ci == len(cells):
-            op = full_table()
+    cells = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    t = [[x if x == y else None for y in range(m)] for x in range(m)]
+    tried = [0] * len(cells)  # values of cell i tried so far
+    i = 0
+    while i >= 0:
+        if i == len(cells):
+            op = BinaryOpTable(m, tuple(map(tuple, t)))
             if is_polymorphism(op, b):
                 return op
-            return None
-        i, j = cells[ci]
-        for v in rng:
-            put(i, j, v)
-            if associativity_consistent():
-                found = search(ci + 1)
-                if found is not None:
-                    return found
-        put(i, j, None)
-        return None
-
-    return search(0)
+            i -= 1
+            continue
+        x, y = cells[i]
+        for v in range(tried[i], m):
+            t[x][y] = t[y][x] = v
+            if _associative_so_far(t):
+                tried[i] = v + 1
+                i += 1
+                break
+        else:
+            t[x][y] = t[y][x] = None
+            tried[i] = 0
+            i -= 1
+    return None

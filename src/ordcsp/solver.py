@@ -70,10 +70,12 @@ def network(variables, constraints, b: FiniteStructure):
     """The state ``propagate`` works on: full domains, each constraint's
     argument tuple and live tuples (its relation in ``b``), and the
     constraints on each variable. Raises ``CapExceeded`` when the domains
-    would hold more than ``NETWORK_CAP`` values together."""
-    if len(variables) * b.size > NETWORK_CAP:
+    would hold more than ``NETWORK_CAP`` values together. A ``range`` of
+    variables is counted from its end, as ``len`` fails past sys.maxsize."""
+    count = variables.stop if isinstance(variables, range) else len(variables)
+    if count * b.size > NETWORK_CAP:
         raise CapExceeded(
-            f"network cap: {len(variables)} variables x {b.size} values "
+            f"network cap: {count} variables x {b.size} values "
             f"> {NETWORK_CAP}"
         )
     h = {v: set(range(b.size)) for v in variables}

@@ -320,6 +320,16 @@ def test_huge_structure_hits_network_cap(tmp_path, monkeypatch, capsys, argv):
     assert "network cap" in capsys.readouterr().err
 
 
+def test_structure_past_maxsize_hits_network_cap(tmp_path, capsys):
+    # Its elements, the variables of ``hom --from``, are a range whose
+    # len() would overflow.
+    huge, k2 = tmp_path / "huge.json", tmp_path / "k2.json"
+    write_json(huge, {"signature": [], "size": 2**63, "relations": {}})
+    write_json(k2, complete_graph(2).to_json_dict())
+    assert run_cli(["hom", "--from", str(huge), "--to", str(k2)]) == 3
+    assert "network cap: 9223372036854775808 variables" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -499,6 +509,95 @@ def test_fuzzed_template_json_never_crashes(tmp_path, capsys, case, size, n):
             capsys.readouterr()
 
 
+@st.composite
+def fuzzed_structures(draw):
+    """One structure JSON: size 0-4 or huge, up to two relations of arity
+    1-3 whose tuples may be out of range or ill-typed, and one top-level
+    key that may be replaced or missing."""
+    size = draw(st.integers(0, 4) | st.sampled_from(HUGE))
+    arities = draw(st.lists(st.integers(1, 3), max_size=2))
+    element = st.integers(0, max(min(size, 4) - 1, 0))
+    bad_tuple = st.lists(st.integers(-1, 4) | scalars, max_size=4)
+    data = {
+        "signature": [
+            {"name": f"R{i}", "arity": k} for i, k in enumerate(arities)
+        ],
+        "size": size,
+        "relations": {
+            f"R{i}": draw(
+                st.lists(
+                    st.lists(element, min_size=k, max_size=k) | bad_tuple,
+                    max_size=6,
+                )
+            )
+            for i, k in enumerate(arities)
+        },
+    }
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(("signature", "size", "relations", "labels")))
+        if draw(st.integers(0, 2)) == 0:
+            data.pop(key, None)
+        else:
+            data[key] = draw(json_values)
+    return arities, data
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fuzzed_structures(), st.integers(1, 4), st.integers(1, 3))
+def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
+    arities, data = case
+    b, k2, inst = tmp_path / "b.json", tmp_path / "k2.json", tmp_path / "i.json"
+    write_json(b, data)
+    write_json(k2, complete_graph(2).to_json_dict())
+    args = ["x", "y", "z"][: arities[0]] if arities else []
+    constraints = [{"rel": "R0", "args": args}] if arities else []
+    write_json(inst, {"variables": ["x", "y", "z"], "constraints": constraints})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordcsp.solver, "NETWORK_CAP", 10**4)
+        mp.setattr(ordcsp.lab, "MAX_WALK_HALF_LENGTH", 2)
+        for argv in (
+            ["powerset", "--structure", str(b)],
+            ["check-ts", "--structure", str(b), "--arity", str(ts)],
+            ["check-semilattice", "--structure", str(b)],
+            ["check-equiv", "--structure", str(b)],
+            ["walk-lemma", "--structure", str(b), "--arity", str(walk)],
+            ["hom", "--from", str(b), "--to", str(k2)],
+            ["hom", "--from", str(inst), "--to", str(b)],
+            ["ac", "--instance", str(inst), "--structure", str(b)],
+        ):
+            code = run_cli(argv)
+            assert 0 <= code <= 3, capsys.readouterr().err
+            capsys.readouterr()
+
+
+def test_walk_lemma_cap(tmp_path, capsys, monkeypatch):
+    b = tmp_path / "b.json"
+    edges = [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2], [0, 2]]
+    write_json(
+        b,
+        {
+            "signature": [{"name": "E", "arity": 2}],
+            "size": 3,
+            "relations": {"E": edges},
+        },
+    )
+    argv = ["walk-lemma", "--structure", str(b), "--arity"]
+    start = perf_counter()
+    assert run_cli(argv + [str(10**7)]) == 3
+    assert perf_counter() - start < 5
+    assert "walk lemma cap: arity 10000000 > 100000" in capsys.readouterr().err
+    monkeypatch.setattr(ordcsp.lab, "MAX_WALK_HALF_LENGTH", 4)
+    assert run_cli(argv + ["5"]) == 3
+    capsys.readouterr()
+    code, data = run(capsys, *argv, "4")
+    assert code == 0
+    assert len(data["pairs"][0]["exact_walk"]["elements"]) == 9
+
+
 def test_internal_error_exit(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")
@@ -603,6 +702,8 @@ GOLDEN = [
                      'd': [0, 1, 2]}},
     ),
     ("hom --from k4.json --to k3.json", 1, {'exists': False, 'mapping': None}),
+    ("hom --from empty.json --to k2.json", 0, {'exists': True, 'mapping': {}}),
+    ("hom --from size0.json --to k2.json", 0, {'exists': True, 'mapping': {}}),
     (
         "hom --from k3.json --to k3.json",
         0,
@@ -704,6 +805,11 @@ def golden_inputs(tmp_path, monkeypatch):
                 "relations": {"R": tuples},
             },
         )
+    write_json(tmp_path / "empty.json", {"variables": [], "constraints": []})
+    write_json(
+        tmp_path / "size0.json",
+        {"signature": [{"name": "E", "arity": 2}], "size": 0, "relations": {}},
+    )
     vs = ["a", "b", "c", "d"]
     write_json(
         tmp_path / "k4.json",
