@@ -12,12 +12,14 @@ The concrete syntax is a small s-expression language::
              | "not" formula
              | "and" formula+
              | "or" formula+
+    index   := [0-9]+
 
 ``parse_formula`` and ``print_formula`` round-trip exactly; the six
 comparison operators are distinct AST nodes, never rewritten into each
-other. Connectives (``not``/``and``/``or``) nest at most ``MAX_DEPTH``
-deep; deeper input raises ``FormulaError`` from the parser and from
-``compile_formula``, never ``RecursionError``.
+other. Indices are ASCII digits only: ``str.isdigit`` alone also takes
+the digits of other scripts. Connectives (``not``/``and``/``or``) nest at
+most ``MAX_DEPTH`` deep; deeper input raises ``FormulaError`` from the
+parser and from ``compile_formula``, never ``RecursionError``.
 
 ``compile_formula`` turns a formula into one generated ``lambda p: ...``
 expression: atoms become ``p[i] < p[j]`` and so on, connectives the
@@ -33,7 +35,7 @@ is pasted in as text, and node fields are type-checked at construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .errors import CapExceeded, FormulaError
@@ -62,7 +64,8 @@ class Formula:
     atom occurs), and ``depth`` the number of connectives on the longest
     path from the root to an atom or constant. Both are computed once at
     construction, and so is the hash, from the children's stored hashes;
-    ``==`` walks both trees with an explicit stack, so neither recurses.
+    ``==`` and ``repr`` walk the trees with an explicit stack, so none of
+    them recurses. ``repr`` writes the text a dataclass ``__repr__`` would.
     """
 
     free_var_count: int
@@ -95,8 +98,34 @@ class Formula:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        # A stack of text pieces and nodes still to write, next one last.
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                out.append(item)
+                continue
+            pieces = [type(item).__qualname__ + "("]
+            for k, field in enumerate(fields(item)):
+                value = getattr(item, field.name)
+                pieces.append(("" if k == 0 else ", ") + field.name + "=")
+                if isinstance(value, Formula):
+                    pieces.append(value)
+                elif isinstance(value, tuple):
+                    pieces.append("(")
+                    for i, child in enumerate(value):
+                        pieces += [", ", child] if i else [child]
+                    pieces.append(",)" if len(value) == 1 else ")")
+                else:
+                    pieces.append(repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Formula):
     value: bool
 
@@ -106,7 +135,7 @@ class Const(Formula):
         self._init((self.value,), ())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     op: str
     left: int
@@ -123,7 +152,7 @@ class Atom(Formula):
         self._init((self.op, self.left, self.right), (), fvc)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
@@ -131,7 +160,7 @@ class Not(Formula):
         self._init((), (self.child,))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Connective(Formula):
     children: tuple[Formula, ...]
 
@@ -345,7 +374,7 @@ def parse_formula(text: str) -> Formula:
         tok, at = tokens.pop()
         if tok is None or tok in "()":
             raise FormulaError(f"'{op}' expects two indices", at)
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise FormulaError(
                 f"expected non-negative integer index, got {tok!r}", at
             )

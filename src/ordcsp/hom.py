@@ -3,11 +3,16 @@
 ``hom_exists`` decides whether an instance (or a whole structure) maps
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
-After each assignment it runs ``solver.propagate``, the table reduction
-``ac`` uses, on tuples that give a repeated variable one value. It runs
-as a loop over an explicit stack of assigned variables, and undoes a
-failed choice from the propagator's trail of ``(store, key, old)``
-entries, which restores domains and live tuple lists together. So its
+After each assignment it runs ``solver.propagate``, the propagator
+``ac`` uses, to the fixpoint. Its two revision rules are exact here as
+well: a binary constraint on two distinct variables revises on its
+relation's support bitsets, and every other constraint by table
+reduction, on tuples that give a repeated variable one value. That
+``R(x, x)`` needs its diagonal tuples is one reason it stays on tables.
+The search runs as a loop over an explicit stack of assigned variables,
+and undoes a failed choice from the propagator's trail of ``(store, key,
+old)`` entries, which restores domains and live tuple lists together;
+bitsets never change, so only domains are trailed for them. So its
 depth is not bounded by the interpreter's recursion limit and no node
 copies the domains.
 """

@@ -11,18 +11,34 @@ constrain every one of their coordinates through the same set; the rule
 does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
-``propagate`` reaches that fixpoint by table reduction (Ullmann 2007), on
-the state ``network`` builds; ``ac`` and ``hom.hom_exists`` share both.
-Each constraint keeps the tuples of its relation that every current
-candidate set still supports. A revision filters that list and projects
-it onto each position in C-level passes, with no Python frame and no
-allocation per tuple; each argument variable gets its positions'
-projections intersected. Shrunk variables requeue their constraints, a
-revision's own only if it shrank a variable the constraint repeats (that
-set is then narrower than a projection, so live tuples may have died).
+``propagate`` reaches that fixpoint on the state ``network`` builds;
+``ac`` and ``hom.hom_exists`` share both. It has two revision rules.
 
-``propagate`` stops when a live list empties; ``ac`` resumes it until
-the queue is empty. ``ac_roundrobin`` is the reference: it sweeps the
+* A binary constraint ``R(x, y)`` on two distinct variables revises on
+  support bitsets (Lecoutre & Vion 2008): ``fwd[a]`` has bit ``b`` set
+  iff ``(a, b)`` is in R, and ``bwd[b]`` bit ``a``. ``x`` keeps the values
+  whose ``fwd`` meets the mask of ``h[y]``, then ``y`` those whose ``bwd``
+  meets the mask of the new ``h[x]``. That makes the constraint arc
+  consistent both ways in two C-level passes over the domains, with no
+  scan of its tuples; it never requeues itself and changes no live state.
+* Every other constraint revises by table reduction (Ullmann 2007). It
+  keeps the tuples of its relation that every current candidate set
+  still supports, filters that list and projects it onto each position
+  in C-level passes, with no Python frame and no allocation per tuple;
+  each argument variable gets its positions' projections intersected.
+  ``R(x, x)`` stays here: both positions read and narrow one set, so one
+  pass of the bitset rule would not reach its fixpoint, and ``hom``
+  keeps only its diagonal tuples. A binary constraint on a structure of
+  more than ``BITSET_SIZE`` elements stays here too: its bitsets would
+  cost more words than a sparse table.
+
+Shrunk variables requeue their constraints, a revision's own only if it
+shrank a variable the constraint repeats (that set is then narrower than
+a projection, so live tuples may have died).
+
+``propagate`` stops when a revision leaves its constraint no support (no
+live tuple, or an empty domain under the bitset rule); ``ac`` resumes it
+until the queue is empty. ``ac_roundrobin`` is the reference: it sweeps the
 projection rule over every constraint in declaration order until nothing
 changes. Both run to the fixpoint even once a set is empty, and the
 fixpoint is unique, so they return identical domain maps.
@@ -50,6 +66,12 @@ from .template import Template
 # preset sample ``solve`` builds, takes 10^6; 10^7 take about 0.7 GB.
 NETWORK_CAP = 10**7
 
+# Elements a structure may have for its binary constraints to revise on
+# support bitsets. Each bitset then spans at most 4096 bits (137 int
+# digits), and a relation's two lists at most 4 MB; a wider structure
+# keeps tables, on which a sparse relation costs less.
+BITSET_SIZE = 4096
+
 
 def _projection_pass(tuples, args, h):
     """One sequential sweep of the projection rule over a constraint's
@@ -66,12 +88,33 @@ def _projection_pass(tuples, args, h):
     return changed
 
 
+def _supports(tuples, size):
+    """Support bitsets ``(fwd, bwd)`` of a binary relation: bit ``b`` of
+    ``fwd[a]`` and bit ``a`` of ``bwd[b]`` are set iff ``(a, b)`` is in it."""
+    fwd = [0] * size
+    bwd = [0] * size
+    for a, b in tuples:
+        fwd[a] |= 1 << b
+        bwd[b] |= 1 << a
+    return fwd, bwd
+
+
+def _revise(values, bits, other):
+    """The values whose bitset meets the mask of ``other``."""
+    mask = sum(map((1).__lshift__, other))
+    return set(compress(values, map(mask.__and__, map(bits.__getitem__, values))))
+
+
 def network(variables, constraints, b: FiniteStructure):
     """The state ``propagate`` works on: full domains, each constraint's
-    argument tuple and live tuples (its relation in ``b``), and the
-    constraints on each variable. Raises ``CapExceeded`` when the domains
-    would hold more than ``NETWORK_CAP`` values together. A ``range`` of
-    variables is counted from its end, as ``len`` fails past sys.maxsize."""
+    argument tuple and live state, and the constraints on each variable.
+    A binary constraint on two distinct variables, on a structure of at
+    most ``BITSET_SIZE`` elements, gets its relation's support bitsets
+    ``(fwd, bwd)``, built once per relation name; any other constraint
+    gets its relation in ``b`` as its live tuples. Raises
+    ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
+    values together. A ``range`` of variables is counted from its end, as
+    ``len`` fails past sys.maxsize."""
     count = variables.stop if isinstance(variables, range) else len(variables)
     if count * b.size > NETWORK_CAP:
         raise CapExceeded(
@@ -80,7 +123,15 @@ def network(variables, constraints, b: FiniteStructure):
         )
     h = {v: set(range(b.size)) for v in variables}
     args_of = [tuple(args) for _, args in constraints]
-    live = [b.relations[rel] for rel, _ in constraints]
+    bitsets = {}
+    live = []
+    for rel, args in constraints:
+        if len(args) == 2 and args[0] != args[1] and b.size <= BITSET_SIZE:
+            if rel not in bitsets:
+                bitsets[rel] = _supports(b.relations[rel], b.size)
+            live.append(bitsets[rel])
+        else:
+            live.append(b.relations[rel])
     by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
         for v in set(args):
@@ -89,32 +140,38 @@ def network(variables, constraints, b: FiniteStructure):
 
 
 def propagate(h, args_of, live, by_var, queue, trail):
-    """Table reduction from the constraints in ``queue`` (a deque) to the
-    fixpoint. A revision streams each position's membership tests with
-    ``map``, joins them with ``zip`` (which reuses its result tuple) and
-    keeps the passing tuples with ``compress``. The streams walk one live
-    list in lockstep, safely: an unmodified list or frozenset iterates in
-    the same order each time. Every narrowed domain and shrunk live list
-    pushes ``(store, key, old)`` onto ``trail``, so ``store[key] = old``
-    undoes it (``hom`` on backtracking); an unshrunk list is an equal copy
-    and needs no undo. Returns True at the fixpoint, and False as soon as
-    a revision leaves its live list empty (so the domains of its
-    variables); the constraints still queued then stay in ``queue``."""
+    """Arc consistency from the constraints in ``queue`` (a deque) to the
+    fixpoint, by the module docstring's two rules. Their streams (``map``
+    into ``compress``, and for tables ``zip``, which reuses its result
+    tuple) walk one set, list or frozenset in lockstep, safely: an
+    unmodified one iterates in the same order each time. Every narrowed
+    domain and shrunk live list pushes ``(store, key, old)`` onto
+    ``trail``, so ``store[key] = old`` undoes it (``hom`` on backtracking);
+    an unshrunk list is an equal copy and needs no undo. Returns True at
+    the fixpoint, and False as soon as a revision leaves its constraint no
+    support, which empties its variables' domains; the constraints still
+    queued then stay in ``queue``."""
     queued = set(queue)
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
         args = args_of[ci]
         old = live[ci]
-        gets = [itemgetter(i) for i in range(len(args))]
-        tests = [map(h[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
-        kept = live[ci] = list(compress(old, map(all, zip(*tests))))
-        if len(kept) < len(old):
-            trail.append((live, ci, old))
-        columns = [set(map(g, kept)) for g in gets]
-        support = {}
-        for v, column in zip(args, columns):
-            support[v] = support[v] & column if v in support else column
+        if type(old) is tuple:
+            x, y = args
+            fwd, bwd = old
+            kept = _revise(h[x], fwd, h[y])
+            support = {x: kept, y: _revise(h[y], bwd, kept)}
+        else:
+            gets = [itemgetter(i) for i in range(len(args))]
+            tests = [map(h[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
+            kept = live[ci] = list(compress(old, map(all, zip(*tests))))
+            if len(kept) < len(old):
+                trail.append((live, ci, old))
+            columns = [set(map(g, kept)) for g in gets]
+            support = {}
+            for v, column in zip(args, columns):
+                support[v] = support[v] & column if v in support else column
         for v, values in support.items():
             if len(values) < len(h[v]):
                 trail.append((h, v, h[v]))
@@ -130,7 +187,7 @@ def propagate(h, args_of, live, by_var, queue, trail):
 
 
 def ac(instance: Instance, b: FiniteStructure):
-    """Worklist arc-consistency by table reduction. Returns (accept,
+    """Worklist arc-consistency with ``propagate``. Returns (accept,
     domain map)."""
     instance.check_against(b.signature)
     h, args_of, live, by_var = network(

@@ -22,13 +22,24 @@ def binary_structure(size, tuples, name="E"):
     )
 
 
-def random_binary_structure(rng, max_size=4):
-    m = rng.randint(1, max_size)
+def random_binary_structure(rng, max_size=4, min_size=1):
+    m = rng.randint(min_size, max_size)
     density = rng.random()
     tuples = frozenset(
         (i, j) for i in range(m) for j in range(m) if rng.random() < density
     )
     return binary_structure(m, tuples)
+
+
+def wide_binary_structures(rng):
+    """Four binary structures of 65 to 80 elements, wider than a machine
+    word, with 2% to 50% of all pairs."""
+    out = []
+    for density in (0.02, 0.05, 0.2, 0.5):
+        m = rng.randint(65, 80)
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        out.append(binary_structure(m, rng.sample(pairs, round(density * m * m))))
+    return out
 
 
 def random_instance(rng, symbols, max_vars=6, max_constraints=8):

@@ -574,6 +574,72 @@ def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
             capsys.readouterr()
 
 
+# Template and sample size per base of the instance fuzz; samples of
+# gamma3 at n=4 have 14 elements, so masks span more than one digit.
+INSTANCE_BASES = {"qlt": 3, "ord3": 3, "gamma3": 4}
+
+
+@st.composite
+def fuzzed_instances(draw):
+    """One instance JSON over a preset's signature, whose constraints may
+    repeat variables, with at most one fault: an unknown relation, an
+    arity off by one, an undeclared or ill-typed argument, an ill-typed
+    or duplicate variable, or a top-level key replaced or missing."""
+    base = draw(st.sampled_from(sorted(INSTANCE_BASES)))
+    symbols = ordcsp.preset(base).signature.symbols
+    variables = draw(
+        st.lists(st.sampled_from("xyzw"), min_size=1, max_size=4, unique=True)
+    )
+    constraints = []
+    for _ in range(draw(st.integers(0, 5))):
+        rel, arity = draw(st.sampled_from(symbols))
+        args = st.lists(st.sampled_from(variables), min_size=arity, max_size=arity)
+        constraints.append({"rel": rel, "args": draw(args)})
+    data = {"variables": variables, "constraints": constraints}
+    fault = draw(st.sampled_from(("none", "rel", "arity", "arg", "variable", "key")))
+    if fault in ("rel", "arity", "arg") and constraints:
+        c = draw(st.sampled_from(constraints))
+        if fault == "rel":
+            c["rel"] = draw(st.sampled_from(["E", c["rel"].lower()]) | scalars)
+        elif fault == "arity":
+            c["args"] = c["args"][1:] if draw(st.booleans()) else c["args"] * 2
+        else:
+            c["args"] = draw(json_values | st.lists(scalars, max_size=3))
+    elif fault == "variable":
+        variables.append(draw(scalars | st.sampled_from(variables)))
+    elif fault == "key":
+        key = draw(st.sampled_from(("variables", "constraints")))
+        if draw(st.booleans()):
+            data.pop(key)
+        else:
+            data[key] = draw(json_values)
+    return base, data
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fuzzed_instances())
+def test_fuzzed_instance_json_never_crashes(tmp_path, capsys, case):
+    base, data = case
+    t, b, inst = tmp_path / "t.json", tmp_path / "b.json", tmp_path / "i.json"
+    template = ordcsp.preset(base)
+    write_json(t, template.to_json_dict())
+    structure = ordcsp.sample(template, INSTANCE_BASES[base]).structure
+    write_json(b, structure.to_json_dict())
+    write_json(inst, data)
+    for argv in (
+        ["ac", "--instance", str(inst), "--structure", str(b)],
+        ["solve", "--template", str(t), "--instance", str(inst)],
+        ["hom", "--from", str(inst), "--to", str(b)],
+    ):
+        code = run_cli(argv)
+        assert 0 <= code <= 3, capsys.readouterr().err
+        capsys.readouterr()
+
+
 def test_walk_lemma_cap(tmp_path, capsys, monkeypatch):
     b = tmp_path / "b.json"
     edges = [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2], [0, 2]]

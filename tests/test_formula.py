@@ -13,6 +13,7 @@ from ordcsp import (
     TRUE,
     and_,
     eq,
+    ge,
     gt,
     le,
     lt,
@@ -99,6 +100,15 @@ DEEP_NOT = "(not " * (MAX_DEPTH + 1) + "true" + ")" * (MAX_DEPTH + 1)
         (DEEP_NOT, "connectives nest deeper than 300 (at position 1501)"),
         ("(lt 0 1) junk", "trailing input 'junk' (at position 9)"),
         (5, "formula must be a string, got 5"),
+        # Digits of other scripts are not indices.
+        (
+            "(lt \u0663 1)",
+            "expected non-negative integer index, got '\u0663' (at position 4)",
+        ),
+        (
+            "(lt \u00b2 1)",
+            "expected non-negative integer index, got '\u00b2' (at position 4)",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -399,6 +409,49 @@ def test_deep_equality_and_hash_do_not_recurse():
     for _ in range(10 * MAX_DEPTH):
         deep = [Not(f) for f in deep]
     assert deep[0] == deep[1] and hash(deep[0]) == hash(deep[1])
+
+
+def reference_repr(f):
+    """The text a dataclass ``__repr__`` writes, recursively."""
+    kind = type(f).__name__
+    if kind == "Const":
+        return f"Const(value={f.value!r})"
+    if kind == "Atom":
+        return f"Atom(op={f.op!r}, left={f.left!r}, right={f.right!r})"
+    if kind == "Not":
+        return f"Not(child={reference_repr(f.child)})"
+    children = [reference_repr(c) for c in f.children]
+    tail = "," if len(children) == 1 else ""
+    return f"{kind}(children=({', '.join(children)}{tail}))"
+
+
+def test_repr_is_dataclass_text():
+    # Pinned from the dataclass-generated __repr__ it replaces.
+    cases = {
+        TRUE: "Const(value=True)",
+        lt(0, 1): "Atom(op='lt', left=0, right=1)",
+        and_(lt(0, 1)): "And(children=(Atom(op='lt', left=0, right=1),))",
+        or_(not_(FALSE), ge(2, 0), and_(eq(1, 1), ne(0, 3))): (
+            "Or(children=(Not(child=Const(value=False)), "
+            "Atom(op='ge', left=2, right=0), "
+            "And(children=(Atom(op='eq', left=1, right=1), "
+            "Atom(op='ne', left=0, right=3)))))"
+        ),
+    }
+    for f, text in cases.items():
+        assert repr(f) == text == reference_repr(f)
+    rng = random.Random(12)
+    for _ in range(10):
+        f = mixed_chain(rng, MAX_DEPTH)
+        assert repr(f) == reference_repr(f)
+    # The deepest chain the parser accepts, which the recursive
+    # dataclass __repr__ could not print.
+    text = "(and (lt 0 1) " * MAX_DEPTH + "true" + ")" * MAX_DEPTH
+    assert repr(parse_formula(text)) == (
+        "And(children=(Atom(op='lt', left=0, right=1), " * MAX_DEPTH
+        + "Const(value=True)"
+        + "))" * MAX_DEPTH
+    )
 
 
 def test_equality_is_structural():

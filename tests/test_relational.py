@@ -32,6 +32,7 @@ from conftest import (
     reference_semilattice,
     reference_signatures,
     reference_ts_entries,
+    wide_binary_structures,
 )
 
 
@@ -146,6 +147,28 @@ def test_hom_matches_recursive_reference():
         found += mapping is not None
         absent += mapping is None
     assert found > 50 and absent > 50
+    # Binary structures of 0 to 6 elements, with E(x, x) next to E(x, y),
+    # and ones wider than a machine word.
+    inputs = [random_binary_structure(rng, 6, min_size=0) for _ in range(150)]
+    for b in inputs + [b for b in wide_binary_structures(rng) for _ in range(4)]:
+        a = random_instance(rng, [("E", 2)], max_vars=5, max_constraints=7)
+        mapping = hom_exists(a, b)
+        expected = reference_hom(a, b)
+        assert (mapping and list(mapping.items())) == (
+            expected and list(expected.items())
+        )
+    # Interpretation samples of 144 elements.
+    for name in ("gamma1", "gamma2"):
+        b = sample(preset(name), 6).structure
+        for _ in range(6):
+            a = random_instance(
+                rng, list(b.signature.symbols), max_vars=4, max_constraints=5
+            )
+            mapping = hom_exists(a, b)
+            expected = reference_hom(a, b)
+            assert (mapping and list(mapping.items())) == (
+                expected and list(expected.items())
+            )
     # Power structures of template samples: repeated elements within
     # constraints and long live lists.
     for name in ("qlt", "ord3"):

@@ -23,14 +23,17 @@ from ordcsp import (
 )
 from ordcsp.template import Relation, Template
 from ordcsp.formula import TRUE, eq, lt
+from ordcsp.solver import BITSET_SIZE, network
 
 from conftest import (
+    binary_structure,
     complete_graph,
     covering_tuple,
     random_binary_structure,
     random_instance,
     reference_hom,
     satisfiable_by_weak_order,
+    wide_binary_structures,
 )
 
 
@@ -79,17 +82,37 @@ def test_ac_chain_domains():
     assert h == {"x": {0}, "y": {1}, "z": {2}}
 
 
+def uses_bitsets(b):
+    _, _, live, _ = network(("x", "y"), (("E", ("x", "y")),), b)
+    return type(live[0]) is tuple
+
+
 def test_ac_matches_roundrobin_and_is_sound():
+    # E(x, y) revises on support bitsets, E(x, x) on tables, and both
+    # meet on one variable; structures of 0 to 6 elements, wider than a
+    # machine word, and wider than BITSET_SIZE.
     rng = random.Random(31)
-    for _ in range(200):
-        b = random_binary_structure(rng)
-        a = random_instance(rng, [("E", 2)], max_vars=5, max_constraints=6)
+    inputs = [(random_binary_structure(rng, 6, min_size=0), 5) for _ in range(300)]
+    m = BITSET_SIZE + 1
+    tables_only = binary_structure(
+        m, {(i, j) for i in range(m) for j in (2 * i % m, (3 * i + 1) % m)}
+    )
+    wide = wide_binary_structures(rng) + [tables_only]
+    assert [uses_bitsets(b) for b in wide] == [True] * 4 + [False]
+    inputs += [(b, 4) for b in wide for _ in range(10)]
+    both = empty = 0
+    for b, max_vars in inputs:
+        empty += not b.relations["E"]
+        a = random_instance(rng, [("E", 2)], max_vars=max_vars, max_constraints=6)
+        loops = {x for _, (x, y) in a.constraints if x == y}
+        both += any(x != y and {x, y} & loops for _, (x, y) in a.constraints)
         accept_w, h_w = ac(a, b)
         accept_r, h_r = ac_roundrobin(a, b)
         assert accept_w == accept_r
         assert h_w == h_r
         if not accept_w:
             assert hom_exists(a, b) is None
+    assert both >= 30 and empty >= 30
 
 
 def test_ac_matches_roundrobin_on_template_samples():
@@ -108,12 +131,20 @@ def test_ac_matches_roundrobin_on_template_samples():
         repeats += any(len(set(args)) < len(args) for _, args in a.constraints)
         assert ac(a, b) == ac_roundrobin(a, b)
     assert repeats >= 100
+    # Samples of 144 elements, whose masks span three machine words.
+    for name in ("gamma1", "gamma2"):
+        b = sample(preset(name), 6).structure
+        for _ in range(6):
+            a = random_instance(
+                rng, list(b.signature.symbols), max_vars=5, max_constraints=6
+            )
+            assert ac(a, b) == ac_roundrobin(a, b)
 
 
-def random_mixed_structure(rng, max_size=3):
+def random_mixed_structure(rng, max_size=3, min_size=1):
     """Up to three relations of arity 1 to 4, each empty about half the
-    time, on 1 to ``max_size`` elements."""
-    m = rng.randint(1, max_size)
+    time, on ``min_size`` to ``max_size`` elements."""
+    m = rng.randint(min_size, max_size)
     symbols = tuple(
         (f"R{r}", rng.randint(1, 4)) for r in range(rng.randint(1, 3))
     )
@@ -139,8 +170,8 @@ def test_ac_and_hom_on_mixed_arities():
     # round-robin scheduler, the reference search and brute force.
     rng = random.Random(36)
     unary = empty = repeats = 0
-    for _ in range(300):
-        b = random_mixed_structure(rng)
+    for max_size, min_size in [(3, 1)] * 300 + [(6, 0)] * 100:
+        b = random_mixed_structure(rng, max_size, min_size)
         a = random_instance(
             rng, list(b.signature.symbols), max_vars=4, max_constraints=5
         )
