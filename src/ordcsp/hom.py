@@ -4,12 +4,11 @@
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
 After each assignment it runs ``solver.propagate``, the propagator
-``ac`` uses, to the fixpoint. Its two revision rules are exact here as
-well: a binary constraint on two distinct variables revises on its
-relation's support bitsets, and every other constraint by table
-reduction, on tuples that give a repeated variable one value. That
-``R(x, x)`` needs its diagonal tuples is one reason it stays on tables.
-The search runs as a loop over an explicit stack of assigned variables,
+``ac`` uses, to the fixpoint. A binary constraint on two distinct
+variables revises there on its relation's support bitsets, and every
+other constraint by table reduction, here on only the tuples that give a
+repeated variable one value; that filter is one reason ``R(x, x)`` stays
+on tables. The search runs as a loop over an explicit stack of assigned variables,
 and undoes a failed choice from the propagator's trail of ``(store, key,
 old)`` entries, which restores domains and live tuple lists together;
 bitsets never change, so only domains are trailed for them. So its
