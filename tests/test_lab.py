@@ -4,7 +4,10 @@ from dataclasses import asdict, replace
 import pytest
 
 from ordcsp import (
+    PRESET_NAMES,
     CapExceeded,
+    Relation,
+    Template,
     check_aclwalk_lemma,
     check_set_hom_equiv,
     find_alternating_walk,
@@ -14,6 +17,7 @@ from ordcsp import (
     sample,
     subset_class_count,
 )
+from ordcsp.formula import TRUE, eq, gt, lt, or_
 
 from conftest import (
     all_binary_structures,
@@ -144,6 +148,31 @@ def test_orbit_qlt_always_one():
             report = orbit_count(t, n)
             assert report.class_count == 1
             assert report.exactness == "exact"
+
+
+def test_orbit_exactness_pinned():
+    # Exact means equal to qlt, ord3, gamma1 or gamma2 in every field but
+    # the name; any other difference makes the count a lower bound.
+    qlt, ord3, gamma2 = preset("qlt"), preset("ord3"), preset("gamma2")
+    swapped = or_(gt(0, 2), gt(0, 1))
+    cases = [(preset(p), p != "gamma3") for p in PRESET_NAMES]
+    cases += [(replace(preset(p), name="x"), p != "gamma3") for p in PRESET_NAMES]
+    cases += [
+        (replace(preset("gamma3"), name="qlt"), False),
+        (replace(qlt, semilattice="max"), False),
+        (replace(qlt, semilattice=None), False),
+        (replace(ord3, relations=(Relation("T", 3, swapped),)), False),
+        (replace(gamma2, relations=gamma2.relations[::-1]), False),
+        (
+            Template(
+                "q", "direct", 1, TRUE, eq(0, 1), (Relation("Lt", 2, lt(0, 1)),), "min"
+            ),
+            True,
+        ),
+    ]
+    for t, exact in cases:
+        want = "exact" if exact else "lower_bound"
+        assert orbit_count(t, 2).exactness == want, t
 
 
 def test_orbit_gamma2_doubles():

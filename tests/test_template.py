@@ -12,7 +12,105 @@ from ordcsp import (
     lt,
     preset,
 )
-from ordcsp.formula import TRUE, and_
+from ordcsp.formula import TRUE, and_, gt, ne, or_
+
+# Every preset's JSON, compact, as written before presets were stored as
+# JSON; ``test_presets_pinned`` compares the indented text byte for byte.
+PINNED_JSON = {
+    "qlt": '{"name": "qlt", "kind": "direct", "domain_formula": "true", '
+    '"equality_formula": "(eq 0 1)", "relations": [{"name": "Lt", '
+    '"arity": 2, "formula": "(lt 0 1)"}], "semilattice": "min"}',
+    "ord3": '{"name": "ord3", "kind": "direct", "domain_formula": "true", '
+    '"equality_formula": "(eq 0 1)", "relations": [{"name": "T", '
+    '"arity": 3, "formula": "(or (gt 0 1) (gt 0 2))"}], '
+    '"semilattice": "min"}',
+    "gamma1": '{"name": "gamma1", "kind": "interpretation", "dimension": 2, '
+    '"domain_formula": "true", "equality_formula": "(and (eq 0 2) (eq 1 3))", '
+    '"relations": ['
+    + ", ".join(
+        '{"name": "R_%s_%s", "arity": 2, "formula": "(and (%s 0 2) (%s 1 3))"}'
+        % (r, s, r, s)
+        for r in ("lt", "eq", "gt")
+        for s in ("lt", "eq", "gt")
+    )
+    + "]}",
+    "gamma2": '{"name": "gamma2", "kind": "interpretation", "dimension": 2, '
+    '"domain_formula": "true", "equality_formula": "(and (eq 0 2) (eq 1 3))", '
+    '"relations": [{"name": "R", "arity": 2, "formula": '
+    '"(and (eq 0 2) (lt 1 3))"}, {"name": "S", "arity": 2, "formula": '
+    '"(lt 0 2)"}]}',
+    "gamma3": '{"name": "gamma3", "kind": "interpretation", "dimension": 2, '
+    '"domain_formula": "(ne 0 1)", "equality_formula": "(and (eq 0 2) '
+    '(or (and (lt 0 1) (lt 2 3)) (and (gt 0 1) (gt 2 3))))", "relations": '
+    '[{"name": "M", "arity": 2, "formula": "(and (eq 0 2) (lt 0 1) '
+    '(gt 2 3))"}, {"name": "Ord", "arity": 2, "formula": "(or (and (lt 0 1) '
+    '(gt 2 3)) (and (lt 0 1) (lt 2 3) (lt 0 2)) (and (gt 0 1) (gt 2 3) '
+    '(lt 0 2)))"}]}',
+}
+
+
+def constructed_presets():
+    """The presets built by constructor calls: an oracle that neither
+    parses nor prints a formula."""
+    direct = dict(
+        kind="direct",
+        dimension=1,
+        domain_formula=TRUE,
+        equality_formula=eq(0, 1),
+        semilattice="min",
+    )
+    pairs = dict(
+        kind="interpretation",
+        dimension=2,
+        domain_formula=TRUE,
+        equality_formula=and_(eq(0, 2), eq(1, 3)),
+    )
+    ops = (("lt", lt), ("eq", eq), ("gt", gt))
+    return {
+        "qlt": Template("qlt", relations=(Relation("Lt", 2, lt(0, 1)),), **direct),
+        "ord3": Template(
+            "ord3", relations=(Relation("T", 3, or_(gt(0, 1), gt(0, 2))),), **direct
+        ),
+        "gamma1": Template(
+            "gamma1",
+            relations=tuple(
+                Relation(f"R_{rn}_{sn}", 2, and_(rf(0, 2), sf(1, 3)))
+                for rn, rf in ops
+                for sn, sf in ops
+            ),
+            **pairs,
+        ),
+        "gamma2": Template(
+            "gamma2",
+            relations=(
+                Relation("R", 2, and_(eq(0, 2), lt(1, 3))),
+                Relation("S", 2, lt(0, 2)),
+            ),
+            **pairs,
+        ),
+        "gamma3": Template(
+            "gamma3",
+            "interpretation",
+            2,
+            ne(0, 1),
+            and_(
+                eq(0, 2),
+                or_(and_(lt(0, 1), lt(2, 3)), and_(gt(0, 1), gt(2, 3))),
+            ),
+            (
+                Relation("M", 2, and_(eq(0, 2), lt(0, 1), gt(2, 3))),
+                Relation(
+                    "Ord",
+                    2,
+                    or_(
+                        and_(lt(0, 1), gt(2, 3)),
+                        and_(lt(0, 1), lt(2, 3), lt(0, 2)),
+                        and_(gt(0, 1), gt(2, 3), lt(0, 2)),
+                    ),
+                ),
+            ),
+        ),
+    }
 
 
 def test_preset_names():
@@ -56,6 +154,14 @@ def test_preset_gamma3():
     t = preset("gamma3")
     assert t.domain_formula.free_var_count == 2
     assert [r.name for r in t.relations] == ["M", "Ord"]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_pinned(name):
+    t = preset(name)
+    assert t == constructed_presets()[name]
+    text = json.dumps(t.to_json_dict(), indent=2)
+    assert text == json.dumps(json.loads(PINNED_JSON[name]), indent=2)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
