@@ -35,7 +35,7 @@ is pasted in as text, and node fields are type-checked at construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import CapExceeded, FormulaError
@@ -63,9 +63,9 @@ class Formula:
     ``free_var_count`` is 1 + the largest variable index used (0 when no
     atom occurs), and ``depth`` the number of connectives on the longest
     path from the root to an atom or constant. Both are computed once at
-    construction, and so is the hash, from the children's stored hashes;
-    ``==`` and ``repr`` walk the trees with an explicit stack, so none of
-    them recurses. ``repr`` writes the text a dataclass ``__repr__`` would.
+    construction, and so is the hash, from the children's stored hashes.
+    ``==``, ``repr`` and ``print_formula`` walk trees on an explicit stack
+    and never recurse; ``repr`` writes the text a dataclass's would.
     """
 
     free_var_count: int
@@ -99,33 +99,10 @@ class Formula:
         return self._hash
 
     def __repr__(self):
-        # A stack of text pieces and nodes still to write, next one last.
-        out = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, Formula):
-                out.append(item)
-                continue
-            pieces = [type(item).__qualname__ + "("]
-            for k, field in enumerate(fields(item)):
-                value = getattr(item, field.name)
-                pieces.append(("" if k == 0 else ", ") + field.name + "=")
-                if isinstance(value, Formula):
-                    pieces.append(value)
-                elif isinstance(value, tuple):
-                    pieces.append("(")
-                    for i, child in enumerate(value):
-                        pieces += [", ", child] if i else [child]
-                    pieces.append(",)" if len(value) == 1 else ")")
-                else:
-                    pieces.append(repr(value))
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-        return "".join(out)
+        return _write(self, _repr_parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Const(Formula):
     value: bool
 
@@ -135,7 +112,7 @@ class Const(Formula):
         self._init((self.value,), ())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     op: str
     left: int
@@ -307,17 +284,47 @@ def _source(f, env, levels, names=None):
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _write(f, _syntax_parts)
+
+
+def _syntax_parts(f):
+    """A node's concrete syntax around its children."""
     if isinstance(f, Atom):
-        return f"({f.op} {f.left} {f.right})"
+        return f"({f.op} {f.left} {f.right})", "", ""
+    if isinstance(f, Const):
+        return "true" if f.value else "false", "", ""
+    return "(" + type(f).__name__.lower() + " ", " ", ")"
+
+
+def _repr_parts(f):
+    """A node's dataclass repr around its children; leaves have their own."""
+    name = type(f).__qualname__
     if isinstance(f, Not):
-        return f"(not {print_formula(f.child)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(print_formula(c) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(print_formula(c) for c in f.children) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+        return name + "(child=", "", ")"
+    if isinstance(f, _Connective):
+        close = ",))" if len(f._kids) == 1 else "))"
+        return name + "(children=(", ", ", close
+    return repr(f), "", ""
+
+
+def _write(f, parts):
+    """Write ``f`` without recursion: ``parts(node)`` gives the text before,
+    between and after the node's children, which are written the same way.
+    A stack holds the text and nodes still to write, next one last."""
+    out, stack = [], [f]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        before, between, after = parts(item)
+        out.append(before)
+        stack.append(after)
+        for i, child in enumerate(reversed(item._kids)):
+            stack += (between, child) if i else (child,)
+    return "".join(out)
 
 
 def parse_formula(text: str) -> Formula:

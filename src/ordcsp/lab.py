@@ -16,12 +16,15 @@ then R and the converse of S must intersect.
 induced substructures on n distinct elements. For the built-in templates
 qlt, ord3, gamma1 and gamma2 every isomorphism between finite induced
 substructures extends to a symmetry of the whole template, so the class
-count equals the number of n-subset orbits and is reported as exact for
-any template equal to one of them up to its name; otherwise it is a lower
-bound. Classes are enumerated by levelwise extension: keep one concrete
-point configuration per class, re-grid it with gaps so that a new point
-can take every relative position, and canonicalize the grown
-structures, each built afresh by ``formula.compile_table``.
+count equals the number of n-subset orbits. The count is reported as
+exact when the template's JSON, with the preset's name put in, equals
+that preset's stored JSON (``template.PRESETS``): as printed formulas
+parse back to themselves, this is equality up to the name, and no
+template is built for it. Otherwise it is a lower bound. Classes are
+enumerated by levelwise extension: keep one concrete point configuration
+per class, re-grid it with gaps so that a new point can take every
+relative position, and canonicalize the grown structures, each built
+afresh by ``formula.compile_table``.
 This visits a number of configurations proportional to the number of
 classes rather than the number of n-subsets of a sample, which is what
 makes counts like n = 5 over a 100-element sample feasible.
@@ -29,7 +32,7 @@ makes counts like n = 5 over a 100-element sample feasible.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
@@ -43,7 +46,7 @@ from .polymorphism import (
 from .powerset import power_structure
 from .sampler import _power_exceeds
 from .structures import FiniteStructure
-from .template import Template, preset
+from .template import PRESETS, Template
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -470,5 +473,6 @@ def orbit_count(
         for config in sorted(candidates):
             reps.setdefault(form(config), config)
 
-    exact = any(replace(preset(p), name=t.name) == t for p in EXACT_PRESETS)
+    data = t.to_json_dict()
+    exact = any({**data, "name": p} == PRESETS[p] for p in EXACT_PRESETS)
     return OrbitReport(n, len(reps), EXACT if exact else LOWER_BOUND)

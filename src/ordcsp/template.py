@@ -30,8 +30,8 @@ direct template, and a semilattice only on a direct template. Whether the
 equality formula is an equivalence and a congruence is decided later, on
 the template's first sample (see ``sampler``).
 
-The JSON file format is the single source of truth; ``preset`` builds
-named built-in templates as ordinary values of that format.
+The JSON file format is the single source of truth: ``PRESETS`` stores
+the built-in templates in it, and ``preset`` reads one by name.
 """
 
 from __future__ import annotations
@@ -39,21 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SchemaError
-from .formula import (
-    Formula,
-    TRUE,
-    and_,
-    eq,
-    gt,
-    lt,
-    ne,
-    or_,
-    parse_formula,
-    print_formula,
-)
+from .formula import Formula, TRUE, eq, parse_formula, print_formula
 from .structures import Signature
-
-PRESET_NAMES = ("qlt", "ord3", "gamma1", "gamma2", "gamma3")
 
 DIRECT = "direct"
 INTERPRETATION = "interpretation"
@@ -162,87 +149,74 @@ class Template:
             raise SchemaError(f"bad template JSON: {exc}") from exc
 
 
-def _componentwise_equality(d: int) -> Formula:
-    return and_(*(eq(c, d + c) for c in range(d)))
+# Fields shared by the presets on the rationals and on pairs of them.
+_DIRECT = dict(kind=DIRECT, domain_formula="true", equality_formula="(eq 0 1)")
+_PAIRS = dict(kind=INTERPRETATION, dimension=2, domain_formula="true")
+
+# The built-in templates, each exactly as ``Template.to_json_dict`` writes
+# it; ``preset`` reads them with ``Template.from_json_dict``.
+PRESETS = {
+    "qlt": dict(
+        name="qlt",
+        **_DIRECT,
+        relations=[dict(name="Lt", arity=2, formula="(lt 0 1)")],
+        semilattice="min",
+    ),
+    "ord3": dict(
+        name="ord3",
+        **_DIRECT,
+        relations=[dict(name="T", arity=3, formula="(or (gt 0 1) (gt 0 2))")],
+        semilattice="min",
+    ),
+    # Pairs of rationals; one relation per pair of comparisons, applied
+    # to the two coordinates independently.
+    "gamma1": dict(
+        name="gamma1",
+        **_PAIRS,
+        equality_formula="(and (eq 0 2) (eq 1 3))",
+        relations=[
+            dict(name=f"R_{r}_{s}", arity=2, formula=f"(and ({r} 0 2) ({s} 1 3))")
+            for r in ("lt", "eq", "gt")
+            for s in ("lt", "eq", "gt")
+        ],
+    ),
+    "gamma2": dict(
+        name="gamma2",
+        **_PAIRS,
+        equality_formula="(and (eq 0 2) (eq 1 3))",
+        relations=[
+            dict(name="R", arity=2, formula="(and (eq 0 2) (lt 1 3))"),
+            dict(name="S", arity=2, formula="(lt 0 2)"),
+        ],
+    ),
+    # Two interleaved copies of the rationals: the pair (x, y) names the
+    # lower copy of x when x < y and the upper copy when x > y. Two pairs
+    # name the same element iff they share x and pick the same copy.
+    "gamma3": dict(
+        name="gamma3",
+        kind=INTERPRETATION,
+        dimension=2,
+        domain_formula="(ne 0 1)",
+        equality_formula="(and (eq 0 2) "
+        "(or (and (lt 0 1) (lt 2 3)) (and (gt 0 1) (gt 2 3))))",
+        relations=[
+            dict(name="M", arity=2, formula="(and (eq 0 2) (lt 0 1) (gt 2 3))"),
+            dict(
+                name="Ord",
+                arity=2,
+                formula="(or (and (lt 0 1) (gt 2 3)) "
+                "(and (lt 0 1) (lt 2 3) (lt 0 2)) "
+                "(and (gt 0 1) (gt 2 3) (lt 0 2)))",
+            ),
+        ],
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str) -> Template:
     """Built-in templates by name; see PRESET_NAMES."""
-    if name == "qlt":
-        return Template(
-            name="qlt",
-            kind=DIRECT,
-            dimension=1,
-            domain_formula=TRUE,
-            equality_formula=_DIRECT_EQUALITY,
-            relations=(Relation("Lt", 2, lt(0, 1)),),
-            semilattice="min",
-        )
-    if name == "ord3":
-        return Template(
-            name="ord3",
-            kind=DIRECT,
-            dimension=1,
-            domain_formula=TRUE,
-            equality_formula=_DIRECT_EQUALITY,
-            relations=(Relation("T", 3, or_(gt(0, 1), gt(0, 2))),),
-            semilattice="min",
-        )
-    if name == "gamma1":
-        # Pairs of rationals; one relation per pair of comparisons,
-        # applied to the two coordinates independently.
-        ops = (("lt", lt), ("eq", eq), ("gt", gt))
-        relations = tuple(
-            Relation(f"R_{rn}_{sn}", 2, and_(rf(0, 2), sf(1, 3)))
-            for rn, rf in ops
-            for sn, sf in ops
-        )
-        return Template(
-            name="gamma1",
-            kind=INTERPRETATION,
-            dimension=2,
-            domain_formula=TRUE,
-            equality_formula=_componentwise_equality(2),
-            relations=relations,
-        )
-    if name == "gamma2":
-        return Template(
-            name="gamma2",
-            kind=INTERPRETATION,
-            dimension=2,
-            domain_formula=TRUE,
-            equality_formula=_componentwise_equality(2),
-            relations=(
-                Relation("R", 2, and_(eq(0, 2), lt(1, 3))),
-                Relation("S", 2, lt(0, 2)),
-            ),
-        )
-    if name == "gamma3":
-        # Two interleaved copies of the rationals: the pair (x, y) names
-        # the lower copy of x when x < y and the upper copy when x > y.
-        # Two pairs name the same element iff they share x and pick the
-        # same copy.
-        same_copy = or_(
-            and_(lt(0, 1), lt(2, 3)),
-            and_(gt(0, 1), gt(2, 3)),
-        )
-        matching = and_(eq(0, 2), lt(0, 1), gt(2, 3))
-        below = or_(
-            and_(lt(0, 1), gt(2, 3)),
-            and_(lt(0, 1), lt(2, 3), lt(0, 2)),
-            and_(gt(0, 1), gt(2, 3), lt(0, 2)),
-        )
-        return Template(
-            name="gamma3",
-            kind=INTERPRETATION,
-            dimension=2,
-            domain_formula=ne(0, 1),
-            equality_formula=and_(eq(0, 2), same_copy),
-            relations=(
-                Relation("M", 2, matching),
-                Relation("Ord", 2, below),
-            ),
-        )
-    raise SchemaError(
-        f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}"
-    )
+    if name not in PRESETS:
+        known = ", ".join(PRESET_NAMES)
+        raise SchemaError(f"unknown preset {name!r}; known presets: {known}")
+    return Template.from_json_dict(PRESETS[name])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
@@ -380,6 +383,20 @@ def test_schema_error_exit(tmp_path, capsys):
     assert code == 2
     assert "name must be a string" in capsys.readouterr().err
 
+    pair = tmp_path / "two_binary.json"
+    write_json(
+        pair,
+        {
+            "signature": [{"name": "R", "arity": 2}, {"name": "S", "arity": 2}],
+            "size": 2,
+            "relations": {"R": [[0, 1]], "S": [[1, 0]]},
+        },
+    )
+    walk = ["walk", "--from", str(pair), "--to", str(structure), "--size", "2"]
+    assert run_cli(walk) == 2
+    err = capsys.readouterr().err
+    assert "expected exactly one binary relation, found 2" in err
+
 
 @pytest.mark.parametrize(
     "formula",
@@ -671,6 +688,20 @@ def test_internal_error_exit(monkeypatch, capsys):
     monkeypatch.setattr("ordcsp.cli._cmd_preset", crash)
     assert run_cli(["preset", "--name", "qlt"]) == 4
     assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_module_entry_point(capsys):
+    # ``python -m ordcsp.cli`` runs main, whose sys.exit passes on the code.
+    src = os.path.dirname(os.path.dirname(ordcsp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-B", "-m", "ordcsp.cli", "preset", "--name"]
+    done = subprocess.run(argv + ["qlt"], env=env, capture_output=True, text=True)
+    assert run_cli(["preset", "--name", "qlt"]) == 0
+    assert done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
+    done = subprocess.run(argv + ["nope"], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "unknown preset 'nope'" in done.stderr
 
 
 def test_usage_error_exit():

@@ -454,6 +454,18 @@ def test_repr_is_dataclass_text():
     )
 
 
+def test_print_deepest_chains_beneath_caller_frames():
+    # A recursive print_formula spent about three frames per connective,
+    # so these chains failed once the caller already held 200 frames.
+    def beneath(frames, fn):
+        return fn() if frames == 0 else beneath(frames - 1, fn)
+
+    for op in ("and", "or"):
+        text = f"({op} (lt 0 1) " * MAX_DEPTH + "true" + ")" * MAX_DEPTH
+        f = parse_formula(text)
+        assert beneath(200, lambda: print_formula(f)) == text
+
+
 def test_equality_is_structural():
     assert lt(0, 1) == Atom("lt", 0, 1) and hash(lt(0, 1)) == hash(lt(0, 1))
     assert lt(0, 1) != Atom("le", 0, 1)

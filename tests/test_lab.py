@@ -212,6 +212,8 @@ def test_orbit_caps():
         orbit_count(preset("gamma2"), 3, budget=8)
     with pytest.raises(CapExceeded, match=r"8\^2 points > 50"):
         orbit_count(preset("gamma2"), 3, budget=50)
+    with pytest.raises(CapExceeded, match="67 configurations > 64"):
+        orbit_count(preset("gamma2"), 3, budget=64)
 
 
 def test_orbit_report_json():

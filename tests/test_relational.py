@@ -456,6 +456,12 @@ def test_is_polymorphism_counterexample():
     b = binary_structure(2, {(0, 1), (1, 0)}, name="R")
     min_table = BinaryOpTable(2, ((0, 0), (0, 1)))
     assert not is_polymorphism(min_table, b)
+    # min folded over subsets is not a polymorphism of K3: (0, 1) and
+    # (1, 0) are edges, but their column sets {0, 1} fold to the loop (0, 0).
+    min3 = BinaryOpTable(
+        3, tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
+    )
+    assert not is_polymorphism(min_fold_table(min3, 2), complete_graph(3))
 
 
 def test_is_polymorphism_mismatch():

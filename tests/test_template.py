@@ -13,6 +13,7 @@ from ordcsp import (
     preset,
 )
 from ordcsp.formula import TRUE, and_, gt, ne, or_
+from ordcsp.template import PRESETS
 
 # Every preset's JSON, compact, as written before presets were stored as
 # JSON; ``test_presets_pinned`` compares the indented text byte for byte.
@@ -115,7 +116,8 @@ def constructed_presets():
 
 def test_preset_names():
     assert PRESET_NAMES == ("qlt", "ord3", "gamma1", "gamma2", "gamma3")
-    with pytest.raises(SchemaError):
+    known = "known presets: qlt, ord3, gamma1, gamma2, gamma3"
+    with pytest.raises(SchemaError, match=f"^unknown preset 'nope'; {known}$"):
         preset("nope")
 
 
@@ -162,6 +164,13 @@ def test_presets_pinned(name):
     assert t == constructed_presets()[name]
     text = json.dumps(t.to_json_dict(), indent=2)
     assert text == json.dumps(json.loads(PINNED_JSON[name]), indent=2)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_json_is_its_stored_entry(name):
+    # orbit_count calls a count exact by comparing a template's JSON with
+    # these entries; each is what to_json_dict writes, in the same order.
+    assert json.dumps(preset(name).to_json_dict()) == json.dumps(PRESETS[name])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
