@@ -5,6 +5,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
+from ordcsp.lab import Walk
 from ordcsp.polymorphism import BinaryOpTable
 
 
@@ -331,3 +332,93 @@ def reference_hom(a, b):
     if not propagate(domains):
         return None
     return search(domains, {})
+
+
+def _successors(tuples):
+    succ: dict[int, list[int]] = {}
+    for a, b in sorted(tuples):
+        succ.setdefault(a, []).append(b)
+    return succ
+
+
+def reference_alternating_walk(r_tuples, s_tuples, max_half_length: int):
+    """The shortest alternating closed walk as ``find_alternating_walk``
+    promises it: a breadth-first search over (element, parity) states from
+    each element of R or S, ties toward the smallest start."""
+    r_succ = _successors(r_tuples)
+    s_succ = _successors(s_tuples)
+    domain = sorted(
+        {x for t in r_tuples for x in t} | {x for t in s_tuples for x in t}
+    )
+    best = None
+    for x0 in domain:
+        walk = _bfs_closed_walk(x0, r_succ, s_succ, max_half_length)
+        if walk is not None and (
+            best is None or len(walk.elements) < len(best.elements)
+        ):
+            best = walk
+    return best
+
+
+def reference_exact_walk(size, r_tuples, s_tuples, half_length):
+    """The exact walk ``check_aclwalk_lemma`` reports: from the first start
+    in range(size) that has a closed walk of length 2 * half_length."""
+    r_succ = _successors(r_tuples)
+    s_succ = _successors(s_tuples)
+    for x0 in range(size):
+        walk = _exact_closed_walk(x0, r_succ, s_succ, half_length)
+        if walk is not None:
+            return walk
+    return None
+
+
+def _bfs_closed_walk(x0, r_succ, s_succ, max_half_length):
+    start = (x0, 0)
+    parents = {start: None}
+    frontier = [start]
+    depth = 0
+    while frontier and depth < 2 * max_half_length:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            u, parity = state
+            succ = r_succ if parity == 0 else s_succ
+            for v in succ.get(u, ()):
+                cand = (v, 1 - parity)
+                if cand == start:
+                    elements = [x0]
+                    cur = state
+                    while cur is not None:
+                        elements.append(cur[0])
+                        cur = parents[cur]
+                    elements.reverse()
+                    return Walk(tuple(elements))
+                if cand not in parents:
+                    parents[cand] = state
+                    nxt.append(cand)
+        frontier = nxt
+    return None
+
+
+def _exact_closed_walk(x0, r_succ, s_succ, half_length):
+    """A closed walk from x0 of length exactly 2 * half_length, or None."""
+    layers = [{x0: None}]
+    for step in range(2 * half_length):
+        succ = r_succ if step % 2 == 0 else s_succ
+        nxt = {}
+        for u in layers[-1]:
+            for v in succ.get(u, ()):
+                if v not in nxt:
+                    nxt[v] = u
+        if not nxt:
+            return None
+        layers.append(nxt)
+    if x0 not in layers[-1]:
+        return None
+    elements = [x0]
+    cur = x0
+    for step in range(2 * half_length, 0, -1):
+        cur = layers[step][cur]
+        elements.append(cur)
+    elements.reverse()
+    return Walk(tuple(elements))

@@ -6,7 +6,9 @@ import pytest
 from ordcsp import (
     PRESET_NAMES,
     CapExceeded,
+    FiniteStructure,
     Relation,
+    Signature,
     Template,
     check_aclwalk_lemma,
     check_set_hom_equiv,
@@ -24,6 +26,9 @@ from conftest import (
     binary_structure,
     complete_graph,
     min_closed_structure,
+    random_binary_structure,
+    reference_alternating_walk,
+    reference_exact_walk,
 )
 
 
@@ -137,6 +142,69 @@ def test_walk_lemma_randomized_campaign():
             assert not report.violations
 
 
+def random_walk_pair(rng):
+    """Relations R, S on 1-12 elements: random pairs, one of them empty
+    one time in six, or (a third of the time) an alternating cycle
+    through a random order of the elements plus a few random pairs."""
+    m = rng.randint(1, 12)
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+
+    def noise(most):
+        return set(rng.sample(pairs, rng.randint(0, min(len(pairs), most))))
+
+    if m < 2 or rng.randrange(3):
+        r, s = noise(3 * m), noise(3 * m)
+        if rng.randrange(6) == 0:
+            (r if rng.randrange(2) else s).clear()
+        return r, s
+    order = rng.sample(range(m), 2 * rng.randint(1, m // 2))
+    k = len(order)
+    r = {(order[i], order[i + 1]) for i in range(0, k, 2)} | noise(2)
+    s = {(order[i], order[(i + 1) % k]) for i in range(1, k, 2)} | noise(2)
+    return r, s
+
+
+def test_walks_match_reference():
+    # Pinned against a breadth-first search over (element, parity) states
+    # started from every element of R or S.
+    rng = random.Random(64)
+    for _ in range(1000):
+        r, s = random_walk_pair(rng)
+        half = rng.randint(1, 12)
+        assert find_alternating_walk(r, s, half) == reference_alternating_walk(
+            r, s, half
+        ), (r, s, half)
+
+
+def test_walk_lemma_walks_match_reference():
+    rng = random.Random(65)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 4)
+        if rng.randrange(2):
+            b = min_closed_structure(rng, max_size=4)
+        else:
+            first = random_binary_structure(rng, max_size=4)
+            second = random_binary_structure(rng, max_size=first.size)
+            b = FiniteStructure(
+                Signature((("R", 2), ("S", 2))),
+                first.size,
+                {"R": first.relations["E"], "S": second.relations["E"]},
+            )
+        if has_ts_polymorphism(b, n) is None:
+            continue
+        checked += 1
+        pairs = iter(check_aclwalk_lemma(b, n).to_json_dict()["pairs"])
+        binary = [b.relations[name] for name, _ in b.signature.symbols]
+        for r in binary:
+            for s in binary:
+                pair = next(pairs)
+                exact = reference_exact_walk(b.size, r, s, n)
+                shortest = reference_alternating_walk(r, s, n)
+                assert pair["exact_walk"] == (exact and asdict(exact))
+                assert pair["shortest_walk"] == (shortest and asdict(shortest))
+
+
 # ---------------------------------------------------------------------------
 # orbit growth
 
@@ -232,6 +300,22 @@ def test_orbit_report_json():
 )
 def test_orbit_counts_pinned(name, n, count):
     assert orbit_count(preset(name), n).class_count == count
+
+
+@pytest.mark.parametrize(
+    "t, counts",
+    [
+        (preset("qlt"), [1] * 5),
+        (preset("ord3"), [1] * 5),
+        (preset("gamma2"), [1, 2, 4, 8, 16]),
+        (preset("gamma3"), [1, 2, 4, 8, 16]),
+        (preset("gamma1"), [1, 4, 24, 196]),
+        (replace(preset("gamma2"), dimension=3), [3, 13, 75]),
+    ],
+    ids=["qlt", "ord3", "gamma2", "gamma3", "gamma1", "gamma2-dim3"],
+)
+def test_orbit_counts_by_level_pinned(t, counts):
+    assert [orbit_count(t, n).class_count for n in range(1, len(counts) + 1)] == counts
 
 
 @pytest.mark.parametrize("name", ["qlt", "ord3", "gamma1", "gamma2", "gamma3"])
