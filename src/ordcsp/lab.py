@@ -10,7 +10,8 @@ whether B has a totally symmetric polymorphism of arity (max arity) * |B|
 ``check_aclwalk_lemma`` exercises a second finite consequence of total
 symmetry: when R and S are preserved by a totally symmetric operation of
 arity n and some alternating closed walk on (R, S) has length exactly 2n,
-then R and the converse of S must intersect.
+then R and the converse of S must intersect. One layered search finds
+both that walk and the shortest one (``find_alternating_walk``).
 
 ``orbit_count`` counts, for a template, the isomorphism classes of
 induced substructures on n distinct elements. For the built-in templates
@@ -21,10 +22,10 @@ exact when the template's JSON, with the preset's name put in, equals
 that preset's stored JSON (``template.PRESETS``): as printed formulas
 parse back to themselves, this is equality up to the name, and no
 template is built for it. Otherwise it is a lower bound. Classes are
-enumerated by levelwise extension: keep one concrete point configuration
-per class, re-grid it with gaps so that a new point can take every
-relative position, and canonicalize the grown structures, each built
-afresh by ``formula.compile_table``.
+enumerated by levelwise extension from the empty configuration: keep one
+concrete point configuration per class, re-grid it with gaps so that a
+new point can take every relative position, and canonicalize the grown
+structures, each built afresh by ``formula.compile_table``.
 This visits a number of configurations proportional to the number of
 classes rather than the number of n-subsets of a sample, which is what
 makes counts like n = 5 over a 100-element sample feasible.
@@ -127,12 +128,9 @@ def find_alternating_walk(r_tuples, s_tuples, max_half_length: int):
     or None. Ties break toward the smallest starting element."""
     r_succ = _successors(r_tuples)
     s_succ = _successors(s_tuples)
-    domain = sorted(
-        {x for t in r_tuples for x in t} | {x for t in s_tuples for x in t}
-    )
     best = None
-    for x0 in domain:
-        walk = _bfs_closed_walk(x0, r_succ, s_succ, max_half_length)
+    for x0 in sorted(r_succ):
+        walk = _closed_walk(x0, r_succ, s_succ, 2 * max_half_length, False)
         if walk is not None and (
             best is None or len(walk.elements) < len(best.elements)
         ):
@@ -140,54 +138,38 @@ def find_alternating_walk(r_tuples, s_tuples, max_half_length: int):
     return best
 
 
-def _bfs_closed_walk(x0, r_succ, s_succ, max_half_length):
-    start = (x0, 0)
-    parents = {start: None}
-    frontier = [start]
-    depth = 0
-    while frontier and depth < 2 * max_half_length:
-        depth += 1
-        nxt = []
-        for state in frontier:
-            u, parity = state
-            succ = r_succ if parity == 0 else s_succ
-            for v in succ.get(u, ()):
-                cand = (v, 1 - parity)
-                if cand == start:
-                    elements = [x0]
-                    cur = state
-                    while cur is not None:
-                        elements.append(cur[0])
-                        cur = parents[cur]
-                    elements.reverse()
-                    return Walk(tuple(elements))
-                if cand not in parents:
-                    parents[cand] = state
-                    nxt.append(cand)
-        frontier = nxt
-    return None
+def _closed_walk(x0, r_succ, s_succ, steps, exact):
+    """A closed walk from x0 of exactly ``steps`` steps if ``exact``, else
+    the shortest of at most ``steps`` steps; None if there is none.
 
-
-def _exact_closed_walk(x0, r_succ, s_succ, half_length):
-    """A closed walk from x0 of length exactly 2 * half_length, or None."""
+    Layer i maps each element reached in i steps to the first element of
+    layer i - 1 that reached it. The shortest search drops an element
+    already reached at an earlier step of the same parity, which makes it
+    a breadth-first search over (element, parity) states.
+    """
     layers = [{x0: None}]
-    for step in range(2 * half_length):
-        succ = r_succ if step % 2 == 0 else s_succ
-        nxt = {}
+    reached = (set(), set())  # by parity, for the shortest search
+    for step in range(1, steps + 1):
+        succ = r_succ if step % 2 else s_succ
+        layer = {}
         for u in layers[-1]:
             for v in succ.get(u, ()):
-                if v not in nxt:
-                    nxt[v] = u
-        if not nxt:
+                if v not in layer:
+                    layer[v] = u
+        if not exact:
+            seen = reached[step % 2]
+            layer = {v: u for v, u in layer.items() if v not in seen}
+            seen.update(layer)
+        if not layer:
             return None
-        layers.append(nxt)
-    if x0 not in layers[-1]:
+        layers.append(layer)
+        if step % 2 == 0 and x0 in layer and (step == steps or not exact):
+            break
+    else:
         return None
     elements = [x0]
-    cur = x0
-    for step in range(2 * half_length, 0, -1):
-        cur = layers[step][cur]
-        elements.append(cur)
+    for layer in reversed(layers[1:]):
+        elements.append(layer[elements[-1]])
     elements.reverse()
     return Walk(tuple(elements))
 
@@ -247,8 +229,8 @@ def check_aclwalk_lemma(b: FiniteStructure, n: int) -> WalkLemmaReport:
             r_succ = _successors(r_tuples)
             s_succ = _successors(s_tuples)
             exact = None
-            for x0 in range(b.size):
-                exact = _exact_closed_walk(x0, r_succ, s_succ, n)
+            for x0 in sorted(r_succ):
+                exact = _closed_walk(x0, r_succ, s_succ, 2 * n, True)
                 if exact is not None:
                     break
             intersects = any((y, x) in s_tuples for x, y in r_tuples)
@@ -429,25 +411,15 @@ def orbit_count(
         r = list(enumerate(config))
         return canonical_form(len(config), [(a, b(r)) for a, b in tables])
 
-    configs = set()
-    for pattern in product(range(d), repeat=d):
-        values = sorted(set(pattern))
-        if values != list(range(len(values))):
-            continue
-        if dom(pattern):
-            configs.add((pattern,))
-    work = len(configs)
-
-    reps: dict = {}
-    for config in sorted(configs):
-        reps.setdefault(form(config), config)
-
-    for _level in range(2, n + 1):
+    work = 0
+    reps: dict = {(): ()}
+    for _level in range(n):
         candidates = set()
         for config in reps.values():
             # Spread the used values d+1 apart: every gap (including the
             # ends) then has d free slots, enough for any relative
-            # placement of the new point's d coordinates.
+            # placement of the new point's d coordinates. The empty
+            # configuration's grid is {0..d-1}.
             values = sorted({x for point in config for x in point})
             remap = {v: d + i * (d + 1) for i, v in enumerate(values)}
             gapped = tuple(

@@ -58,9 +58,7 @@ class BinaryOpTable:
         )
 
     def is_associative(self) -> bool:
-        r = range(self.size)
-        t = self.table
-        return all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r)
+        return _associative_so_far(self.table)
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "table": [list(row) for row in self.table]}
@@ -171,8 +169,6 @@ def has_ts_polymorphism(
         entries += count
         if entries > TS_TABLE_CAP:
             raise CapExceeded(f"TS table cap: over {TS_TABLE_CAP} subsets")
-    if m == 0:
-        return SubsetFunctionTable(n, {})
     if n == 1:
         # The identity is always a unary polymorphism.
         return SubsetFunctionTable(1, {frozenset((x,)): x for x in range(m)})

@@ -14,12 +14,14 @@ the sample iff it maps into the template.
 
 Templates arrive structurally checked (``Template`` checks itself when it
 is built), and a sample's signature is the template's ``signature``.
-``formula.compile_table`` builds every relation table in one pass, once
-each relation's m**arity candidate tuples over the m sample elements are
-within ``GRID_CAP`` (direct) or ``TABLE_CAP`` (interpretation, whose m
-grows as (dn)**d); past it, ``CapExceeded`` is raised. The comparisons
-never compute a giant power, so an arity or dimension of 2**70 is refused
-at once; on one element, by ``formula.MAX_TABLE_WIDTH``.
+The grid of a sample, direct or not, is refused past ``GRID_CAP`` points
+before any point is built. ``formula.compile_table`` builds every
+relation table in one pass, once each relation's m**arity candidate
+tuples over the m sample elements are within ``GRID_CAP`` (direct) or
+``TABLE_CAP`` (interpretation, whose m grows as (dn)**d); past it,
+``CapExceeded`` is raised. The comparisons never compute a giant power,
+so an arity or dimension of 2**70 is refused at once; on one element, by
+``formula.MAX_TABLE_WIDTH``.
 
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
@@ -82,7 +84,7 @@ def sample_direct(t: Template, n: int) -> Sample:
     if t.kind != DIRECT:
         raise ValueError("sample_direct needs a direct template")
     n = max(n, 1)
-    reps = [(i,) for i in range(n)]
+    reps = _domain_points(t, n)
     structure = FiniteStructure(t.signature, n, _relation_tables(t, reps))
     return Sample(structure, tuple(reps), n)
 

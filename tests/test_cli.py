@@ -441,6 +441,19 @@ def test_template_fields_that_used_to_crash(tmp_path, capsys):
     assert "grid cap" in capsys.readouterr().err
 
 
+def test_direct_sample_points_within_grid_cap(tmp_path, monkeypatch, capsys):
+    # A direct template without relations has no table to refuse, so its
+    # n grid points are held to GRID_CAP before any is built.
+    template = tmp_path / "e.json"
+    write_json(template, {"name": "e", "kind": "direct", "relations": []})
+    monkeypatch.setattr(ordcsp.sampler, "GRID_CAP", 100)
+    argv = ["sample", "--template", str(template), "--size"]
+    assert run_cli(argv + ["100"]) == 0
+    capsys.readouterr()
+    assert run_cli(argv + ["1000"]) == 3
+    assert "grid cap" in capsys.readouterr().err
+
+
 BASES = {
     "qlt": [{"rel": "Lt", "args": ["x", "y"]}],
     "ord3": [{"rel": "T", "args": ["x", "y", "z"]}],
@@ -582,6 +595,7 @@ def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
             ["check-semilattice", "--structure", str(b)],
             ["check-equiv", "--structure", str(b)],
             ["walk-lemma", "--structure", str(b), "--arity", str(walk)],
+            ["walk", "--from", str(b), "--to", str(b), "--size", str(walk)],
             ["hom", "--from", str(b), "--to", str(k2)],
             ["hom", "--from", str(inst), "--to", str(b)],
             ["ac", "--instance", str(inst), "--structure", str(b)],
