@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
-from ordcsp.lab import Walk
+from ordcsp.lab import Walk, _canonical_all_perms
 from ordcsp.polymorphism import BinaryOpTable
 
 
@@ -149,6 +149,50 @@ def holds(f, point):
                 return decisive
         return not decisive
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def reference_orbit_count(t, n):
+    """``orbit_count``'s levelwise growth with tables read tuple by tuple
+    through ``holds`` and classes told apart by ``_canonical_all_perms``:
+    keep the least configuration of each class, spread its values d + 1
+    apart and add one point anywhere on that grid."""
+    d = t.dimension
+
+    def rank(config):
+        values = sorted({x for point in config for x in point})
+        to = {v: i for i, v in enumerate(values)}
+        return tuple(sorted(tuple(to[x] for x in p) for p in config))
+
+    reps = {(): ()}
+    for _ in range(n):
+        grown = set()
+        for config in reps.values():
+            values = sorted({x for point in config for x in point})
+            spread = {v: d + i * (d + 1) for i, v in enumerate(values)}
+            config = [tuple(spread[x] for x in point) for point in config]
+            for w in product(range(d + len(values) * (d + 1)), repeat=d):
+                if holds(t.domain_formula, w) and not any(
+                    holds(t.equality_formula, p + w)
+                    or holds(t.equality_formula, w + p)
+                    for p in config
+                ):
+                    grown.add(rank(config + [w]))
+        reps = {}
+        for config in sorted(grown):
+            k = len(config)
+            tables = [
+                (
+                    rel.arity,
+                    {
+                        ix
+                        for ix in product(range(k), repeat=rel.arity)
+                        if holds(rel.formula, sum((config[i] for i in ix), ()))
+                    },
+                )
+                for rel in t.relations
+            ]
+            reps.setdefault(_canonical_all_perms(k, tables), config)
+    return len(reps)
 
 
 def covering_tuple(tuples, subset_tuple) -> bool:

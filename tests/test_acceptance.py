@@ -155,7 +155,7 @@ def test_criterion_6_interpretations_vs_sampling_oracle():
     t0 = time.time()
     rng = random.Random(6060)
     oracle_samples = {}
-    for name in ("gamma2", "gamma3"):
+    for name in ("gamma2", "gamma3", "gamma1"):
         t = preset(name)
         symbols = t.signature.symbols
         for _ in range(100):
@@ -166,7 +166,9 @@ def test_criterion_6_interpretations_vs_sampling_oracle():
                 oracle_samples[key] = sample(t, key[1]).structure
             oracle = hom_exists(a, oracle_samples[key]) is not None
             assert verdict.accept == oracle
-    report(6, "200 gamma2/gamma3 instances match hom at Sample(|A|+2)", t0, 300)
+    report(
+        6, "300 gamma2/gamma3/gamma1 instances match hom at Sample(|A|+2)", t0, 300
+    )
 
 
 def test_criterion_7_sampler_bounds():

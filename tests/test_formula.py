@@ -141,10 +141,9 @@ def test_derived_atoms_are_first_class():
         assert print_formula(f) == text
 
 
-indices = st.integers(min_value=0, max_value=5)
-
-
-def formulas(max_leaves=12):
+def formulas(max_leaves=12, variables=6):
+    """Formulas whose atoms compare variables 0 to ``variables - 1``."""
+    indices = st.integers(min_value=0, max_value=variables - 1)
     atoms = st.one_of(
         st.just(TRUE),
         st.just(FALSE),

@@ -1,7 +1,9 @@
 import random
 from dataclasses import asdict, replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcsp import (
     PRESET_NAMES,
@@ -19,7 +21,7 @@ from ordcsp import (
     sample,
     subset_class_count,
 )
-from ordcsp.formula import TRUE, eq, gt, lt, or_
+from ordcsp.formula import TRUE, and_, eq, gt, lt, or_
 
 from conftest import (
     all_binary_structures,
@@ -29,7 +31,9 @@ from conftest import (
     random_binary_structure,
     reference_alternating_walk,
     reference_exact_walk,
+    reference_orbit_count,
 )
+from test_formula import formulas
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def test_orbit_counts_pinned(name, n, count):
         (preset("ord3"), [1] * 5),
         (preset("gamma2"), [1, 2, 4, 8, 16]),
         (preset("gamma3"), [1, 2, 4, 8, 16]),
-        (preset("gamma1"), [1, 4, 24, 196]),
+        (preset("gamma1"), [1, 4, 24, 196, 2016]),
         (replace(preset("gamma2"), dimension=3), [3, 13, 75]),
     ],
     ids=["qlt", "ord3", "gamma2", "gamma3", "gamma1", "gamma2-dim3"],
@@ -423,3 +427,93 @@ def test_canonicalizers_define_same_classes():
             )
             fast_eq = canonical_form(k1, r1) == canonical_form(k2, r2)
             assert ref_eq == fast_eq
+
+    # k = 6-7: nine binary relations as in gamma1, unary and ternary ones,
+    # and empty and complete relations, which leave large colour classes.
+    # Cycles that colour refinement cannot tell apart (C6 against two
+    # triangles, C7 against C3 + C4) need the search over orderings.
+    def relabel(k, rels):
+        perm = rng.sample(range(k), k)
+        return [(m, {tuple(perm[x] for x in t) for t in ts}) for m, ts in rels]
+
+    def cycles(*lengths):
+        edges, start = set(), 0
+        for n in lengths:
+            for i in range(n):
+                a, b = start + i, start + (i + 1) % n
+                edges |= {(a, b), (b, a)}
+            start += n
+        return start, [(2, edges)]
+
+    def relation(k, m):
+        every = list(product(range(k), repeat=m))
+        kind = rng.randrange(4)
+        if kind < 2:
+            return set(every) if kind else set()
+        return set(rng.sample(every, rng.randint(1, min(len(every), 3 * k))))
+
+    large = [cycles(6), cycles(3, 3), cycles(7), cycles(3, 4)]
+    complete = set(product(range(7), repeat=2))
+    large.append((7, [(1, set()), (2, complete), (3, set())]))
+    shapes = [[2] * 9, [1, 2, 2], [3, 2], [1, 3]]
+    for k, shape in [(6, s) for s in shapes] + [(7, s) for s in shapes[:2]]:
+        rels = [(m, relation(k, m)) for m in shape]
+        # A near copy: relabelled, with one tuple of one relation toggled.
+        near = relabel(k, rels)
+        m, ts = rng.choice(near)
+        ts ^= {tuple(rng.randrange(k) for _ in range(m))}
+        large += [(k, rels), (k, near)]
+    forms = []
+    for k, rels in large:
+        form = canonical_form(k, rels)
+        assert canonical_form(k, relabel(k, rels)) == form
+        forms.append((k, [m for m, _ in rels], _canonical_all_perms(k, rels), form))
+    for i, (k1, shape1, ref1, form1) in enumerate(forms):
+        for k2, shape2, ref2, form2 in forms[i + 1 :]:
+            if (k1, shape1) == (k2, shape2):
+                assert (ref1 == ref2) == (form1 == form2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([2, 2, 2, 1]).flatmap(
+            lambda m: st.tuples(st.just(m), formulas(max_leaves=6, variables=2 * m))
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 3),
+)
+def test_orbit_count_on_drawn_templates(rels, n):
+    # Random 2-dimensional interpretations with identity equality. Every
+    # class of n points has a copy in Sample(n), whose grid has 2n values,
+    # so subset enumeration counts them all. Growth keeps one configuration
+    # per class, which on a template that is not homogeneous may miss some
+    # (R(p, q) = p0 < q1 has 46 classes of 3 points, of which growth finds
+    # 44): the count is a lower bound, and equals the reference growth's.
+    t = Template(
+        name="drawn",
+        kind="interpretation",
+        dimension=2,
+        domain_formula=TRUE,
+        equality_formula=and_(eq(0, 2), eq(1, 3)),
+        relations=tuple(Relation(f"R{i}", m, f) for i, (m, f) in enumerate(rels)),
+    )
+    grown = orbit_count(t, n).class_count
+    assert grown == reference_orbit_count(t, n)
+    assert grown <= subset_class_count(sample(t, n).structure, n)
+
+
+def test_orbit_growth_is_a_lower_bound_off_homogeneous_templates():
+    t = Template(
+        "mixed",
+        "interpretation",
+        2,
+        TRUE,
+        and_(eq(0, 2), eq(1, 3)),
+        (Relation("R", 2, lt(0, 3)),),
+    )
+    assert [orbit_count(t, n).class_count for n in (1, 2, 3)] == [2, 8, 44]
+    assert subset_class_count(sample(t, 3).structure, 3) == 46
+    assert orbit_count(t, 3).exactness == "lower_bound"
