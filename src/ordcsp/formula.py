@@ -26,8 +26,11 @@ expression: atoms become ``p[i] < p[j]`` and so on, connectives the
 Python operators ``not``/``and``/``or``, which short-circuit left to
 right. ``compile_table`` puts the same expression, on coordinate names,
 into one generated comprehension that builds a relation's whole table
-over a list of points; samples and ``orbit_count`` build every table
-with it. Sources hold only tokens from a fixed table, generated names,
+over a list of points; samples build every table with it.
+``compile_pair_codes`` puts the expressions of several binary formulas
+into one comprehension that gives each ordered pair of points an int
+with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
+hold only tokens from a fixed table, generated names,
 ``True``, ``False`` and indices written by ``int()``; no field of a node
 is pasted in as text, and node fields are type-checked at construction.
 """
@@ -238,13 +241,44 @@ def compile_table(f: Formula, arity: int, d: int):
     return fn
 
 
-def _table_source(f, arity, d, env):
+def compile_pair_codes(fs, d: int):
+    """Return one builder for the binary formulas ``fs`` on points of
+    dimension ``d``, not cached.
+
+    The builder maps a list of k points to the flat list of k * k ints
+    whose entry i * k + j has bit b set iff points i and j, concatenated,
+    satisfy ``fs[b]``: ``lambda P: [(1 if <expr0> else 0) | (2 if <expr1>
+    else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
+    ``compile_table`` does for arity 2.
+    """
+    env = {"__builtins__": {}}
+    names = ["x%d" % v for v in range(2 * d)]
+    terms = []
+    for bit, f in enumerate(fs):
+        compile_formula(f)  # type and depth checks
+        _check_shape(f, 2, d)
+        expr = _source(f, env, _CHUNK_DEPTH, names)
+        terms.append("(%d if %s else 0)" % (1 << bit, expr))
+    if not terms:
+        return lambda P: [0] * (len(P) * len(P))
+    loops = "for (%s,) in P for (%s,) in P" % (
+        ", ".join(names[:d]),
+        ", ".join(names[d:]),
+    )
+    return eval("lambda P: [%s %s]" % (" | ".join(terms), loops), env)
+
+
+def _check_shape(f, arity, d):
     if arity < 1 or d < 1 or f.free_var_count > arity * d:
         raise ValueError(f"formula does not fit arity {arity}, dimension {d}")
     if arity * d > MAX_TABLE_WIDTH:
         raise CapExceeded(
             f"table width: {arity} * {d} coordinates > {MAX_TABLE_WIDTH}"
         )
+
+
+def _table_source(f, arity, d, env):
+    _check_shape(f, arity, d)
     names = ["x%d" % v for v in range(arity * d)]
     targets = [
         "(i%d, (%s,))" % (i, ", ".join(names[i * d : (i + 1) * d]))

@@ -25,7 +25,12 @@ template is built for it. Otherwise it is a lower bound. Classes are
 enumerated by levelwise extension from the empty configuration: keep one
 concrete point configuration per class, re-grid it with gaps so that a
 new point can take every relative position, and canonicalize the grown
-structures, each built afresh by ``formula.compile_table``.
+structures. A grown structure is never built as relation tables: one
+generated builder per template (``formula.compile_pair_codes``) gives
+each ordered pair of points one int code with a bit per binary relation,
+and only relations of other arities go through ``formula.compile_table``.
+``canonical_form`` refines colours on those codes to a stable partition
+and minimizes over the orderings the partition leaves.
 This visits a number of configurations proportional to the number of
 classes rather than the number of n-subsets of a sample, which is what
 makes counts like n = 5 over a 100-element sample feasible.
@@ -37,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
-from .formula import compile_formula, compile_table
+from .formula import compile_formula, compile_pair_codes, compile_table
 from .hom import hom_exists
 from .polymorphism import (
     BinaryOpTable,
@@ -254,55 +259,79 @@ def check_aclwalk_lemma(b: FiniteStructure, n: int) -> WalkLemmaReport:
 
 def canonical_form(k: int, relation_tuples):
     """Canonical key of a structure on k points given as a list of
-    (arity, tuple set), minimizing the relational encoding over point
-    orderings compatible with an invariant-based pre-ordering."""
+    (arity, tuple set): two structures with the same list of arities get
+    the same key iff they are isomorphic.
+
+    Each ordered pair (i, j) gets one int code with a bit per binary
+    relation holding on it; the diagonal code (i, i) also gets a bit per
+    other relation holding on (i,) * arity. Colours start as the diagonal
+    codes and are refined until the partition is stable (colour
+    refinement, as in McKay & Piperno, "Practical graph isomorphism II",
+    2014): each round renumbers them by the sorted order of the
+    signatures (colour, sorted (colour_j, code_ij, code_ji)), so colours
+    are invariant under isomorphism. The key is the least, over orderings
+    that list the colour classes in colour order, of the code matrix read
+    in that order plus the position-mapped sorted tuples of the relations
+    of arity above 2 (unary ones are all in the diagonal bits).
+    """
+    binary = [tuples for arity, tuples in relation_tuples if arity == 2]
+    codes = [0] * (k * k)
+    for bit, tuples in enumerate(binary):
+        for i, j in tuples:
+            codes[i * k + j] |= 1 << bit
+    others = [(arity, t) for arity, t in relation_tuples if arity != 2]
+    return _canonical_key(k, codes, others, len(binary))
+
+
+def _canonical_key(k, codes, others, shift):
+    """``canonical_form``'s key from the flat k * k pair codes of the
+    binary relations and the (arity, tuple set) list of the others, whose
+    diagonal bits start at bit ``shift``. Sets those bits in ``codes``."""
     if k == 0:
         return ()
-    self_label = []
-    for i in range(k):
-        self_label.append(
-            tuple((i,) * arity in tuples for arity, tuples in relation_tuples)
-        )
-    pair_label = {}
-    binary = [tuples for arity, tuples in relation_tuples if arity == 2]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                pair_label[i, j] = tuple((i, j) in t for t in binary)
-
-    colors = list(self_label)
-    for _ in range(2):
-        colors = [
-            (
-                colors[i],
-                tuple(
-                    sorted(
-                        (colors[j], pair_label[i, j], pair_label[j, i])
-                        for j in range(k)
-                        if j != i
-                    )
-                ),
-            )
-            for i in range(k)
+    points = range(k)
+    wide = []
+    for bit, (arity, tuples) in enumerate(others, shift):
+        for i in points:
+            if (i,) * arity in tuples:
+                codes[i * (k + 1)] |= 1 << bit
+        if arity > 2:
+            wide.append(tuples)
+    rows = [codes[i * k : i * k + k] for i in points]
+    columns = [codes[i::k] for i in points]
+    colour = [rows[i][i] for i in points]
+    count = len(set(colour))
+    while count < k:
+        # j = i adds (colour_i, code_ii, code_ii), itself an invariant.
+        signature = [
+            (colour[i], tuple(sorted(zip(colour, rows[i], columns[i]))))
+            for i in points
         ]
+        rank = {s: r for r, s in enumerate(sorted(set(signature)))}
+        colour = [rank[s] for s in signature]
+        if len(rank) == count:
+            break
+        count = len(rank)
 
-    groups: dict = {}
-    for i in range(k):
-        groups.setdefault(colors[i], []).append(i)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-
+    cells: dict = {}
+    for i in sorted(points, key=colour.__getitem__):
+        cells.setdefault(colour[i], []).append(i)
     best = None
-    for parts in product(*(permutations(g) for g in ordered_groups)):
+    for parts in product(*map(permutations, cells.values())):
         order = [i for part in parts for i in part]
-        position = [0] * k
-        for pos, i in enumerate(order):
-            position[i] = pos
-        encoding = tuple(
-            tuple(sorted(tuple(position[x] for x in t) for t in tuples))
-            for _, tuples in relation_tuples
-        )
-        if best is None or encoding < best:
-            best = encoding
+        key = (tuple([rows[i][j] for i in order for j in order]),)
+        if best is not None and key[0] > best[0]:
+            continue
+        if wide:
+            position = [0] * k
+            for pos, i in enumerate(order):
+                position[i] = pos
+            key += tuple(
+                tuple(sorted(tuple(position[x] for x in t) for t in tuples))
+                for tuples in wide
+            )
+        if best is None or key < best:
+            best = key
     return best
 
 
@@ -367,6 +396,17 @@ class OrbitReport:
     exactness: str
 
 
+def _pair_codes(t):
+    """The pair-code builder of ``t``'s binary relations
+    (``formula.compile_pair_codes``), made once per template object and
+    cached on it, as ``sampler`` caches its equality verdict."""
+    if not hasattr(t, "_pair_code_builder"):
+        fs = [rel.formula for rel in t.relations if rel.arity == 2]
+        builder = compile_pair_codes(fs, t.dimension)
+        object.__setattr__(t, "_pair_code_builder", builder)
+    return t._pair_code_builder
+
+
 def _rank_normalize(config):
     values = sorted({x for point in config for x in point})
     rank = {v: i for i, v in enumerate(values)}
@@ -402,14 +442,18 @@ def orbit_count(
             )
     dom = compile_formula(t.domain_formula)
     eqf = compile_formula(t.equality_formula)
+    codes = _pair_codes(t)
     tables = [
         (rel.arity, compile_table(rel.formula, rel.arity, d))
         for rel in t.relations
+        if rel.arity != 2
     ]
+    shift = len(t.relations) - len(tables)
 
     def form(config):
         r = list(enumerate(config))
-        return canonical_form(len(config), [(a, b(r)) for a, b in tables])
+        others = [(a, b(r)) for a, b in tables]
+        return _canonical_key(len(config), codes(config), others, shift)
 
     work = 0
     reps: dict = {(): ()}

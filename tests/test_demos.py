@@ -2,7 +2,7 @@
 
 Demos 01-04 exercise formulas, sampling, solving and the polymorphism
 searches in under a second together. ``05_orbit_growth.py`` counts orbits
-up to n = 5 (about 6 s) and cross-checks the grown counts against brute
+up to n = 5 (about 2 s) and cross-checks the grown counts against brute
 force on samples, printing DISAGREE on a mismatch.
 """
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from ordcsp import (
     FALSE,
+    CapExceeded,
     FormulaError,
     TRUE,
     and_,
@@ -35,6 +36,7 @@ from ordcsp.formula import (
     _source,
     _table_source,
     compile_formula,
+    compile_pair_codes,
     compile_table,
 )
 
@@ -361,6 +363,40 @@ def test_table_matches_brute_force(f, arity, d, data):
     build = compile_table(f, arity, d)
     assert compile_table(f, arity, d) is build  # cached on the node
     assert build(list(enumerate(points))) == brute_table(f, arity, points)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(formulas(max_leaves=10, variables=2 * d), max_size=4),
+            st.lists(
+                st.tuples(*[st.integers(min_value=0, max_value=2)] * d),
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_pair_codes_match_brute_force(case):
+    d, fs, points = case
+    codes = compile_pair_codes(fs, d)(points)
+    k = len(points)
+    assert len(codes) == k * k
+    for bit, f in enumerate(fs):
+        table = brute_table(f, 2, points)
+        for i, j in product(range(k), repeat=2):
+            assert (codes[i * k + j] >> bit & 1) == ((i, j) in table)
+    assert all(code >> len(fs) == 0 for code in codes)
+
+
+def test_pair_codes_check_like_tables():
+    with pytest.raises(ValueError, match="does not fit"):
+        compile_pair_codes([TRUE, lt(0, 2)], 1)
+    with pytest.raises(TypeError):
+        compile_pair_codes(["(lt 0 1)"], 1)
+    with pytest.raises(CapExceeded, match=r"table width: 2 \* 5001"):
+        compile_pair_codes([TRUE], 5001)
+    assert compile_pair_codes([], 5001)([(0,) * 5001] * 2) == [0] * 4
 
 
 def test_table_on_deep_chains():
