@@ -3,8 +3,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcsp import (
+    CapExceeded,
+    EqualityNotCongruence,
+    EqualityNotEquivalence,
     FiniteStructure,
     Instance,
     Signature,
@@ -21,8 +25,9 @@ from ordcsp import (
     solve,
     verify_assignment,
 )
-from ordcsp.template import Relation, Template
-from ordcsp.formula import TRUE, eq, lt
+import ordcsp.solver
+from ordcsp.template import PRESET_NAMES, Relation, Template
+from ordcsp.formula import TRUE, and_, eq, lt
 from ordcsp.solver import BITSET_SIZE, network
 
 from conftest import (
@@ -35,6 +40,7 @@ from conftest import (
     satisfiable_by_weak_order,
     wide_binary_structures,
 )
+from test_formula import formulas
 
 
 def k4_instance():
@@ -347,6 +353,150 @@ def test_verdict_json():
     assert data["sample_size"] == 2
     assert data["domains"] == {"x": [0], "y": [1]}
     assert data["witness"] == {"x": 0, "y": 1}
+
+
+def table_path(t, a):
+    """What ``solve`` answers, computed on the full sample: ``ac`` on its
+    tables, then the witness fold. An error is returned as its type and
+    message."""
+    try:
+        b = sample(t, len(a.variables)).structure
+        accept, h = ac(a, b)
+        domains = {v: sorted(h[v]) for v in a.variables} if accept else None
+        witness = None
+        if accept and t.semilattice is not None:
+            witness = extract_witness(t, a, domains)
+        return accept, b.size, domains, witness
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def solve_path(t, a):
+    try:
+        v = solve(t, a)
+        return v.accept, v.sample_size, v.domains, v.witness
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def drawn_cases(draw):
+    """A direct template or a 2-dimensional interpretation with identity
+    equality, of one to three relations of arity 1 to 3, and an instance
+    over them. Few variables make repeats such as R(x, x) and T(x, y, x)
+    common; a relation no constraint names is common too."""
+    direct = draw(st.booleans())
+    d = 1 if direct else 2
+    arities = draw(st.lists(st.sampled_from([2, 2, 1, 3]), min_size=1, max_size=3))
+    relations = tuple(
+        Relation(f"R{i}", m, draw(formulas(max_leaves=6, variables=m * d)))
+        for i, m in enumerate(arities)
+    )
+    if direct:
+        t = Template(
+            "drawn", "direct", 1, TRUE, eq(0, 1), relations,
+            draw(st.sampled_from([None, "min", "max"])),
+        )
+    else:
+        domain = draw(st.one_of(st.just(TRUE), formulas(max_leaves=3, variables=2)))
+        t = Template(
+            "drawn", "interpretation", 2, domain, and_(eq(0, 2), eq(1, 3)),
+            relations,
+        )
+    variables = tuple(f"v{i}" for i in range(draw(st.integers(1, 4 if direct else 3))))
+    constraint = st.sampled_from(relations).flatmap(
+        lambda rel: st.tuples(
+            st.just(rel.name),
+            st.tuples(*[st.sampled_from(variables)] * rel.arity),
+        )
+    )
+    constraints = draw(st.lists(constraint, min_size=1, max_size=6))
+    return t, Instance(variables, tuple(constraints))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_cases())
+def test_solve_equals_the_table_path_on_drawn_templates(case):
+    t, a = case
+    assert solve_path(t, a) == table_path(t, a)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_solve_equals_the_table_path_on_presets(name):
+    rng = random.Random(f"solve-{name}")
+    t = preset(name)
+    top = 8 if t.kind == "direct" else 5
+    for _ in range(30):
+        a = random_instance(
+            rng, t.signature.symbols, max_vars=top, max_constraints=8
+        )
+        assert solve_path(t, a) == table_path(t, a)
+
+
+def cap_template(kind, wide_arity):
+    """A template whose binary relation ``Lt`` the instances use, and
+    whose relation ``W`` of arity ``wide_arity`` none does."""
+    return Template(
+        "caps", kind, 1, TRUE, eq(0, 1),
+        (Relation("Lt", 2, lt(0, 1)), Relation("W", wide_arity, lt(0, 1))),
+    )
+
+
+def chain(k):
+    vs = tuple(f"v{i}" for i in range(k))
+    return Instance(vs, tuple(("Lt", p) for p in zip(vs, vs[1:])))
+
+
+@pytest.mark.parametrize(
+    "kind, k, message",
+    [
+        ("direct", 11, "grid cap: 11^6 > 1000000"),
+        ("interpretation", 22, "grid cap: 22^6 > 100000000"),
+    ],
+)
+def test_solve_checks_unused_relations_against_the_table_caps(
+    monkeypatch, kind, k, message
+):
+    # The grid or table cap is checked on every relation before anything
+    # is built, so it wins over the network cap.
+    t = cap_template(kind, 6)
+    with pytest.raises(CapExceeded) as exc:
+        solve(t, chain(k))
+    assert str(exc.value) == message
+    monkeypatch.setattr(ordcsp.solver, "NETWORK_CAP", 10)
+    with pytest.raises(CapExceeded) as exc:
+        solve(t, chain(k))
+    assert str(exc.value) == message
+
+
+def test_solve_network_cap(monkeypatch):
+    monkeypatch.setattr(ordcsp.solver, "NETWORK_CAP", 10)
+    assert solve(preset("qlt"), chain(3)).accept
+    with pytest.raises(CapExceeded) as exc:
+        solve(preset("qlt"), chain(4))
+    assert str(exc.value) == "network cap: 4 variables x 4 values > 10"
+
+
+@pytest.mark.parametrize(
+    "equality, error, message",
+    [
+        (
+            TRUE,
+            EqualityNotCongruence,
+            "relation 'Lt': equal arguments [(0,), (1,)] vs [(0,), (0,)] "
+            "disagree",
+        ),
+        (lt(0, 1), EqualityNotEquivalence, "equality is not reflexive on (0,)"),
+    ],
+)
+def test_solve_checks_the_equality_formula(equality, error, message):
+    t = Template(
+        "bad-equality", "interpretation", 1, TRUE, equality,
+        (Relation("Lt", 2, lt(0, 1)),),
+    )
+    with pytest.raises(error) as exc:
+        solve(t, chain(2))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
