@@ -1,7 +1,8 @@
 """Solving instances: sample, propagate, extract a witness.
 
-The solver samples the template at the instance's variable count and runs
-arc-consistency against the sample. For direct templates that declare a
+The solver lists the representatives of the template's sample at the
+instance's variable count and runs arc-consistency against that sample,
+building each relation it needs straight from the relation's formula. For direct templates that declare a
 semilattice operation, an accepted run also yields a concrete satisfying
 assignment: fold min (or max) over each variable's surviving candidates.
 """

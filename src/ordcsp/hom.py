@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SignatureMismatch
-from .solver import network, propagate
+from .solver import network, propagate, structure_source
 from .structures import FiniteStructure, Instance, instance_view
 
 
@@ -50,7 +50,7 @@ def hom_exists(a, b: FiniteStructure):
     variables, constraints = _constraint_view(a, b)
     if not variables:
         return {}
-    h, args_of, live, by_var = network(variables, constraints, b)
+    h, args_of, live, by_var = network(variables, constraints, *structure_source(b))
     # A repeated variable takes one value per tuple. On the tuples equal
     # on its positions, each position projects to the same set, so the
     # propagator's intersection rule gives exactly that.

@@ -12,16 +12,23 @@ the sample iff it maps into the template.
   the equality formula, and evaluate each relation formula on each
   class's least member.
 
+``representatives(t, n)`` lists those points, or those least members,
+in element order; each sampler is that call plus one structure build.
+``solve`` stops at the representatives: it builds only the support rows
+and tables its constraints use, straight from the formulas (see
+``solver``), and never a ``FiniteStructure``.
+
 Templates arrive structurally checked (``Template`` checks itself when it
 is built), and a sample's signature is the template's ``signature``.
 The grid of a sample, direct or not, is refused past ``GRID_CAP`` points
 before any point is built. ``formula.compile_table`` builds every
-relation table in one pass, once each relation's m**arity candidate
-tuples over the m sample elements are within ``GRID_CAP`` (direct) or
-``TABLE_CAP`` (interpretation, whose m grows as (dn)**d); past it,
-``CapExceeded`` is raised. The comparisons never compute a giant power,
-so an arity or dimension of 2**70 is refused at once; on one element, by
-``formula.MAX_TABLE_WIDTH``.
+relation table in one pass, once ``check_table_caps`` has found each
+relation's m**arity candidate tuples over the m sample elements within
+``GRID_CAP`` (direct) or ``TABLE_CAP`` (interpretation, whose m grows as
+(dn)**d); past it, ``CapExceeded`` is raised. ``solve`` runs the same
+check on every relation, used or not. The comparisons never compute a
+giant power, so an arity or dimension of 2**70 is refused at once; on
+one element, by ``formula.MAX_TABLE_WIDTH``.
 
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
@@ -32,9 +39,10 @@ the domain and a congruence for every relation. The formulas are
 quantifier-free order formulas, so each property holds iff it holds on
 every order type of the at most (arity+1)*d values it reads, and the grid
 at n* = max(3, max arity + 1) realises all of them. One exact check there
-decides both properties for every n; it runs on a template's first
-interpretation sample and its outcome is cached on the template object.
-A template too large to check exactly raises ``CapExceeded``.
+decides both properties for every n; it runs the first time an
+interpretation's representatives are listed, and its outcome is cached
+on the template object. A template too large to check exactly raises
+``CapExceeded``.
 """
 
 from __future__ import annotations
@@ -83,10 +91,9 @@ def sample_direct(t: Template, n: int) -> Sample:
     """Evaluate each relation formula on the grid {0..n-1}."""
     if t.kind != DIRECT:
         raise ValueError("sample_direct needs a direct template")
-    n = max(n, 1)
-    reps = _domain_points(t, n)
-    structure = FiniteStructure(t.signature, n, _relation_tables(t, reps))
-    return Sample(structure, tuple(reps), n)
+    reps = representatives(t, n)
+    structure = FiniteStructure(t.signature, len(reps), _relation_tables(t, reps))
+    return Sample(structure, tuple(reps), max(n, 1))
 
 
 def sample_interpretation(t: Template, n: int) -> Sample:
@@ -94,30 +101,43 @@ def sample_interpretation(t: Template, n: int) -> Sample:
     each class's least member."""
     if t.kind != INTERPRETATION:
         raise ValueError("sample_interpretation needs an interpretation")
-    _check_equality(t)
-    n = max(n, 1)
-    g = t.dimension * n
-    points = _domain_points(t, g)
-    classes = _group(points, compile_formula(t.equality_formula))
-    reps = [points[members[0]] for members in classes]
+    reps = representatives(t, n)
     structure = FiniteStructure(
         t.signature,
         len(reps),
         _relation_tables(t, reps),
         tuple(str(tuple(r)) for r in reps),
     )
-    return Sample(structure, tuple(reps), g)
+    return Sample(structure, tuple(reps), t.dimension * max(n, 1))
 
 
-def _relation_tables(t: Template, points) -> dict:
-    """Each relation of ``t`` on the given d-tuples, as index tuples. A
-    relation of more candidate tuples than the cap of ``t``'s kind raises
-    ``CapExceeded`` before any table is built."""
-    m = len(points)
+def representatives(t: Template, n: int) -> list:
+    """The points that stand for the elements of ``t``'s sample at ``n``,
+    in element order: the grid {0..n-1} of a direct template, or the
+    least member of each equality class of an interpretation's domain
+    points over {0..dn-1}, after the equality check."""
+    n = max(n, 1)
+    if t.kind == DIRECT:
+        return _domain_points(t, n)
+    _check_equality(t)
+    points = _domain_points(t, t.dimension * n)
+    classes = _group(points, compile_formula(t.equality_formula))
+    return [points[members[0]] for members in classes]
+
+
+def check_table_caps(t: Template, m: int):
+    """Raise ``CapExceeded`` when a relation of ``t`` has more candidate
+    tuples over ``m`` elements than the cap of ``t``'s kind."""
     cap = GRID_CAP if t.kind == DIRECT else TABLE_CAP
     for rel in t.relations:
         if _power_exceeds(m, rel.arity, cap):
             raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
+
+
+def _relation_tables(t: Template, points) -> dict:
+    """Each relation of ``t`` on the given d-tuples, as index tuples,
+    checked against ``check_table_caps`` before any table is built."""
+    check_table_caps(t, len(points))
     r = list(enumerate(points))
     return {
         rel.name: compile_table(rel.formula, rel.arity, t.dimension)(r)

@@ -12,7 +12,11 @@ does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
 ``propagate`` reaches that fixpoint on the state ``network`` builds;
-``ac`` and ``hom.hom_exists`` share both. It has two revision rules.
+``ac``, ``solve`` and ``hom.hom_exists`` share both. ``network`` asks a
+relation source for each relation it needs: ``structure_source`` reads
+a ``FiniteStructure``'s tuples, and ``template_source`` builds rows and
+tables straight from a template's formulas. ``propagate`` has two
+revision rules.
 
 * A binary constraint ``R(x, y)`` on two distinct variables revises on
   support bitsets (Lecoutre & Vion 2008): ``fwd[a]`` has bit ``b`` set
@@ -28,7 +32,7 @@ makes the procedure incomplete in general.
   each argument variable gets its positions' projections intersected.
   ``R(x, x)`` stays here: both positions read and narrow one set, so one
   pass of the bitset rule would not reach its fixpoint, and ``hom``
-  keeps only its diagonal tuples. A binary constraint on a structure of
+  keeps only its diagonal tuples. A binary constraint on a target of
   more than ``BITSET_SIZE`` elements stays here too: its bitsets would
   cost more words than a sparse table.
 
@@ -43,10 +47,18 @@ projection rule over every constraint in declaration order until nothing
 changes. Both run to the fixpoint even once a set is empty, and the
 fixpoint is unique, so they return identical domain maps.
 
-``solve`` ties the pieces together: sample the template at the instance's
-variable count, run ac, and -- for direct templates declaring a
-semilattice -- extract and verify a concrete witness by folding min (or
-max) over each accepted candidate set.
+``solve`` ties the pieces together: list the sample's representatives
+at the instance's variable count (``sampler.representatives``), run ac
+on them, and -- for direct templates declaring a semilattice -- extract
+and verify a concrete witness by folding min (or max) over each accepted
+candidate set. It builds no ``FiniteStructure``: a relation that some
+constraint uses on two distinct variables, over at most ``BITSET_SIZE``
+representatives, gets its rows from ``formula.compile_supports``; one
+used otherwise (``R(x, x)``, arity other than 2, or more
+representatives) gets its ``formula.compile_table`` table; an unused one
+gets neither. Every relation is still checked against the sample's caps
+first, then ``NETWORK_CAP``, in the order ``sample`` and ``ac`` check
+them.
 """
 
 from __future__ import annotations
@@ -57,18 +69,18 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import CapExceeded, VerificationFailed
-from .formula import compile_formula
-from .sampler import Sample, sample
+from .formula import compile_formula, compile_supports, compile_table
+from .sampler import check_table_caps, representatives
 from .structures import FiniteStructure, Instance
 from .template import Template
 
 # Full-domain values over all variables. qlt at n = 1000, the largest
-# preset sample ``solve`` builds, takes 10^6; 10^7 take about 0.7 GB.
+# preset sample ``solve`` propagates on, takes 10^6; 10^7 take about 0.7 GB.
 NETWORK_CAP = 10**7
 
-# Elements a structure may have for its binary constraints to revise on
+# Elements a target may have for its binary constraints to revise on
 # support bitsets. Each bitset then spans at most 4096 bits (137 int
-# digits), and a relation's two lists at most 4 MB; a wider structure
+# digits), and a relation's two lists at most 4 MB; a wider target
 # keeps tables, on which a sparse relation costs less.
 BITSET_SIZE = 4096
 
@@ -105,38 +117,71 @@ def _revise(values, bits, other):
     return set(compress(values, map(mask.__and__, map(bits.__getitem__, values))))
 
 
-def network(variables, constraints, b: FiniteStructure):
-    """The state ``propagate`` works on: full domains, each constraint's
-    argument tuple and live state, and the constraints on each variable.
-    A binary constraint on two distinct variables, on a structure of at
-    most ``BITSET_SIZE`` elements, gets its relation's support bitsets
-    ``(fwd, bwd)``, built once per relation name; any other constraint
-    gets its relation in ``b`` as its live tuples. Raises
+def network(variables, constraints, size, rows, table):
+    """The state ``propagate`` works on: full domains over ``size``
+    values, each constraint's argument tuple and live state, and the
+    constraints on each variable. A binary constraint on two distinct
+    variables, over at most ``BITSET_SIZE`` values, gets its relation's
+    support bitsets ``rows(rel)``, ``(fwd, bwd)``; any other constraint
+    gets its relation's tuples ``table(rel)`` as its live tuples. Each is
+    asked for once per relation name, after the cap check: raises
     ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
     values together. A ``range`` of variables is counted from its end, as
     ``len`` fails past sys.maxsize."""
     count = variables.stop if isinstance(variables, range) else len(variables)
-    if count * b.size > NETWORK_CAP:
+    if count * size > NETWORK_CAP:
         raise CapExceeded(
-            f"network cap: {count} variables x {b.size} values "
+            f"network cap: {count} variables x {size} values "
             f"> {NETWORK_CAP}"
         )
-    h = {v: set(range(b.size)) for v in variables}
+    h = {v: set(range(size)) for v in variables}
     args_of = [tuple(args) for _, args in constraints]
-    bitsets = {}
+    built = {}
     live = []
     for rel, args in constraints:
-        if len(args) == 2 and args[0] != args[1] and b.size <= BITSET_SIZE:
-            if rel not in bitsets:
-                bitsets[rel] = _supports(b.relations[rel], b.size)
-            live.append(bitsets[rel])
-        else:
-            live.append(b.relations[rel])
+        source = table
+        if len(args) == 2 and args[0] != args[1] and size <= BITSET_SIZE:
+            source = rows
+        if (rel, source) not in built:
+            built[rel, source] = source(rel)
+        live.append(built[rel, source])
     by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
         for v in set(args):
             by_var[v].append(ci)
     return h, args_of, live, by_var
+
+
+def structure_source(b: FiniteStructure):
+    """``network``'s ``size, rows, table`` for the relations of ``b``."""
+
+    def rows(rel):
+        return _supports(b.relations[rel], b.size)
+
+    return b.size, rows, b.relations.__getitem__
+
+
+def template_source(t: Template, points):
+    """``network``'s ``size, rows, table`` for the relations of ``t`` on
+    the sample elements ``points``, built from the formulas with
+    ``compile_supports`` and ``compile_table``. Every relation is checked
+    against ``check_table_caps`` and compiled first, used or not, so a
+    template fails here as its sample would."""
+    check_table_caps(t, len(points))
+    d = t.dimension
+    build = {
+        rel.name: compile_supports(rel.formula, d)
+        if rel.arity == 2
+        else compile_table(rel.formula, rel.arity, d)
+        for rel in t.relations
+    }
+    indexed = list(enumerate(points))
+
+    def table(name):
+        rel = t.relation(name)
+        return compile_table(rel.formula, rel.arity, d)(indexed)
+
+    return len(points), lambda rel: build[rel](points), table
 
 
 def propagate(h, args_of, live, by_var, queue, trail):
@@ -190,8 +235,12 @@ def ac(instance: Instance, b: FiniteStructure):
     """Worklist arc-consistency with ``propagate``. Returns (accept,
     domain map)."""
     instance.check_against(b.signature)
+    return _fixpoint(instance, structure_source(b))
+
+
+def _fixpoint(instance, source):
     h, args_of, live, by_var = network(
-        instance.variables, instance.constraints, b
+        instance.variables, instance.constraints, *source
     )
     # Resume after each emptied live list; nothing is undone, so no trail.
     queue = deque(range(len(args_of)))
@@ -289,7 +338,8 @@ def extract_witness(t: Template, instance: Instance, domains) -> dict:
 
 
 def solve(t: Template, instance: Instance) -> Verdict:
-    """Sample at the instance's variable count, propagate, report.
+    """Propagate on the representatives of the sample at the instance's
+    variable count, and report.
 
     An instance with no variables is accepted immediately (sample_size 0).
     """
@@ -300,13 +350,12 @@ def solve(t: Template, instance: Instance) -> Verdict:
         if t.semilattice is not None:
             verdict.witness = {}
         return verdict
-    smp: Sample = sample(t, n)
-    accept, h = ac(instance, smp.structure)
+    points = representatives(t, n)
+    accept, h = _fixpoint(instance, template_source(t, points))
     if not accept:
-        return Verdict(False, smp.structure.size)
+        return Verdict(False, len(points))
     domains = {v: sorted(h[v]) for v in instance.variables}
-    verdict = Verdict(True, smp.structure.size, domains)
+    verdict = Verdict(True, len(points), domains)
     if t.semilattice is not None:
         verdict.witness = extract_witness(t, instance, domains)
     return verdict
-

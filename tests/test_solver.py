@@ -25,10 +25,12 @@ from ordcsp import (
     solve,
     verify_assignment,
 )
+import ordcsp.formula
+import ordcsp.sampler
 import ordcsp.solver
 from ordcsp.template import PRESET_NAMES, Relation, Template
 from ordcsp.formula import TRUE, and_, eq, lt
-from ordcsp.solver import BITSET_SIZE, network
+from ordcsp.solver import BITSET_SIZE, network, structure_source
 
 from conftest import (
     binary_structure,
@@ -89,7 +91,7 @@ def test_ac_chain_domains():
 
 
 def uses_bitsets(b):
-    _, _, live, _ = network(("x", "y"), (("E", ("x", "y")),), b)
+    _, _, live, _ = network(("x", "y"), (("E", ("x", "y")),), *structure_source(b))
     return type(live[0]) is tuple
 
 
@@ -431,6 +433,39 @@ def test_solve_equals_the_table_path_on_presets(name):
             rng, t.signature.symbols, max_vars=top, max_constraints=8
         )
         assert solve_path(t, a) == table_path(t, a)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_solve_builds_no_sample_structure(monkeypatch, name):
+    # Constraints on distinct variables revise on rows built from the
+    # formulas, so solve builds no sample structure and no relation table,
+    # except ord3's ternary T, which keeps its table.
+    t = preset(name)
+    rng = random.Random(f"rows-{name}")
+    top = 8 if t.kind == "direct" else 5
+    cases = []
+    while len(cases) < 20:
+        a = random_instance(rng, t.signature.symbols, max_vars=top)
+        if all(len(set(args)) == len(args) for _, args in a.constraints):
+            cases.append((a, table_path(t, a)))
+
+    def refuse(*args):
+        raise AssertionError("solve built a sample structure")
+
+    monkeypatch.setattr(ordcsp.sampler, "_relation_tables", refuse)
+    monkeypatch.setattr(FiniteStructure, "__post_init__", refuse)
+    arities = []
+    compile_table = ordcsp.formula.compile_table
+    monkeypatch.setattr(
+        ordcsp.solver,
+        "compile_table",
+        lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
+        raising=False,
+    )
+    for a, expected in cases:
+        v = solve(t, a)
+        assert (v.accept, v.sample_size, v.domains, v.witness) == expected
+    assert set(arities) == ({3} if name == "ord3" else set())
 
 
 def cap_template(kind, wide_arity):
