@@ -27,9 +27,10 @@ Python operators ``not``/``and``/``or``, which short-circuit left to
 right. ``compile_table`` puts the same expression, on coordinate names,
 into one generated comprehension that builds a relation's whole table
 over a list of points; samples build every table with it.
-``compile_supports`` puts it into two comprehensions that build a binary
-relation's support bitsets over a list of points, one row per point
-each way, with no table in between; ``solve`` builds its rows with it.
+``compile_supports`` puts it into one comprehension that writes a binary
+relation's matrix over a list of points as a string of bits, whose rows
+and columns are its support bitsets, with no table in between; ``solve``
+builds its rows with it.
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
@@ -248,27 +249,39 @@ def compile_supports(f: Formula, d: int):
     """Return ``f``'s support builder for a binary relation on points of
     dimension ``d``, cached on the node per ``d``.
 
-    The builder maps a list of points ``P`` to the support bitsets ``(fwd,
-    bwd)`` of the relation on their indices: bit ``j`` of ``fwd[i]`` and
-    bit ``i`` of ``bwd[j]`` are set iff ``P[i] + P[j]`` satisfies ``f``.
-    It pairs each point with its bit, ``E = [(1 << j, *P[j]) ...]``, and
-    builds each list in one comprehension over ``E``, the second with the
-    argument roles swapped: ``lambda E: ([sum([b for b, x2, x3 in E if
-    <expr>]) for _, x0, x1 in E], [sum([b for b, x0, x1 in E if <expr>])
-    for _, x2, x3 in E])``. Raises as ``compile_table`` does for arity 2.
+    The builder maps a list of m points ``P`` to the support bitsets
+    ``(fwd, bwd)`` of the relation on their indices: bit ``j`` of
+    ``fwd[i]`` and bit ``i`` of ``bwd[j]`` are set iff ``P[i] + P[j]``
+    satisfies ``f``. It evaluates ``f`` once per ordered pair, writing
+    the m x m matrix row by row as one string of ``0`` and ``1`` over the
+    points from the last, ``R = P[::-1]``: ``lambda R: ''.join([''.join(['1'
+    if <expr> else '0' for (x2, x3,) in R]) for (x0, x1,) in R])``. A row,
+    or a column (a slice of stride m), of that string then reads as a
+    binary number whose bits are indexed as in ``P``. Raises as
+    ``compile_table`` does for arity 2.
     """
     compile_formula(f)  # type and depth checks
     fn = f._tables.get(d)
     if fn is None:
         _check_shape(f, 2, d)
-        env = {"__builtins__": {}, "sum": sum}
+        env = {"__builtins__": {}}
         names = ["x%d" % v for v in range(2 * d)]
         left, right = ", ".join(names[:d]), ", ".join(names[d:])
         expr = _source(f, env, _CHUNK_DEPTH, names)
-        row = "[sum([b for b, %s in E if %s]) for _, %s in E]"
-        fwd, bwd = row % (right, expr, left), row % (left, expr, right)
-        rows = eval("lambda E: (%s, %s)" % (fwd, bwd), env)
-        fn = f._tables[d] = lambda P: rows([(1 << j, *p) for j, p in enumerate(P)])
+        cells = eval(
+            "lambda R: ''.join([''.join(['1' if %s else '0' for (%s,) in R]) "
+            "for (%s,) in R])" % (expr, right, left),
+            env,
+        )
+
+        def fn(P):
+            m = len(P)
+            s = cells(P[::-1])
+            fwd = [int(s[k * m : (k + 1) * m], 2) for k in range(m)]
+            bwd = [int(s[k::m], 2) for k in range(m)]
+            return fwd[::-1], bwd[::-1]
+
+        f._tables[d] = fn
     return fn
 
 

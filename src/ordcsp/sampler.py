@@ -13,7 +13,7 @@ the sample iff it maps into the template.
   class's least member.
 
 ``representatives(t, n)`` lists those points, or those least members,
-in element order; each sampler is that call plus one structure build.
+in element order; ``sample`` is that call plus one structure build.
 ``solve`` stops at the representatives: it builds only the support rows
 and tables its constraints use, straight from the formulas (see
 ``solver``), and never a ``FiniteStructure``.
@@ -82,18 +82,21 @@ class Sample:
 
 
 def sample(t: Template, n: int) -> Sample:
-    if t.kind == DIRECT:
-        return sample_direct(t, n)
-    return sample_interpretation(t, n)
+    """The representatives at ``n`` plus every relation's table on them;
+    an interpretation's elements are labelled by their points."""
+    reps = representatives(t, n)
+    labels = None if t.kind == DIRECT else tuple(str(tuple(r)) for r in reps)
+    structure = FiniteStructure(
+        t.signature, len(reps), _relation_tables(t, reps), labels
+    )
+    return Sample(structure, tuple(reps), t.dimension * max(n, 1))
 
 
 def sample_direct(t: Template, n: int) -> Sample:
     """Evaluate each relation formula on the grid {0..n-1}."""
     if t.kind != DIRECT:
         raise ValueError("sample_direct needs a direct template")
-    reps = representatives(t, n)
-    structure = FiniteStructure(t.signature, len(reps), _relation_tables(t, reps))
-    return Sample(structure, tuple(reps), max(n, 1))
+    return sample(t, n)
 
 
 def sample_interpretation(t: Template, n: int) -> Sample:
@@ -101,14 +104,7 @@ def sample_interpretation(t: Template, n: int) -> Sample:
     each class's least member."""
     if t.kind != INTERPRETATION:
         raise ValueError("sample_interpretation needs an interpretation")
-    reps = representatives(t, n)
-    structure = FiniteStructure(
-        t.signature,
-        len(reps),
-        _relation_tables(t, reps),
-        tuple(str(tuple(r)) for r in reps),
-    )
-    return Sample(structure, tuple(reps), t.dimension * max(n, 1))
+    return sample(t, n)
 
 
 def representatives(t: Template, n: int) -> list:

@@ -48,17 +48,14 @@ changes. Both run to the fixpoint even once a set is empty, and the
 fixpoint is unique, so they return identical domain maps.
 
 ``solve`` ties the pieces together: list the sample's representatives
-at the instance's variable count (``sampler.representatives``), run ac
-on them, and -- for direct templates declaring a semilattice -- extract
-and verify a concrete witness by folding min (or max) over each accepted
-candidate set. It builds no ``FiniteStructure``: a relation that some
-constraint uses on two distinct variables, over at most ``BITSET_SIZE``
-representatives, gets its rows from ``formula.compile_supports``; one
-used otherwise (``R(x, x)``, arity other than 2, or more
-representatives) gets its ``formula.compile_table`` table; an unused one
-gets neither. Every relation is still checked against the sample's caps
-first, then ``NETWORK_CAP``, in the order ``sample`` and ``ac`` check
-them.
+at the instance's variable count, run ac on them, and -- for direct
+templates declaring a semilattice -- extract and verify a concrete
+witness by folding min (or max) over each accepted candidate set. It
+builds no ``FiniteStructure``. A relation used on two distinct variables
+gets rows from ``formula.compile_supports``, one used otherwise (``R(x,
+x)``, arity other than 2, more than ``BITSET_SIZE`` representatives) a
+``formula.compile_table`` table, and an unused one neither; every
+relation is checked against the sample's caps first, then ``NETWORK_CAP``.
 """
 
 from __future__ import annotations

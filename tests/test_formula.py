@@ -37,6 +37,7 @@ from ordcsp.formula import (
     _table_source,
     compile_formula,
     compile_pair_codes,
+    compile_supports,
     compile_table,
 )
 
@@ -386,7 +387,16 @@ def test_pair_codes_match_brute_force(case):
         table = brute_table(f, 2, points)
         for i, j in product(range(k), repeat=2):
             assert (codes[i * k + j] >> bit & 1) == ((i, j) in table)
+        assert compile_supports(f, d)(points) == supports(table, k)
     assert all(code >> len(fs) == 0 for code in codes)
+
+
+def supports(table, k):
+    fwd, bwd = [0] * k, [0] * k
+    for i, j in table:
+        fwd[i] |= 1 << j
+        bwd[j] |= 1 << i
+    return fwd, bwd
 
 
 def test_pair_codes_check_like_tables():
@@ -397,6 +407,17 @@ def test_pair_codes_check_like_tables():
     with pytest.raises(CapExceeded, match=r"table width: 2 \* 5001"):
         compile_pair_codes([TRUE], 5001)
     assert compile_pair_codes([], 5001)([(0,) * 5001] * 2) == [0] * 4
+    with pytest.raises(ValueError, match="does not fit"):
+        compile_supports(lt(0, 2), 1)
+    with pytest.raises(TypeError):
+        compile_supports("(lt 0 1)", 1)
+    with pytest.raises(CapExceeded, match=r"table width: 2 \* 5001"):
+        compile_supports(TRUE, 5001)
+    f = lt(0, 1)
+    assert compile_supports(f, 1) is compile_supports(f, 1)  # cached on it
+    # Rows of 5,000 bits: int() reads base 2 past the decimal digit limit.
+    fwd, bwd = compile_supports(f, 1)([(v,) for v in range(5000)])
+    assert fwd[0] == 2**5000 - 2 and bwd[4999] == 2**4999 - 1
 
 
 def test_table_on_deep_chains():
@@ -406,6 +427,7 @@ def test_table_on_deep_chains():
         f = mixed_chain(rng, MAX_DEPTH)
         table = compile_table(f, 2, 2)(list(enumerate(points)))
         assert table == brute_table(f, 2, points)
+        assert compile_supports(f, 2)(points) == supports(table, len(points))
 
 
 def test_table_of_constants():
