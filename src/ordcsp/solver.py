@@ -236,6 +236,7 @@ def ac(instance: Instance, b: FiniteStructure):
 
 
 def _fixpoint(instance, source):
+    """(accept, domain map) of the instance on the network of ``source``."""
     h, args_of, live, by_var = network(
         instance.variables, instance.constraints, *source
     )
