@@ -399,6 +399,44 @@ def supports(table, k):
     return fwd, bwd
 
 
+# Coordinate values with gaps, negatives and repeats, so that no value
+# stands for its rank and several points share a coordinate or a point.
+GAPPY = st.sampled_from([-7, -1, 0, 3, 4, 50])
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            formulas(max_leaves=12, variables=2 * d),
+            st.lists(st.tuples(*[GAPPY] * d), max_size=7),
+        )
+    )
+)
+def test_supports_match_brute_force_on_gappy_points(case):
+    d, f, points = case
+    table = brute_table(f, 2, points)
+    assert compile_supports(f, d)(points) == supports(table, len(points))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("op", sorted(ATOM_OPS))
+def test_supports_every_atom_placement(op, d):
+    # Indices below d read the row point and the rest the column point,
+    # so the pairs cover row-row, column-column and both mixed placements.
+    rng = random.Random(d)
+    gappy = [tuple(rng.choice([-7, 0, 3, 50]) for _ in range(d)) for _ in range(7)]
+    for points in (gappy, gappy[:1], []):
+        for i, j in product(range(2 * d), repeat=2):
+            a = Atom(op, i, j)
+            for f in (a, not_(a), and_(a, TRUE), or_(FALSE, not_(a))):
+                table = brute_table(f, 2, points)
+                assert compile_supports(f, d)(points) == supports(table, len(points))
+        for f in (TRUE, FALSE, not_(TRUE), and_(TRUE, FALSE), or_(FALSE, TRUE)):
+            table = brute_table(f, 2, points)
+            assert compile_supports(f, d)(points) == supports(table, len(points))
+
+
 def test_pair_codes_check_like_tables():
     with pytest.raises(ValueError, match="does not fit"):
         compile_pair_codes([TRUE, lt(0, 2)], 1)

@@ -4,6 +4,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordcsp.sampler
 from ordcsp import (
@@ -20,8 +21,10 @@ from ordcsp import (
     sample_interpretation,
 )
 from ordcsp.formula import TRUE, and_, eq, lt, ne, parse_formula
+from ordcsp.sampler import representatives
 
 from conftest import holds, random_instance
+from test_formula import formulas
 
 
 def test_direct_qlt_3():
@@ -314,3 +317,34 @@ def test_interpretation_matches_brute_force(name, sizes):
         assert smp.structure.labels == tuple(str(r) for r in reps)
         assert smp.representatives == tuple(reps)
         assert smp.base_grid_size == g
+
+
+# Equalities on pairs that pass the equivalence and congruence check on a
+# template with no relations, each with the domain it needs to be
+# reflexive: the identity, each coordinate alone, one class, unordered
+# pairs, and gamma3's two copies of the rationals.
+EQUALITIES = [
+    ("(and (eq 0 2) (eq 1 3))", "true"),
+    ("(eq 0 2)", "true"),
+    ("(eq 1 3)", "true"),
+    ("true", "true"),
+    ("(or (and (eq 0 2) (eq 1 3)) (and (eq 0 3) (eq 1 2)))", "true"),
+    (preset("gamma3").to_json_dict()["equality_formula"], "(ne 0 1)"),
+]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(EQUALITIES),
+    formulas(max_leaves=6, variables=2),
+    st.integers(min_value=1, max_value=4),
+)
+def test_representatives_match_brute_force(equality, domain, n):
+    # The least member of each class, by the definition, on drawn domains.
+    eqf, base = map(parse_formula, equality)
+    t = Template("drawn", "interpretation", 2, and_(base, domain), eqf, ())
+    points = [
+        p for p in product(range(2 * n), repeat=2) if holds(t.domain_formula, p)
+    ]
+    least = {min(q for q in points if holds(eqf, p + q)) for p in points}
+    assert representatives(t, n) == sorted(least)
