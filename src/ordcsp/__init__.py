@@ -52,7 +52,6 @@ from .polymorphism import (
     find_semilattice,
     has_ts_polymorphism,
     is_polymorphism,
-    min_fold_table,
 )
 from .powerset import power_structure
 from .sampler import Sample, sample, sample_direct, sample_interpretation
@@ -115,7 +114,6 @@ __all__ = [
     "is_polymorphism",
     "le",
     "lt",
-    "min_fold_table",
     "ne",
     "not_",
     "or_",

@@ -27,23 +27,32 @@ Python operators ``not``/``and``/``or``, which short-circuit left to
 right. ``compile_table`` puts the same expression, on coordinate names,
 into one generated comprehension that builds a relation's whole table
 over a list of points; samples build every table with it.
-``compile_supports`` puts it into one comprehension that writes a binary
-relation's matrix over a list of points as a string of bits, whose rows
-and columns are its support bitsets, with no table in between; ``solve``
-builds its rows with it.
+``compile_rows`` evaluates a binary formula over a list of m points on
+m-bit masks, one generated expression per point rather than one per
+pair. On the coordinates ``x0, x1, ...`` of its own point, an atom on two
+of them becomes ``F`` (all m bits) or ``0``, an atom on two of the other
+point's coordinates one precomputed mask of the points where it holds,
+and a mixed atom such as ``x0 < x3`` a lookup ``T[x0]`` in a value table,
+which maps each coordinate value to the mask of the points whose
+coordinate compares with it that way; ``and``, ``or`` and ``not`` become
+``&``, ``|`` and ``F ^``. The same expression with the two points'
+roles swapped gives the backward rows. ``compile_supports`` lists both
+directions, the support bitsets that ``solve`` revises on, and
+``sampler.representatives`` streams the equality formula's rows.
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
 hold only tokens from a fixed table, generated names,
-``True``, ``False`` and indices written by ``int()``; no field of a node
+``True``, ``False``, ``0`` and indices written by ``int()``; no field of a node
 is pasted in as text, and node fields are type-checked at construction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, compress, count, product
 
 from .errors import CapExceeded, FormulaError
 
@@ -245,44 +254,123 @@ def compile_table(f: Formula, arity: int, d: int):
     return fn
 
 
-def compile_supports(f: Formula, d: int):
-    """Return ``f``'s support builder for a binary relation on points of
-    dimension ``d``, cached on the node per ``d``.
-
-    The builder maps a list of m points ``P`` to the support bitsets
-    ``(fwd, bwd)`` of the relation on their indices: bit ``j`` of
-    ``fwd[i]`` and bit ``i`` of ``bwd[j]`` are set iff ``P[i] + P[j]``
-    satisfies ``f``. It evaluates ``f`` once per ordered pair, writing
-    the m x m matrix row by row as one string of ``0`` and ``1`` over the
-    points from the last, ``R = P[::-1]``: ``lambda R: ''.join([''.join(['1'
-    if <expr> else '0' for (x2, x3,) in R]) for (x0, x1,) in R])``. A row,
-    or a column (a slice of stride m), of that string then reads as a
-    binary number whose bits are indexed as in ``P``. Raises as
+def compile_rows(f: Formula, d: int):
+    """Return ``f``'s row builder for a binary relation on points of
+    dimension ``d``, cached on the node per ``d``. The builder maps a list
+    of m points ``P`` to two iterators over m-bit ints, the forward and
+    the backward rows: bit ``j`` of forward row ``i`` and bit ``i`` of
+    backward row ``j`` are set iff ``P[i] + P[j]`` satisfies ``f``. It
+    makes the masks and value tables its expressions read (see the module
+    docstring) when called, and each row as it is read. Raises as
     ``compile_table`` does for arity 2.
     """
     compile_formula(f)  # type and depth checks
-    fn = f._tables.get(d)
+    fn = f._tables.get(("rows", d))
     if fn is None:
         _check_shape(f, 2, d)
-        env = {"__builtins__": {}}
-        names = ["x%d" % v for v in range(2 * d)]
-        left, right = ", ".join(names[:d]), ", ".join(names[d:])
-        expr = _source(f, env, _CHUNK_DEPTH, names)
-        cells = eval(
-            "lambda R: ''.join([''.join(['1' if %s else '0' for (%s,) in R]) "
-            "for (%s,) in R])" % (expr, right, left),
-            env,
-        )
-
-        def fn(P):
-            m = len(P)
-            s = cells(P[::-1])
-            fwd = [int(s[k * m : (k + 1) * m], 2) for k in range(m)]
-            bwd = [int(s[k::m], 2) for k in range(m)]
-            return fwd[::-1], bwd[::-1]
-
-        f._tables[d] = fn
+        fn = f._tables["rows", d] = _rows_builder(f, d)
     return fn
+
+
+def compile_supports(f: Formula, d: int):
+    """Return ``f``'s support builder for a binary relation on points of
+    dimension ``d``, cached on the node per ``d``: it maps a list of
+    points to their support bitsets ``(fwd, bwd)``, ``compile_rows``'s
+    two rows as lists. Raises as ``compile_rows`` does."""
+    rows = compile_rows(f, d)
+    fn = f._tables.get(d)
+    if fn is None:
+        fn = f._tables[d] = lambda P: tuple(map(list, rows(P)))
+    return fn
+
+
+# A comparison with its sides exchanged: v < w iff w > v.
+_FLIPPED = {"lt": "gt", "le": "ge", "eq": "eq", "ne": "ne", "gt": "lt", "ge": "le"}
+
+
+def _rows_builder(f, d):
+    """Generate ``make(P, F, D0, D1, ...)``, which returns both row
+    iterators over ``P`` given the full mask ``F`` and the data that
+    ``keys`` name: ``(op, a, b)`` a mask, ``(op, c)`` a value table. A
+    connective ``_CHUNK_DEPTH`` levels down becomes a nested function of
+    the row point's coordinates ``x0, x1, ...``."""
+    keys, chunks = {}, []
+    row = ", ".join("x%d" % c for c in range(d))
+
+    def source(g, swap, levels):
+        if isinstance(g, Const):
+            return "F" if g.value else "0"
+        if isinstance(g, Atom):
+            row_a, row_b = (g.left < d) != swap, (g.right < d) != swap
+            op, a, b = g.op, int(g.left) % d, int(g.right) % d
+            if row_a and row_b:
+                return "(F if x%d %s x%d else 0)" % (a, ATOM_OPS[op], b)
+            if row_b:  # read a op b as b FLIPPED[op] a
+                op, a, b, row_a = _FLIPPED[op], b, a, True
+            key = (op, b) if row_a else (op, a, b)
+            name = keys.setdefault(key, "D%d" % len(keys))
+            return "%s[x%d]" % (name, a) if row_a else name
+        if levels == 0:
+            body = source(g, swap, _CHUNK_DEPTH)
+            call = "c%d(%s)" % (len(chunks), row)
+            chunks.append("    def %s:\n        return %s\n" % (call, body))
+            return call
+        if isinstance(g, Not):
+            return "(F ^ " + source(g.child, swap, levels - 1) + ")"
+        if isinstance(g, (And, Or)):
+            glue = " & " if isinstance(g, And) else " | "
+            parts = []
+            for c in g.children:  # a loop, not a generator: one frame per level
+                parts.append(source(c, swap, levels - 1))
+            return "(" + glue.join(parts) + ")"
+        raise TypeError(f"not a formula: {g!r}")
+
+    fwd, bwd = source(f, False, _CHUNK_DEPTH), source(f, True, _CHUNK_DEPTH)
+    loop = "for (%s,) in P)" % row
+    env = {"__builtins__": {}}
+    head = ", ".join(["P", "F", *keys.values()])
+    body = "".join(chunks) + "    return (%s %s, (%s %s\n" % (fwd, loop, bwd, loop)
+    exec("def make(%s):\n%s" % (head, body), env)
+    make, keys = env["make"], list(keys)
+
+    def rows(P):
+        full = (1 << len(P)) - 1
+        return make(P, full, *_row_data(P, keys, full))
+
+    return rows
+
+
+def _row_data(P, keys, full):
+    """For each of ``keys``, the mask ``(op, a, b)`` of the points p with
+    ``p[a] op p[b]``, or the value table ``(op, c)`` that maps each value
+    v in ``P`` to the mask of the points p with ``v op p[c]``. A table ORs
+    the masks of the points at each value of c, found in one pass, over
+    the values that compare."""
+    values = sorted(set().union(*P))
+    at, out = {}, []
+    for key in keys:
+        op, c = key[0], key[-1]
+        if len(key) == 3:
+            a = [p[key[1]] for p in P]
+            holds = map(getattr(operator, op), a, [p[c] for p in P])
+            out.append(sum(map((1).__lshift__, compress(count(), holds))))
+            continue
+        if c not in at:
+            points_at = {v: [] for v in values}
+            for j, p in enumerate(P):
+                points_at[p[c]].append(j)
+            at[c] = [sum(map((1).__lshift__, js)) for js in points_at.values()]
+        eqs = at[c]
+        if op in ("eq", "ne"):
+            masks = eqs if op == "eq" else [full ^ e for e in eqs]
+        elif op in ("gt", "ge"):  # the points below v, or at v too
+            up = list(accumulate(eqs, operator.or_, initial=0))
+            masks = up[:-1] if op == "gt" else up[1:]
+        else:  # the points above v, or at v too
+            down = list(accumulate(reversed(eqs), operator.or_, initial=0))[::-1]
+            masks = down[1:] if op == "lt" else down[:-1]
+        out.append(dict(zip(values, masks)))
+    return out
 
 
 def compile_pair_codes(fs, d: int):

@@ -47,16 +47,6 @@ class BinaryOpTable:
     def apply(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def is_idempotent(self) -> bool:
-        return all(self.table[x][x] == x for x in range(self.size))
-
-    def is_commutative(self) -> bool:
-        return all(
-            self.table[x][y] == self.table[y][x]
-            for x in range(self.size)
-            for y in range(self.size)
-        )
-
     def is_associative(self) -> bool:
         return _associative_so_far(self.table)
 
@@ -83,19 +73,6 @@ class SubsetFunctionTable:
                 {"subset": sorted(s), "value": v} for s, v in items
             ],
         }
-
-
-def min_fold_table(op: BinaryOpTable, arity: int) -> SubsetFunctionTable:
-    """Fold a binary operation over each subset (any order; for a
-    semilattice the result is order-independent)."""
-    entries = {}
-    for size in range(1, arity + 1):
-        for combo in combinations(range(op.size), size):
-            acc = combo[0]
-            for x in combo[1:]:
-                acc = op.apply(acc, x)
-            entries[frozenset(combo)] = acc
-    return SubsetFunctionTable(arity, entries)
 
 
 def column_signatures(tuples, m: int, n: int, budget: int, used: int):

@@ -8,12 +8,16 @@ the sample iff it maps into the template.
   increasing rationals); relation tuples are exactly the grid tuples
   satisfying the defining formulas.
 * Interpretations of dimension d: enumerate the d-tuples over the grid
-  {0..dn-1} that satisfy the domain formula, group them into classes of
-  the equality formula, and evaluate each relation formula on each
-  class's least member.
+  {0..dn-1} that satisfy the domain formula, keep the least member of
+  each class of the equality formula, and evaluate each relation formula
+  on those representatives.
 
 ``representatives(t, n)`` lists those points, or those least members,
-in element order; ``sample`` is that call plus one structure build.
+in element order; ``sample`` is that call plus one structure build. It
+finds the least members from the equality formula's bitset rows over
+the domain points (``formula.compile_rows``): a point is least in its
+class iff the lowest set bit of its row is its own index. The rows are
+streamed, and none is kept.
 ``solve`` stops at the representatives: it builds only the support rows
 and tables its constraints use, straight from the formulas (see
 ``solver``), and never a ``FiniteStructure``.
@@ -21,14 +25,19 @@ and tables its constraints use, straight from the formulas (see
 Templates arrive structurally checked (``Template`` checks itself when it
 is built), and a sample's signature is the template's ``signature``.
 The grid of a sample, direct or not, is refused past ``GRID_CAP`` points
-before any point is built. ``formula.compile_table`` builds every
-relation table in one pass, once ``check_table_caps`` has found each
-relation's m**arity candidate tuples over the m sample elements within
-``GRID_CAP`` (direct) or ``TABLE_CAP`` (interpretation, whose m grows as
-(dn)**d); past it, ``CapExceeded`` is raised. ``solve`` runs the same
-check on every relation, used or not. The comparisons never compute a
-giant power, so an arity or dimension of 2**70 is refused at once; on
-one element, by ``formula.MAX_TABLE_WIDTH``.
+before any point is built. Within it, the representatives of m domain
+points over g grid values hold each value table that the equality
+formula uses, g * m bits, plus one row of m bits at a time: gamma2 at
+n = 100 (m = 40,000) holds two tables of 1 MB each, and a grid near the
+cap, 1,000 values per coordinate at d = 2, would take about 125 MB per
+table. ``formula.compile_table`` builds every relation table in one
+pass, once ``check_table_caps`` has found each relation's m**arity
+candidate tuples over the m sample elements within ``GRID_CAP``
+(direct) or ``TABLE_CAP`` (interpretation, whose m grows as (dn)**d);
+past it, ``CapExceeded`` is raised. ``solve`` runs the same check on
+every relation, used or not. The comparisons never compute a giant
+power, so an arity or dimension of 2**70 is refused at once; on one
+element, by ``formula.MAX_TABLE_WIDTH``.
 
 The grid is 0-based; only the relative order of values matters. A sample
 at n = 0 is defined as the sample at n = 1, and an unsatisfiable domain
@@ -56,7 +65,7 @@ from .errors import (
     EqualityNotEquivalence,
     SchemaError,
 )
-from .formula import compile_formula, compile_table
+from .formula import compile_formula, compile_rows, compile_table
 from .structures import FiniteStructure
 from .template import DIRECT, INTERPRETATION, Template
 
@@ -111,14 +120,17 @@ def representatives(t: Template, n: int) -> list:
     """The points that stand for the elements of ``t``'s sample at ``n``,
     in element order: the grid {0..n-1} of a direct template, or the
     least member of each equality class of an interpretation's domain
-    points over {0..dn-1}, after the equality check."""
+    points over {0..dn-1}, after the equality check; those are the
+    points whose equality row has no bit below their own index."""
     n = max(n, 1)
     if t.kind == DIRECT:
         return _domain_points(t, n)
     _check_equality(t)
     points = _domain_points(t, t.dimension * n)
-    classes = _group(points, compile_formula(t.equality_formula))
-    return [points[members[0]] for members in classes]
+    rows, _ = compile_rows(t.equality_formula, t.dimension)(points)
+    return [
+        p for i, (p, row) in enumerate(zip(points, rows)) if row & -row == 1 << i
+    ]
 
 
 def check_table_caps(t: Template, m: int):
@@ -157,8 +169,9 @@ def _domain_points(t, g):
 
 
 def _group(points, eqf):
-    """Classes as lists of point indices: each point joins the first class
-    whose first (so least, as points are sorted) member it equals."""
+    """Classes as lists of point indices, for the equality check: each
+    point joins the first class whose first (so least, as points are
+    sorted) member it equals."""
     classes = []
     for i, p in enumerate(points):
         for members in classes:

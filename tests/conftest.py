@@ -6,7 +6,32 @@ from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
 from ordcsp.lab import Walk, _canonical_all_perms
-from ordcsp.polymorphism import BinaryOpTable
+from ordcsp.polymorphism import BinaryOpTable, SubsetFunctionTable
+
+
+def is_idempotent(op):
+    return all(op.table[x][x] == x for x in range(op.size))
+
+
+def is_commutative(op):
+    return all(
+        op.table[x][y] == op.table[y][x]
+        for x in range(op.size)
+        for y in range(op.size)
+    )
+
+
+def min_fold_table(op, arity):
+    """Fold a binary operation over each subset (any order; for a
+    semilattice the result is order-independent)."""
+    entries = {}
+    for size in range(1, arity + 1):
+        for combo in combinations(range(op.size), size):
+            acc = combo[0]
+            for x in combo[1:]:
+                acc = op.apply(acc, x)
+            entries[frozenset(combo)] = acc
+    return SubsetFunctionTable(arity, entries)
 
 
 def complete_graph(n):

@@ -14,7 +14,6 @@ from ordcsp import (
     has_ts_polymorphism,
     hom_exists,
     is_polymorphism,
-    min_fold_table,
     power_structure,
     preset,
     sample,
@@ -25,6 +24,9 @@ from conftest import (
     all_binary_structures,
     binary_structure,
     complete_graph,
+    is_commutative,
+    is_idempotent,
+    min_fold_table,
     random_binary_structure,
     random_instance,
     reference_hom,
@@ -398,7 +400,7 @@ def test_semilattice_min_example():
     b = binary_structure(2, {(0, 0), (0, 1), (1, 1)}, name="R")
     op = find_semilattice(b)
     assert op.table == ((0, 0), (0, 1))
-    assert op.is_idempotent() and op.is_commutative() and op.is_associative()
+    assert is_idempotent(op) and is_commutative(op) and op.is_associative()
     assert is_polymorphism(op, b)
 
 
@@ -423,8 +425,8 @@ def test_semilattice_results_always_valid():
         b = random_binary_structure(rng, max_size=3)
         op = find_semilattice(b)
         if op is not None:
-            assert op.is_idempotent()
-            assert op.is_commutative()
+            assert is_idempotent(op)
+            assert is_commutative(op)
             assert op.is_associative()
             assert is_polymorphism(op, b)
 

@@ -348,3 +348,18 @@ def test_representatives_match_brute_force(equality, domain, n):
     ]
     least = {min(q for q in points if holds(eqf, p + q)) for p in points}
     assert representatives(t, n) == sorted(least)
+
+
+def test_representatives_at_scale():
+    # Each point of gamma2 is its own class: 9,216 points at n = 48 and
+    # 40,000 at n = 100. gamma3 has two copies of each of its 96 values at
+    # n = 48 but the ends; a copy's least point is (x, x + 1) or (x, 0).
+    gamma2 = preset("gamma2")
+    for n in (48, 100):
+        g = 2 * n
+        reps = representatives(gamma2, n)
+        assert len(reps) == g * g
+        assert reps[0] == (0, 0) and reps[-1] == (g - 1, g - 1)
+    lower = [(x, x + 1) for x in range(95)]
+    upper = [(x, 0) for x in range(1, 96)]
+    assert representatives(preset("gamma3"), 48) == sorted(lower + upper)
