@@ -42,9 +42,9 @@ directions, the support bitsets that ``solve`` revises on, and
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
-hold only tokens from a fixed table, generated names,
-``True``, ``False``, ``0`` and indices written by ``int()``; no field of a node
-is pasted in as text, and node fields are type-checked at construction.
+hold only tokens from a fixed table, generated names, ``True``,
+``False``, ``0`` and indices written by ``int()``; no field of a node is
+pasted in as text, and node fields are type-checked at construction.
 """
 
 from __future__ import annotations
