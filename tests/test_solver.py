@@ -69,6 +69,40 @@ def test_ac_k4_k3_accepts():
     assert hom_exists(complete_graph(4), complete_graph(3)) is None
 
 
+def test_ac_on_a_loop_constraint():
+    # The projection rule keeps each value of x with a successor and a
+    # predecessor in h[x], on the diagonal or not: the swap passes, though
+    # it has no loop, and one edge fails.
+    a = Instance(("x",), (("E", ("x", "x")),))
+    swap = binary_structure(2, {(0, 1), (1, 0)})
+    assert ac(a, swap) == ac_roundrobin(a, swap) == (True, {"x": {0, 1}})
+    assert hom_exists(a, swap) is None
+    edge = binary_structure(2, {(0, 1)})
+    assert ac(a, edge) == ac_roundrobin(a, edge) == (False, {"x": set()})
+
+
+def test_ac_on_a_loop_next_to_an_edge():
+    # E(x, x) and E(x, y) share x. E(x, x) takes two passes: 3 has no
+    # predecessor, then 2 no successor in h[x]; E(x, y) then leaves y
+    # the successors of 0 and 1.
+    b = binary_structure(4, {(0, 1), (1, 0), (1, 2), (2, 3)})
+    a = Instance(("x", "y"), (("E", ("x", "x")), ("E", ("x", "y"))))
+    assert ac(a, b) == ac_roundrobin(a, b) == (True, {"x": {0, 1}, "y": {0, 1, 2}})
+    assert hom_exists(a, b) is None
+
+
+@pytest.mark.parametrize("m", [BITSET_SIZE, BITSET_SIZE + 1])
+def test_ac_on_a_loop_on_either_side_of_bitset_size(m):
+    # E(x, x) keeps the 3-cycle and the loop on m - 1: 3 and m - 2 have
+    # no predecessor, and then 4 none.
+    tuples = {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (m - 2, m - 1), (m - 1, m - 1)}
+    b = binary_structure(m, tuples)
+    a = Instance(("x", "y"), (("E", ("x", "x")), ("E", ("x", "y"))))
+    kept = {0, 1, 2, m - 1}
+    assert ac(a, b) == ac_roundrobin(a, b) == (True, {"x": kept, "y": kept})
+    assert hom_exists(a, b) == {"x": m - 1, "y": m - 1}
+
+
 def test_ac_rejects_impossible_repeat():
     b = sample_direct(preset("ord3"), 1).structure
     a = Instance(("x",), (("T", ("x", "x", "x")),))
@@ -466,6 +500,32 @@ def test_solve_builds_no_sample_structure(monkeypatch, name):
         v = solve(t, a)
         assert (v.accept, v.sample_size, v.domains, v.witness) == expected
     assert set(arities) == ({3} if name == "ord3" else set())
+
+
+def with_repeats(name, count):
+    """Preset ``name`` and ``count`` seeded instances over it, each with
+    a constraint whose first two arguments are one variable, such as
+    R(x, x) or T(x, x, y)."""
+    t = preset(name)
+    rng = random.Random(f"repeats-{name}")
+    top = 8 if t.kind == "direct" else 5
+    cases = []
+    for _ in range(count):
+        a = random_instance(rng, t.signature.symbols, top, max_constraints=3)
+        rel, arity = rng.choice(t.signature.symbols)
+        args = [rng.choice(a.variables) for _ in range(arity)]
+        args[1] = args[0]
+        cases.append(Instance(a.variables, a.constraints + ((rel, tuple(args)),)))
+    return t, cases
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_solve_equals_the_table_path_on_repeated_variables(name):
+    # Every preset relation but gamma1's R_eq_eq is a strict order, on
+    # which R(x, x) rejects after one pass per layer of minimal and
+    # maximal points.
+    t, cases = with_repeats(name, 30)
+    assert [solve_path(t, a) for a in cases] == [table_path(t, a) for a in cases]
 
 
 def cap_template(kind, wide_arity):
