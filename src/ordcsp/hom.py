@@ -4,16 +4,15 @@
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
 After each assignment it runs ``solver.propagate``, the propagator
-``ac`` uses, to the fixpoint. A binary constraint on two distinct
-variables revises there on its relation's support bitsets, and every
-other constraint by table reduction, here on only the tuples that give a
-repeated variable one value; that filter is one reason ``R(x, x)`` stays
-on tables. The search runs as a loop over an explicit stack of assigned variables,
-and undoes a failed choice from the propagator's trail of ``(store, key,
-old)`` entries, which restores domains and live tuple lists together;
-bitsets never change, so only domains are trailed for them. So its
-depth is not bounded by the interpreter's recursion limit and no node
-copies the domains.
+``ac`` uses, to the fixpoint, with each repeated variable held to one
+value: ``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)``
+both ways, and a table constraint keeps the tuples equal on a repeated
+variable's positions. The search is a loop over an explicit stack of
+assigned variables, and undoes a failed choice from the propagator's
+trail of ``(store, key, old)`` entries, which restores domains and live
+tuple lists together; bitsets never change, so only domains are trailed
+for them. So its depth is not bounded by the interpreter's recursion
+limit and no node copies the domains.
 """
 
 from __future__ import annotations
@@ -51,15 +50,15 @@ def hom_exists(a, b: FiniteStructure):
     if not variables:
         return {}
     h, args_of, live, by_var = network(variables, constraints, *structure_source(b))
-    # A repeated variable takes one value per tuple. On the tuples equal
-    # on its positions, each position projects to the same set, so the
-    # propagator's intersection rule gives exactly that.
+    # A repeated variable takes one value: on the diagonal rows, or on the
+    # tuples equal on its positions, each position projects to the same set.
     for ci, args in enumerate(args_of):
         repeats = [(p, q) for p, v in enumerate(args) if (q := args.index(v)) != p]
-        if repeats:
-            live[ci] = [
-                t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)
-            ]
+        if repeats and type(live[ci]) is tuple:
+            diagonal = [f & 1 << a for a, f in enumerate(live[ci][0])]
+            live[ci] = diagonal, diagonal
+        elif repeats:
+            live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
     order_index = {v: i for i, v in enumerate(variables)}
     # The first fixpoint is never undone, so its trail keeps nothing.
     queue = deque(range(len(args_of)))

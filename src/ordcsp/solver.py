@@ -18,23 +18,21 @@ a ``FiniteStructure``'s tuples, and ``template_source`` builds rows and
 tables straight from a template's formulas. ``propagate`` has two
 revision rules.
 
-* A binary constraint ``R(x, y)`` on two distinct variables revises on
-  support bitsets (Lecoutre & Vion 2008): ``fwd[a]`` has bit ``b`` set
-  iff ``(a, b)`` is in R, and ``bwd[b]`` bit ``a``. ``x`` keeps the values
-  whose ``fwd`` meets the mask of ``h[y]``, then ``y`` those whose ``bwd``
-  meets the mask of the new ``h[x]``. That makes the constraint arc
-  consistent both ways in two C-level passes over the domains, with no
-  scan of its tuples; it never requeues itself and changes no live state.
-* Every other constraint revises by table reduction (Ullmann 2007). It
-  keeps the tuples of its relation that every current candidate set
-  still supports, filters that list and projects it onto each position
-  in C-level passes, with no Python frame and no allocation per tuple;
-  each argument variable gets its positions' projections intersected.
-  ``R(x, x)`` stays here: both positions read and narrow one set, so one
-  pass of the bitset rule would not reach its fixpoint, and ``hom``
-  keeps only its diagonal tuples. A binary constraint on a target of
-  more than ``BITSET_SIZE`` elements stays here too: its bitsets would
-  cost more words than a sparse table.
+* A binary constraint ``R(x, y)`` revises on support bitsets (Lecoutre
+  & Vion 2008): ``fwd[a]`` has bit ``b`` set iff ``(a, b)`` is in R, and
+  ``bwd[b]`` bit ``a``. ``x`` keeps the values whose ``fwd`` meets the
+  mask of ``h[y]``, then ``y`` those whose ``bwd`` meets the mask of the
+  new ``h[x]``, in C-level passes over the domains with no scan of
+  tuples and no live state to change. ``R(x, x)`` keeps the values whose
+  ``fwd`` and ``bwd`` both meet the mask of ``h[x]``; the requeue rule
+  below repeats that to the fixpoint the table rule reaches.
+* Every other constraint (arity other than 2, or a target of more than
+  ``BITSET_SIZE`` elements, whose bitsets would cost more words than a
+  sparse table) revises by table reduction (Ullmann 2007). It keeps the
+  tuples of its relation that every current candidate set still
+  supports, filters that list and projects it onto each position in
+  C-level passes, with no Python frame and no allocation per tuple; each
+  argument variable gets its positions' projections intersected.
 
 Shrunk variables requeue their constraints, a revision's own only if it
 shrank a variable the constraint repeats (that set is then narrower than
@@ -51,11 +49,11 @@ fixpoint is unique, so they return identical domain maps.
 at the instance's variable count, run ac on them, and -- for direct
 templates declaring a semilattice -- extract and verify a concrete
 witness by folding min (or max) over each accepted candidate set. It
-builds no ``FiniteStructure``. A relation used on two distinct variables
-gets rows from ``formula.compile_supports``, one used otherwise (``R(x,
-x)``, arity other than 2, more than ``BITSET_SIZE`` representatives) a
-``formula.compile_table`` table, and an unused one neither; every
-relation is checked against the sample's caps first, then ``NETWORK_CAP``.
+builds no ``FiniteStructure``. A binary relation gets rows from
+``formula.compile_supports``, one of another arity, or on more than
+``BITSET_SIZE`` representatives, a ``formula.compile_table`` table, and
+an unused one neither; every relation is checked against the sample's
+caps first, then ``NETWORK_CAP``.
 """
 
 from __future__ import annotations
@@ -108,17 +106,21 @@ def _supports(tuples, size):
     return fwd, bwd
 
 
-def _revise(values, bits, other):
-    """The values whose bitset meets the mask of ``other``."""
-    mask = sum(map((1).__lshift__, other))
+def _mask(values):
+    """The int with bit ``a`` set for each ``a`` in ``values``."""
+    return sum(map((1).__lshift__, values))
+
+
+def _revise(values, bits, mask):
+    """The values whose bitset meets ``mask``."""
     return set(compress(values, map(mask.__and__, map(bits.__getitem__, values))))
 
 
 def network(variables, constraints, size, rows, table):
     """The state ``propagate`` works on: full domains over ``size``
     values, each constraint's argument tuple and live state, and the
-    constraints on each variable. A binary constraint on two distinct
-    variables, over at most ``BITSET_SIZE`` values, gets its relation's
+    constraints on each variable. A binary constraint over at most
+    ``BITSET_SIZE`` values, ``R(x, x)`` included, gets its relation's
     support bitsets ``rows(rel)``, ``(fwd, bwd)``; any other constraint
     gets its relation's tuples ``table(rel)`` as its live tuples. Each is
     asked for once per relation name, after the cap check: raises
@@ -128,20 +130,16 @@ def network(variables, constraints, size, rows, table):
     count = variables.stop if isinstance(variables, range) else len(variables)
     if count * size > NETWORK_CAP:
         raise CapExceeded(
-            f"network cap: {count} variables x {size} values "
-            f"> {NETWORK_CAP}"
+            f"network cap: {count} variables x {size} values > {NETWORK_CAP}"
         )
     h = {v: set(range(size)) for v in variables}
     args_of = [tuple(args) for _, args in constraints]
     built = {}
-    live = []
     for rel, args in constraints:
-        source = table
-        if len(args) == 2 and args[0] != args[1] and size <= BITSET_SIZE:
-            source = rows
-        if (rel, source) not in built:
-            built[rel, source] = source(rel)
-        live.append(built[rel, source])
+        if rel not in built:
+            source = rows if len(args) == 2 and size <= BITSET_SIZE else table
+            built[rel] = source(rel)
+    live = [built[rel] for rel, _ in constraints]
     by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
         for v in set(args):
@@ -151,11 +149,8 @@ def network(variables, constraints, size, rows, table):
 
 def structure_source(b: FiniteStructure):
     """``network``'s ``size, rows, table`` for the relations of ``b``."""
-
-    def rows(rel):
-        return _supports(b.relations[rel], b.size)
-
-    return b.size, rows, b.relations.__getitem__
+    rels = b.relations
+    return b.size, lambda rel: _supports(rels[rel], b.size), rels.__getitem__
 
 
 def template_source(t: Template, points):
@@ -202,8 +197,13 @@ def propagate(h, args_of, live, by_var, queue, trail):
         if type(old) is tuple:
             x, y = args
             fwd, bwd = old
-            kept = _revise(h[x], fwd, h[y])
-            support = {x: kept, y: _revise(h[y], bwd, kept)}
+            mask = _mask(h[y])
+            kept = _revise(h[x], fwd, mask)
+            if x == y:
+                kept = _revise(kept, bwd, mask)
+                support = {x: kept}
+            else:
+                support = {x: kept, y: _revise(h[y], bwd, _mask(kept))}
         else:
             gets = [itemgetter(i) for i in range(len(args))]
             tests = [map(h[v].__contains__, map(g, old)) for v, g in zip(args, gets)]

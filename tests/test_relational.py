@@ -149,8 +149,9 @@ def test_hom_matches_recursive_reference():
         found += mapping is not None
         absent += mapping is None
     assert found > 50 and absent > 50
-    # Binary structures of 0 to 6 elements, with E(x, x) next to E(x, y),
-    # and ones wider than a machine word.
+    # Binary structures of 0 to 6 elements, with E(x, x) on diagonal rows
+    # next to E(x, y) on support bitsets, and ones wider than a machine
+    # word.
     inputs = [random_binary_structure(rng, 6, min_size=0) for _ in range(150)]
     for b in inputs + [b for b in wide_binary_structures(rng) for _ in range(4)]:
         a = random_instance(rng, [("E", 2)], max_vars=5, max_constraints=7)

@@ -124,15 +124,20 @@ def test_ac_chain_domains():
     assert h == {"x": {0}, "y": {1}, "z": {2}}
 
 
-def uses_bitsets(b):
-    _, _, live, _ = network(("x", "y"), (("E", ("x", "y")),), *structure_source(b))
+def uses_bitsets(b, args=("x", "y")):
+    _, _, live, _ = network(("x", "y"), (("E", args),), *structure_source(b))
     return type(live[0]) is tuple
 
 
+def test_network_gives_a_loop_rows_up_to_bitset_size():
+    assert uses_bitsets(binary_structure(BITSET_SIZE, {(0, 1)}), ("x", "x"))
+    assert not uses_bitsets(binary_structure(BITSET_SIZE + 1, {(0, 1)}), ("x", "x"))
+
+
 def test_ac_matches_roundrobin_and_is_sound():
-    # E(x, y) revises on support bitsets, E(x, x) on tables, and both
-    # meet on one variable; structures of 0 to 6 elements, wider than a
-    # machine word, and wider than BITSET_SIZE.
+    # E(x, y) and E(x, x) revise on support bitsets, and meet on one
+    # variable; structures of 0 to 6 elements, wider than a machine word,
+    # and wider than BITSET_SIZE, where both revise on tables.
     rng = random.Random(31)
     inputs = [(random_binary_structure(rng, 6, min_size=0), 5) for _ in range(300)]
     m = BITSET_SIZE + 1
@@ -526,6 +531,23 @@ def test_solve_equals_the_table_path_on_repeated_variables(name):
     # maximal points.
     t, cases = with_repeats(name, 30)
     assert [solve_path(t, a) for a in cases] == [table_path(t, a) for a in cases]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_solve_builds_no_table_for_a_repeated_binary_constraint(monkeypatch, name):
+    # R(x, x) revises on R's rows too, so only ord3's ternary T gets a
+    # table.
+    t, cases = with_repeats(name, 20)
+    arities = []
+    compile_table = ordcsp.formula.compile_table
+    monkeypatch.setattr(
+        ordcsp.solver,
+        "compile_table",
+        lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
+    )
+    for a in cases:
+        solve(t, a)
+    assert set(arities) == ({3} if name == "ord3" else set())
 
 
 def cap_template(kind, wide_arity):
