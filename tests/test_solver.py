@@ -240,6 +240,56 @@ def test_ac_and_hom_on_mixed_arities():
     assert unary >= 50 and empty >= 50 and repeats >= 50
 
 
+def boundary_structure(rng, m):
+    """A binary E and a ternary T on ``m`` elements. Each is empty a
+    quarter of the time; otherwise it draws 1, 3 or about m/2 tuples per
+    element, so propagation prunes little or much."""
+
+    def relation(arity):
+        if rng.random() < 0.25:
+            return frozenset()
+        k = rng.choice((1, 3, m // 2 + 1)) * m
+        return frozenset(
+            tuple(rng.randrange(m) for _ in range(arity)) for _ in range(k)
+        )
+
+    symbols = (("E", 2), ("T", 3))
+    return FiniteStructure(Signature(symbols), m, {"E": relation(2), "T": relation(3)})
+
+
+@pytest.mark.parametrize("m", [1, 2, 29, 30, 31, 59, 60, 61, 63, 64, 65])
+def test_ac_and_hom_pinned_across_word_boundaries(m):
+    # Targets on either side of one and two 30-bit int digits and of a
+    # 64-bit word: ac against the round-robin scheduler, hom_exists
+    # against the reference search, on binary and ternary constraints
+    # that share variables, repeat them, and use empty relations.
+    rng = random.Random(40 + m)
+    repeats = empty = rejects = found = 0
+    for _ in range(8):
+        b = boundary_structure(rng, m)
+        for _ in range(6):
+            a = random_instance(
+                rng, list(b.signature.symbols), max_vars=4, max_constraints=5
+            )
+            repeats += any(len(set(args)) < len(args) for _, args in a.constraints)
+            empty += any(not b.relations[rel] for rel, _ in a.constraints)
+            accept, h = ac(a, b)
+            assert (accept, h) == ac_roundrobin(a, b)
+            rejects += not accept
+            assert accept == all(h.values())
+            mapping = hom_exists(a, b)
+            assert mapping == reference_hom(a, b)
+            if mapping is not None:
+                found += 1
+                assert accept and satisfies(a, b, mapping)
+            elif m <= 2:
+                assert not any(
+                    satisfies(a, b, dict(zip(a.variables, values)))
+                    for values in product(range(m), repeat=len(a.variables))
+                )
+    assert repeats >= 5 and empty >= 5 and rejects >= 5 and found >= 5
+
+
 def test_ac_sets_off_no_garbage_collection():
     # A revision filters and projects its live tuples in C-level passes
     # that allocate nothing per tuple, so even the 450- and 4,500-tuple
