@@ -3,16 +3,17 @@
 ``hom_exists`` decides whether an instance (or a whole structure) maps
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
-After each assignment it runs ``solver.propagate``, the propagator
-``ac`` uses, to the fixpoint, with each repeated variable held to one
-value: ``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)``
-both ways, and a table constraint keeps the tuples equal on a repeated
-variable's positions. The search is a loop over an explicit stack of
-assigned variables, and undoes a failed choice from the propagator's
-trail of ``(store, key, old)`` entries, which restores domains and live
-tuple lists together; bitsets never change, so only domains are trailed
-for them. So its depth is not bounded by the interpreter's recursion
-limit and no node copies the domains.
+It gives the variable with the fewest candidates (its mask's
+``bit_count``; ties by declaration order) each value ascending, as the
+mask ``1 << value``, and runs ``solver.propagate``, the propagator ``ac``
+uses, to the fixpoint, with each repeated variable held to one value:
+``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)`` both ways,
+and a table constraint keeps the tuples equal on a repeated variable's
+positions. The search is a loop over an explicit stack, and undoes a
+failed choice from the propagator's trail of ``(store, key, old)``
+entries, which restores masks and live tuple lists together. So its
+depth is not bounded by the interpreter's recursion limit and no node
+copies the domains.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SignatureMismatch
-from .solver import network, propagate, structure_source
+from .solver import _values, network, propagate, structure_source
 from .structures import FiniteStructure, Instance, instance_view
 
 
@@ -70,9 +71,9 @@ def hom_exists(a, b: FiniteStructure):
     stack = []
     unassigned = set(variables)
     while unassigned:
-        var = min(unassigned, key=lambda v: (len(h[v]), order_index[v]))
+        var = min(unassigned, key=lambda v: (h[v].bit_count(), order_index[v]))
         unassigned.remove(var)
-        stack.append((var, sorted(h[var]), 0, len(trail)))
+        stack.append((var, list(_values(h[var])), 0, len(trail)))
         while stack:
             var, values, tried, mark = stack.pop()
             while len(trail) > mark:
@@ -83,7 +84,7 @@ def hom_exists(a, b: FiniteStructure):
                 continue
             stack.append((var, values, tried + 1, mark))
             trail.append((h, var, h[var]))
-            h[var] = {values[tried]}
+            h[var] = 1 << values[tried]
             if propagate(h, args_of, live, by_var, deque(by_var[var]), trail):
                 break
         else:

@@ -108,18 +108,6 @@ class Walk:
     def __post_init__(self):
         self.half_length = (len(self.elements) - 1) // 2
 
-    def validate(self, r_tuples, s_tuples) -> bool:
-        e = self.elements
-        if len(e) < 3 or len(e) % 2 == 0 or e[0] != e[-1]:
-            return False
-        for i in range(0, len(e) - 1, 2):
-            if (e[i], e[i + 1]) not in r_tuples:
-                return False
-        for i in range(1, len(e) - 1, 2):
-            if (e[i], e[i + 1]) not in s_tuples:
-                return False
-        return True
-
 
 def _successors(tuples):
     succ: dict[int, list[int]] = {}

@@ -47,9 +47,6 @@ class BinaryOpTable:
     def apply(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def is_associative(self) -> bool:
-        return _associative_so_far(self.table)
-
     def to_json_dict(self) -> dict:
         return {"size": self.size, "table": [list(row) for row in self.table]}
 

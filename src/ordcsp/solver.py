@@ -15,35 +15,36 @@ makes the procedure incomplete in general.
 ``ac``, ``solve`` and ``hom.hom_exists`` share both. ``network`` asks a
 relation source for each relation it needs: ``structure_source`` reads
 a ``FiniteStructure``'s tuples, and ``template_source`` builds rows and
-tables straight from a template's formulas. ``propagate`` has two
-revision rules.
+tables straight from a template's formulas. A candidate set is an int
+mask, bit ``a`` set iff ``a`` is a candidate; ``propagate`` has two rules.
 
 * A binary constraint ``R(x, y)`` revises on support bitsets (Lecoutre
   & Vion 2008): ``fwd[a]`` has bit ``b`` set iff ``(a, b)`` is in R, and
-  ``bwd[b]`` bit ``a``. ``x`` keeps the values whose ``fwd`` meets the
-  mask of ``h[y]``, then ``y`` those whose ``bwd`` meets the mask of the
-  new ``h[x]``, in C-level passes over the domains with no scan of
-  tuples and no live state to change. ``R(x, x)`` keeps the values whose
-  ``fwd`` and ``bwd`` both meet the mask of ``h[x]``; the requeue rule
-  below repeats that to the fixpoint the table rule reaches.
+  ``bwd[b]`` bit ``a``. ``h[y] &= OR of fwd[a]`` over the bits ``a`` of
+  ``h[x]``, then ``h[x] &= OR of bwd[b]`` over the bits ``b`` of the new
+  ``h[y]``, each a C-level pass over rows with no scan of tuples and no
+  live state to change. ``R(x, x)`` keeps ``m & OR fwd & OR bwd`` over
+  the bits of ``m = h[x]``; the requeue rule below repeats that to the
+  fixpoint the table rule reaches.
 * Every other constraint (arity other than 2, or a target of more than
   ``BITSET_SIZE`` elements, whose bitsets would cost more words than a
   sparse table) revises by table reduction (Ullmann 2007). It keeps the
-  tuples of its relation that every current candidate set still
-  supports, filters that list and projects it onto each position in
-  C-level passes, with no Python frame and no allocation per tuple; each
-  argument variable gets its positions' projections intersected.
+  live tuples whose values are all in their variables' value sets (each
+  built from a mask once, until it narrows) in C-level passes with no
+  Python frame or allocation per tuple; each argument variable gets the
+  mask of its positions' projections intersected.
 
 Shrunk variables requeue their constraints, a revision's own only if it
 shrank a variable the constraint repeats (that set is then narrower than
 a projection, so live tuples may have died).
 
 ``propagate`` stops when a revision leaves its constraint no support (no
-live tuple, or an empty domain under the bitset rule); ``ac`` resumes it
-until the queue is empty. ``ac_roundrobin`` is the reference: it sweeps the
-projection rule over every constraint in declaration order until nothing
-changes. Both run to the fixpoint even once a set is empty, and the
-fixpoint is unique, so they return identical domain maps.
+live tuple, or an empty mask under the bitset rule); ``ac`` resumes it
+until the queue is empty, and returns sets. ``ac_roundrobin`` is the
+reference: it sweeps the projection rule over every constraint in
+declaration order until nothing changes. Both run to the fixpoint even
+once a set is empty, and the fixpoint is unique, so they return
+identical domain maps.
 
 ``solve`` ties the pieces together: list the sample's representatives
 at the instance's variable count, run ac on them, and -- for direct
@@ -60,8 +61,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import compress
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, count
+from operator import itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
 from .formula import compile_formula, compile_supports, compile_table
@@ -70,7 +72,7 @@ from .structures import FiniteStructure, Instance
 from .template import Template
 
 # Full-domain values over all variables. qlt at n = 1000, the largest
-# preset sample ``solve`` propagates on, takes 10^6; 10^7 take about 0.7 GB.
+# preset sample ``solve`` propagates on, takes 10^6; 10^7 are 1.25 MB of mask bits.
 NETWORK_CAP = 10**7
 
 # Elements a target may have for its binary constraints to revise on
@@ -98,28 +100,35 @@ def _projection_pass(tuples, args, h):
 def _supports(tuples, size):
     """Support bitsets ``(fwd, bwd)`` of a binary relation: bit ``b`` of
     ``fwd[a]`` and bit ``a`` of ``bwd[b]`` are set iff ``(a, b)`` is in it."""
-    fwd = [0] * size
-    bwd = [0] * size
+    fwd, bwd = [0] * size, [0] * size
     for a, b in tuples:
         fwd[a] |= 1 << b
         bwd[b] |= 1 << a
     return fwd, bwd
 
 
-def _mask(values):
-    """The int with bit ``a`` set for each ``a`` in ``values``."""
-    return sum(map((1).__lshift__, values))
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _revise(values, bits, mask):
-    """The values whose bitset meets ``mask``."""
-    return set(compress(values, map(mask.__and__, map(bits.__getitem__, values))))
+def _flags(mask):
+    """``compress``'s flags for ``mask``: byte ``a`` is 1 iff bit ``a`` is."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _values(mask):
+    """The values ``a`` whose bit is set in ``mask``, ascending."""
+    return compress(count(), _flags(mask))
+
+
+def _union(rows, mask):
+    """The OR of ``rows[a]`` over the bits ``a`` of ``mask``."""
+    return reduce(or_, compress(rows, _flags(mask)), 0)
 
 
 def network(variables, constraints, size, rows, table):
-    """The state ``propagate`` works on: full domains over ``size``
-    values, each constraint's argument tuple and live state, and the
-    constraints on each variable. A binary constraint over at most
+    """The state ``propagate`` works on: each variable's full mask
+    ``(1 << size) - 1``, each constraint's argument tuple and live state,
+    and the constraints on each variable. A binary constraint over at most
     ``BITSET_SIZE`` values, ``R(x, x)`` included, gets its relation's
     support bitsets ``rows(rel)``, ``(fwd, bwd)``; any other constraint
     gets its relation's tuples ``table(rel)`` as its live tuples. Each is
@@ -127,12 +136,10 @@ def network(variables, constraints, size, rows, table):
     ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
     values together. A ``range`` of variables is counted from its end, as
     ``len`` fails past sys.maxsize."""
-    count = variables.stop if isinstance(variables, range) else len(variables)
-    if count * size > NETWORK_CAP:
-        raise CapExceeded(
-            f"network cap: {count} variables x {size} values > {NETWORK_CAP}"
-        )
-    h = {v: set(range(size)) for v in variables}
+    n = variables.stop if isinstance(variables, range) else len(variables)
+    if n * size > NETWORK_CAP:
+        raise CapExceeded(f"network cap: {n} variables x {size} values > {NETWORK_CAP}")
+    h = dict.fromkeys(variables, (1 << size) - 1)
     args_of = [tuple(args) for _, args in constraints]
     built = {}
     for rel, args in constraints:
@@ -178,17 +185,15 @@ def template_source(t: Template, points):
 
 def propagate(h, args_of, live, by_var, queue, trail):
     """Arc consistency from the constraints in ``queue`` (a deque) to the
-    fixpoint, by the module docstring's two rules. Their streams (``map``
-    into ``compress``, and for tables ``zip``, which reuses its result
-    tuple) walk one set, list or frozenset in lockstep, safely: an
-    unmodified one iterates in the same order each time. Every narrowed
-    domain and shrunk live list pushes ``(store, key, old)`` onto
-    ``trail``, so ``store[key] = old`` undoes it (``hom`` on backtracking);
-    an unshrunk list is an equal copy and needs no undo. Returns True at
-    the fixpoint, and False as soon as a revision leaves its constraint no
-    support, which empties its variables' domains; the constraints still
-    queued then stay in ``queue``."""
+    fixpoint, by the module docstring's two rules on the masks in ``h``.
+    Every narrowed mask and shrunk live list pushes ``(store, key, old)``
+    onto ``trail``, so ``store[key] = old`` undoes it (``hom`` on
+    backtracking); an unshrunk list is an equal copy and needs no undo.
+    Returns True at the fixpoint, and False as soon as a revision leaves
+    its constraint no support, which empties its variables' masks; the
+    constraints still queued then stay in ``queue``."""
     queued = set(queue)
+    sets = {}
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
@@ -197,27 +202,36 @@ def propagate(h, args_of, live, by_var, queue, trail):
         if type(old) is tuple:
             x, y = args
             fwd, bwd = old
-            mask = _mask(h[y])
-            kept = _revise(h[x], fwd, mask)
             if x == y:
-                kept = _revise(kept, bwd, mask)
-                support = {x: kept}
+                kept = h[x] & _union(fwd, h[x]) & _union(bwd, h[x])
+                support = ((x, kept),)
             else:
-                support = {x: kept, y: _revise(h[y], bwd, _mask(kept))}
+                to = h[y] & _union(fwd, h[x])
+                kept = h[x] & _union(bwd, to)
+                support = ((x, kept), (y, to))
         else:
             gets = [itemgetter(i) for i in range(len(args))]
-            tests = [map(h[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
+            for v in args:
+                if v not in sets:
+                    sets[v] = set(_values(h[v]))
+            tests = [map(sets[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
             kept = live[ci] = list(compress(old, map(all, zip(*tests))))
             if len(kept) < len(old):
                 trail.append((live, ci, old))
-            columns = [set(map(g, kept)) for g in gets]
             support = {}
-            for v, column in zip(args, columns):
+            for v, g in zip(args, gets):
+                column = set(map(g, kept))
                 support[v] = support[v] & column if v in support else column
-        for v, values in support.items():
-            if len(values) < len(h[v]):
+            support = [
+                (v, sum(map((1).__lshift__, values)))
+                for v, values in support.items()
+                if len(values) < h[v].bit_count()
+            ]
+        for v, values in support:
+            if values != h[v]:
                 trail.append((h, v, h[v]))
                 h[v] = values
+                sets.pop(v, None)
                 repeated = args.count(v) > 1
                 for cj in by_var[v]:
                     if cj not in queued and (cj != ci or repeated):
@@ -232,7 +246,8 @@ def ac(instance: Instance, b: FiniteStructure):
     """Worklist arc-consistency with ``propagate``. Returns (accept,
     domain map)."""
     instance.check_against(b.signature)
-    return _fixpoint(instance, structure_source(b))
+    accept, h = _fixpoint(instance, structure_source(b))
+    return accept, {v: set(_values(m)) for v, m in h.items()}
 
 
 def _fixpoint(instance, source):
@@ -244,8 +259,7 @@ def _fixpoint(instance, source):
     queue = deque(range(len(args_of)))
     while queue:
         propagate(h, args_of, live, by_var, queue, deque(maxlen=0))
-    accept = all(h[v] for v in instance.variables)
-    return accept, h
+    return all(h.values()), h
 
 
 def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
@@ -352,7 +366,7 @@ def solve(t: Template, instance: Instance) -> Verdict:
     accept, h = _fixpoint(instance, template_source(t, points))
     if not accept:
         return Verdict(False, len(points))
-    domains = {v: sorted(h[v]) for v in instance.variables}
+    domains = {v: list(tuple(_values(h[v]))) for v in instance.variables}
     verdict = Verdict(True, len(points), domains)
     if t.semilattice is not None:
         verdict.witness = extract_witness(t, instance, domains)

@@ -21,6 +21,23 @@ def is_commutative(op):
     )
 
 
+def is_associative(op):
+    t, m = op.table, range(op.size)
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in m for y in m for z in m)
+
+
+def valid_walk(walk, r_tuples, s_tuples):
+    """A closed walk of odd length at least 3, its steps alternately in R
+    (from position 0) and S."""
+    e = walk.elements
+    if len(e) < 3 or len(e) % 2 == 0 or e[0] != e[-1]:
+        return False
+    return all(
+        (e[i], e[i + 1]) in (r_tuples if i % 2 == 0 else s_tuples)
+        for i in range(len(e) - 1)
+    )
+
+
 def min_fold_table(op, arity):
     """Fold a binary operation over each subset (any order; for a
     semilattice the result is order-independent)."""

@@ -32,6 +32,7 @@ from conftest import (
     reference_alternating_walk,
     reference_exact_walk,
     reference_orbit_count,
+    valid_walk,
 )
 from test_formula import formulas
 
@@ -80,7 +81,7 @@ def test_walk_back_and_forth():
     walk = find_alternating_walk(r, r, 3)
     assert walk.elements == (0, 1, 0)
     assert walk.half_length == 1
-    assert walk.validate(r, r)
+    assert valid_walk(walk, r, r)
 
 
 def test_walk_absent():
@@ -92,7 +93,7 @@ def test_walk_through_cycle():
     walk = find_alternating_walk(r, r, 3)
     assert walk is not None
     assert walk.half_length <= 3
-    assert walk.validate(r, r)
+    assert valid_walk(walk, r, r)
 
 
 def test_walks_always_validate():
@@ -109,7 +110,7 @@ def test_walks_always_validate():
         }
         walk = find_alternating_walk(r, s, 4)
         if walk is not None:
-            assert walk.validate(r, s)
+            assert valid_walk(walk, r, s)
 
 
 def test_walk_lemma_loop_pair():

@@ -24,6 +24,7 @@ from conftest import (
     all_binary_structures,
     binary_structure,
     complete_graph,
+    is_associative,
     is_commutative,
     is_idempotent,
     min_fold_table,
@@ -401,7 +402,7 @@ def test_semilattice_min_example():
     b = binary_structure(2, {(0, 0), (0, 1), (1, 1)}, name="R")
     op = find_semilattice(b)
     assert op.table == ((0, 0), (0, 1))
-    assert is_idempotent(op) and is_commutative(op) and op.is_associative()
+    assert is_idempotent(op) and is_commutative(op) and is_associative(op)
     assert is_polymorphism(op, b)
 
 
@@ -428,7 +429,7 @@ def test_semilattice_results_always_valid():
         if op is not None:
             assert is_idempotent(op)
             assert is_commutative(op)
-            assert op.is_associative()
+            assert is_associative(op)
             assert is_polymorphism(op, b)
 
 

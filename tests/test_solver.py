@@ -30,7 +30,7 @@ import ordcsp.sampler
 import ordcsp.solver
 from ordcsp.template import PRESET_NAMES, Relation, Template
 from ordcsp.formula import TRUE, and_, eq, lt
-from ordcsp.solver import BITSET_SIZE, network, structure_source
+from ordcsp.solver import BITSET_SIZE, _union, _values, network, structure_source
 
 from conftest import (
     binary_structure,
@@ -122,6 +122,26 @@ def test_ac_chain_domains():
     accept, h = ac(a, b)
     assert accept
     assert h == {"x": {0}, "y": {1}, "z": {2}}
+
+
+def test_mask_values_and_unions_round_trip():
+    # 0, 2**k - 1 and 2**k on either side of one and two 30-bit int
+    # digits, a 64-bit word and BITSET_SIZE, then seeded random masks of
+    # up to 4,097 bits.
+    rng = random.Random(41)
+    masks = [0] + [m for k in (1, 30, 31, 60, 64, 4095, 4096) for m in (2**k - 1, 2**k)]
+    masks += [rng.getrandbits(rng.randint(1, 4097)) for _ in range(60)]
+    for mask in masks:
+        values = list(_values(mask))
+        assert values == [a for a in range(mask.bit_length()) if mask >> a & 1]
+        assert sum(1 << a for a in values) == mask
+        size = mask.bit_length() + 1
+        assert _union([1 << a for a in range(size)], mask) == mask
+        rows = [rng.getrandbits(size) for _ in range(size)]
+        expected = 0
+        for a in values:
+            expected |= rows[a]
+        assert _union(rows, mask) == expected
 
 
 def uses_bitsets(b, args=("x", "y")):
