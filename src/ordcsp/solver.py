@@ -193,7 +193,7 @@ def propagate(h, args_of, live, by_var, queue, trail):
     its constraint no support, which empties its variables' masks; the
     constraints still queued then stay in ``queue``."""
     queued = set(queue)
-    sets = {}
+    sets = {}  # the value set of a variable's mask, built when a table needs it
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
@@ -211,9 +211,7 @@ def propagate(h, args_of, live, by_var, queue, trail):
                 support = ((x, kept), (y, to))
         else:
             gets = [itemgetter(i) for i in range(len(args))]
-            for v in args:
-                if v not in sets:
-                    sets[v] = set(_values(h[v]))
+            sets.update((v, set(_values(h[v]))) for v in args if v not in sets)
             tests = [map(sets[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
             kept = live[ci] = list(compress(old, map(all, zip(*tests))))
             if len(kept) < len(old):
@@ -225,7 +223,7 @@ def propagate(h, args_of, live, by_var, queue, trail):
             support = [
                 (v, sum(map((1).__lshift__, values)))
                 for v, values in support.items()
-                if len(values) < h[v].bit_count()
+                if len(values) < len(sets[v])
             ]
         for v, values in support:
             if values != h[v]:
@@ -287,7 +285,7 @@ def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
     return accept, h
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """Outcome of a solve run. ``domains`` (sorted candidate lists) is
     present iff accepting; ``witness`` additionally needs a direct
@@ -366,7 +364,8 @@ def solve(t: Template, instance: Instance) -> Verdict:
     accept, h = _fixpoint(instance, template_source(t, points))
     if not accept:
         return Verdict(False, len(points))
-    domains = {v: list(tuple(_values(h[v]))) for v in instance.variables}
+    # Through a set, each list is allocated at its length, not grown.
+    domains = {v: sorted(set(_values(h[v]))) for v in instance.variables}
     verdict = Verdict(True, len(points), domains)
     if t.semilattice is not None:
         verdict.witness = extract_witness(t, instance, domains)
