@@ -9,11 +9,10 @@ mask ``1 << value``, and runs ``solver.propagate``, the propagator ``ac``
 uses, to the fixpoint, with each repeated variable held to one value:
 ``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)`` both ways,
 and a table constraint keeps the tuples equal on a repeated variable's
-positions. The search is a loop over an explicit stack, and undoes a
-failed choice from the propagator's trail of ``(store, key, old)``
-entries, which restores masks and live tuple lists together. So its
-depth is not bounded by the interpreter's recursion limit and no node
-copies the domains.
+positions. The search loops over an explicit stack and undoes a failed
+choice from the propagator's trail of ``(store, key, old)`` entries,
+restoring masks and live tuple lists together, so no node copies the
+domains and the interpreter's recursion limit bounds no depth.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ def hom_exists(a, b: FiniteStructure):
             live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
     order_index = {v: i for i, v in enumerate(variables)}
     # The first fixpoint is never undone, so its trail keeps nothing.
-    queue = deque(range(len(args_of)))
-    if not propagate(h, args_of, live, by_var, queue, deque(maxlen=0)):
+    queue, sets = deque(range(len(args_of))), {}
+    if not propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets):
         return None
     trail = []  # (store, key, old value) per narrowing, newest last
     # One frame per assigned variable: (variable, its candidate values,
@@ -85,7 +84,7 @@ def hom_exists(a, b: FiniteStructure):
             stack.append((var, values, tried + 1, mark))
             trail.append((h, var, h[var]))
             h[var] = 1 << values[tried]
-            if propagate(h, args_of, live, by_var, deque(by_var[var]), trail):
+            if propagate(h, args_of, live, by_var, deque(by_var[var]), trail, sets):
                 break
         else:
             return None

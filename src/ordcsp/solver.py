@@ -30,7 +30,7 @@ mask, bit ``a`` set iff ``a`` is a candidate; ``propagate`` has two rules.
   ``BITSET_SIZE`` elements, whose bitsets would cost more words than a
   sparse table) revises by table reduction (Ullmann 2007). It keeps the
   live tuples whose values are all in their variables' value sets (each
-  built from a mask once, until it narrows) in C-level passes with no
+  built again only when its mask changes) in C-level passes with no
   Python frame or allocation per tuple; each argument variable gets the
   mask of its positions' projections intersected.
 
@@ -183,17 +183,19 @@ def template_source(t: Template, points):
     return len(points), lambda rel: build[rel](points), table
 
 
-def propagate(h, args_of, live, by_var, queue, trail):
+def propagate(h, args_of, live, by_var, queue, trail, sets):
     """Arc consistency from the constraints in ``queue`` (a deque) to the
     fixpoint, by the module docstring's two rules on the masks in ``h``.
     Every narrowed mask and shrunk live list pushes ``(store, key, old)``
     onto ``trail``, so ``store[key] = old`` undoes it (``hom`` on
     backtracking); an unshrunk list is an equal copy and needs no undo.
-    Returns True at the fixpoint, and False as soon as a revision leaves
-    its constraint no support, which empties its variables' masks; the
+    ``sets`` maps a variable to a mask and the membership test of its
+    value set, as the table rule last built them; a caller keeps one dict
+    per network, so a set is built again only for a changed mask. Returns
+    True at the fixpoint, and False as soon as a revision leaves its
+    constraint no support, which empties its variables' masks; the
     constraints still queued then stay in ``queue``."""
     queued = set(queue)
-    sets = {}  # the value set of a variable's mask, built when a table needs it
     while queue:
         ci = queue.popleft()
         queued.discard(ci)
@@ -211,8 +213,10 @@ def propagate(h, args_of, live, by_var, queue, trail):
                 support = ((x, kept), (y, to))
         else:
             gets = [itemgetter(i) for i in range(len(args))]
-            sets.update((v, set(_values(h[v]))) for v in args if v not in sets)
-            tests = [map(sets[v].__contains__, map(g, old)) for v, g in zip(args, gets)]
+            for v in args:
+                if sets.get(v, (None,))[0] != h[v]:
+                    sets[v] = h[v], set(_values(h[v])).__contains__
+            tests = [map(sets[v][1], map(g, old)) for v, g in zip(args, gets)]
             kept = live[ci] = list(compress(old, map(all, zip(*tests))))
             if len(kept) < len(old):
                 trail.append((live, ci, old))
@@ -223,13 +227,12 @@ def propagate(h, args_of, live, by_var, queue, trail):
             support = [
                 (v, sum(map((1).__lshift__, values)))
                 for v, values in support.items()
-                if len(values) < len(sets[v])
+                if len(values) < h[v].bit_count()
             ]
         for v, values in support:
             if values != h[v]:
                 trail.append((h, v, h[v]))
                 h[v] = values
-                sets.pop(v, None)
                 repeated = args.count(v) > 1
                 for cj in by_var[v]:
                     if cj not in queued and (cj != ci or repeated):
@@ -254,9 +257,9 @@ def _fixpoint(instance, source):
         instance.variables, instance.constraints, *source
     )
     # Resume after each emptied live list; nothing is undone, so no trail.
-    queue = deque(range(len(args_of)))
+    queue, sets = deque(range(len(args_of))), {}
     while queue:
-        propagate(h, args_of, live, by_var, queue, deque(maxlen=0))
+        propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets)
     return all(h.values()), h
 
 
@@ -281,8 +284,7 @@ def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
                 changed = True
         if history is not None:
             history.append({v: frozenset(s) for v, s in h.items()})
-    accept = all(h[v] for v in instance.variables)
-    return accept, h
+    return all(h.values()), h
 
 
 @dataclass(slots=True)
