@@ -20,7 +20,7 @@ from ordcsp import (
     sample_direct,
     sample_interpretation,
 )
-from ordcsp.formula import TRUE, and_, eq, lt, ne, parse_formula
+from ordcsp.formula import TRUE, Atom, and_, eq, lt, ne, or_, parse_formula
 from ordcsp.sampler import representatives
 
 from conftest import holds, random_instance
@@ -252,6 +252,69 @@ def test_equality_checked_once_per_template(monkeypatch):
         with pytest.raises(EqualityNotEquivalence):
             sample(bad, n)
     assert calls == ["gamma3", "irref"]
+
+
+@st.composite
+def equality_templates(draw):
+    """A 1- or 2-dimensional interpretation with one binary relation. Its
+    equality formula is drawn, or one of a few equivalences so that the
+    congruence check is reached often: the identity, the first coordinate,
+    one class and, at d = 2, the order type of a pair. Only a pair has a
+    domain formula that can hold on some points and not others."""
+    d = draw(st.sampled_from([1, 2]))
+    known = [TRUE, eq(0, d), and_(*(eq(c, d + c) for c in range(d)))]
+    if d == 2:
+        same = [and_(Atom(op, 0, 1), Atom(op, 2, 3)) for op in ("lt", "eq", "gt")]
+        known.append(or_(*same))
+    equality = draw(
+        st.one_of(st.sampled_from(known), formulas(max_leaves=6, variables=2 * d))
+    )
+    domain = TRUE
+    if d == 2:
+        domain = draw(st.one_of(st.just(TRUE), formulas(max_leaves=3, variables=2)))
+    # Comparisons of single coordinates, which some of those equivalences
+    # respect and others break, and TRUE, which every relation respects.
+    known = [TRUE, lt(0, d), lt(d - 1, 2 * d - 1), lt(0, d - 1)]
+    relation = draw(
+        st.one_of(st.sampled_from(known), formulas(max_leaves=6, variables=2 * d))
+    )
+    return Template(
+        "drawn", "interpretation", d, domain, equality, (Relation("R", 2, relation),)
+    )
+
+
+def equality_oracle(t):
+    """The error the equality check must raise on ``t``, or None, decided
+    by brute force with ``holds`` on the domain points of the n* = 3 grid:
+    reflexive, symmetric, transitive, then congruent for the relation,
+    one argument swapped at a time."""
+    d = t.dimension
+    points = [p for p in product(range(3 * d), repeat=d) if holds(t.domain_formula, p)]
+    e = {(p, q): holds(t.equality_formula, p + q) for p in points for q in points}
+    reflexive = all(e[p, p] for p in points)
+    symmetric = all(e[p, q] == e[q, p] for p, q in e)
+    transitive = all(e[p, s] for (p, q) in e if e[p, q] for s in points if e[q, s])
+    if not (reflexive and symmetric and transitive):
+        return EqualityNotEquivalence
+    r = {pq: holds(t.relations[0].formula, pq[0] + pq[1]) for pq in e}
+    congruent = all(
+        r[p, s] == r[q, s] and r[s, p] == r[s, q]
+        for (p, q) in e
+        if e[p, q]
+        for s in points
+    )
+    return None if congruent else EqualityNotCongruence
+
+
+@settings(max_examples=200, deadline=None)
+@given(equality_templates())
+def test_equality_check_matches_brute_force(t):
+    expected = equality_oracle(t)
+    if expected is None:
+        ordcsp.sampler._check_equality(t)
+    else:
+        with pytest.raises(expected):
+            ordcsp.sampler._check_equality(t)
 
 
 def test_direct_sampling_stability():
