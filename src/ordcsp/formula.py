@@ -36,9 +36,10 @@ and a mixed atom such as ``x0 < x3`` a lookup ``T[x0]`` in a value table,
 which maps each coordinate value to the mask of the points whose
 coordinate compares with it that way; ``and``, ``or`` and ``not`` become
 ``&``, ``|`` and ``F ^``. The same expression with the two points'
-roles swapped gives the backward rows. ``compile_supports`` lists both
-directions, the support bitsets that ``solve`` revises on, and
-``sampler.representatives`` streams the equality formula's rows.
+roles swapped gives the backward rows. ``solve`` lists both directions
+of every binary relation as the support bitsets it revises on, and
+``sampler`` reads the equality formula's rows to decide the formula and
+to list the representatives.
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
@@ -269,18 +270,6 @@ def compile_rows(f: Formula, d: int):
     if fn is None:
         _check_shape(f, 2, d)
         fn = f._tables["rows", d] = _rows_builder(f, d)
-    return fn
-
-
-def compile_supports(f: Formula, d: int):
-    """Return ``f``'s support builder for a binary relation on points of
-    dimension ``d``, cached on the node per ``d``: it maps a list of
-    points to their support bitsets ``(fwd, bwd)``, ``compile_rows``'s
-    two rows as lists. Raises as ``compile_rows`` does."""
-    rows = compile_rows(f, d)
-    fn = f._tables.get(d)
-    if fn is None:
-        fn = f._tables[d] = lambda P: tuple(map(list, rows(P)))
     return fn
 
 

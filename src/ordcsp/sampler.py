@@ -50,8 +50,11 @@ every order type of the at most (arity+1)*d values it reads, and the grid
 at n* = max(3, max arity + 1) realises all of them. One exact check there
 decides both properties for every n; it runs the first time an
 interpretation's representatives are listed, and its outcome is cached
-on the template object. A template too large to check exactly raises
-``CapExceeded``.
+on the template object. It reads the equality formula's rows over the
+domain points of that grid: the formula is reflexive iff bit i of row i
+is set, symmetric iff the forward rows equal the backward rows, and then
+transitive iff each row equals the row of every point in it. A template
+too large to check exactly raises ``CapExceeded``.
 """
 
 from __future__ import annotations
@@ -168,21 +171,6 @@ def _domain_points(t, g):
     return [p for p in product(range(g), repeat=d) if dom(p)]
 
 
-def _group(points, eqf):
-    """Classes as lists of point indices, for the equality check: each
-    point joins the first class whose first (so least, as points are
-    sorted) member it equals."""
-    classes = []
-    for i, p in enumerate(points):
-        for members in classes:
-            if eqf(p + points[members[0]]):
-                members.append(i)
-                break
-        else:
-            classes.append([i])
-    return classes
-
-
 def _check_equality(t):
     """Raise unless the equality formula of ``t`` is an equivalence and a
     congruence; decided once per template object (see module docstring)."""
@@ -203,25 +191,34 @@ def _decide_equality(t):
     size = len(points)
     if size * size > CHECK_BUDGET:
         raise CapExceeded(f"equality check: {size}^2 pairs > {CHECK_BUDGET}")
-    eqf = compile_formula(t.equality_formula)
-    bad = next((p for p in points if not eqf(p + p)), None)
+    fwd, bwd = map(list, compile_rows(t.equality_formula, t.dimension)(points))
+    bad = next(
+        (p for i, (p, row) in enumerate(zip(points, fwd)) if not row >> i & 1), None
+    )
     if bad is not None:
         raise EqualityNotEquivalence(f"equality is not reflexive on {bad}")
-    # A reflexive formula is an equivalence iff it holds exactly between
-    # the points that _group puts in one class.
-    classes = _group(points, eqf)
-    class_of = {i: ci for ci, members in enumerate(classes) for i in members}
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            if eqf(p + q) != (class_of[i] == class_of[j]):
-                raise EqualityNotEquivalence(
-                    f"equality formula is not symmetric or not transitive "
-                    f"around {p}, {q}"
-                )
+    # Reflexive rows form an equivalence iff they are symmetric and each
+    # row equals the row of every point in it, that is, iff each row is
+    # the set of points that have it.
+    having = {}
+    for i, row in enumerate(fwd):
+        having[row] = having.get(row, 0) | 1 << i
+    for i, row in enumerate(fwd):
+        odd = (row ^ bwd[i]) | (row ^ having[row])
+        if odd:
+            q = points[(odd & -odd).bit_length() - 1]
+            raise EqualityNotEquivalence(
+                f"equality formula is not symmetric or not transitive "
+                f"around {points[i]}, {q}"
+            )
     # Congruence: each point must be interchangeable with its class's
-    # least member in every argument position; chains of such swaps join
-    # any two argument tuples of the same classes.
-    swaps = [(points[j], points[ms[0]]) for ms in classes for j in ms[1:]]
+    # least member, the lowest bit of its row, in every argument position;
+    # chains of such swaps join any two argument tuples of the same
+    # classes. Swaps are listed class by class.
+    lowest = [(row & -row).bit_length() - 1 for row in fwd]
+    swaps = [
+        (points[j], points[i]) for i, j in sorted(zip(lowest, range(size))) if i != j
+    ]
     work = len(swaps) * sum(m * size ** (m - 1) for m in arities)
     if work > CHECK_BUDGET:
         raise CapExceeded(f"congruence check: {work} > {CHECK_BUDGET}")

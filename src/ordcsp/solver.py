@@ -13,10 +13,11 @@ makes the procedure incomplete in general.
 
 ``propagate`` reaches that fixpoint on the state ``network`` builds;
 ``ac``, ``solve`` and ``hom.hom_exists`` share both. ``network`` asks a
-relation source for each relation it needs: ``structure_source`` reads
-a ``FiniteStructure``'s tuples, and ``template_source`` builds rows and
-tables straight from a template's formulas. A candidate set is an int
-mask, bit ``a`` set iff ``a`` is a candidate; ``propagate`` has two rules.
+relation source for each relation it needs, and the source picks support
+bitsets or a table: ``structure_source`` reads a ``FiniteStructure``'s
+tuples, and ``template_source`` builds rows and tables straight from a
+template's formulas. A candidate set is an int mask, bit ``a`` set iff
+``a`` is a candidate; ``propagate`` has two rules.
 
 * A binary constraint ``R(x, y)`` revises on support bitsets (Lecoutre
   & Vion 2008): ``fwd[a]`` has bit ``b`` set iff ``(a, b)`` is in R, and
@@ -26,13 +27,14 @@ mask, bit ``a`` set iff ``a`` is a candidate; ``propagate`` has two rules.
   live state to change. ``R(x, x)`` keeps ``m & OR fwd & OR bwd`` over
   the bits of ``m = h[x]``; the requeue rule below repeats that to the
   fixpoint the table rule reaches.
-* Every other constraint (arity other than 2, or a target of more than
-  ``BITSET_SIZE`` elements, whose bitsets would cost more words than a
-  sparse table) revises by table reduction (Ullmann 2007). It keeps the
-  live tuples whose values are all in their variables' value sets (each
-  built again only when its mask changes) in C-level passes with no
-  Python frame or allocation per tuple; each argument variable gets the
-  mask of its positions' projections intersected.
+* A constraint given a table (arity other than 2, or a binary relation
+  of a structure of more than ``BITSET_SIZE`` elements, whose bitsets
+  would cost more words than its sparse tuples) revises by table
+  reduction (Ullmann 2007). It keeps the live tuples whose values are
+  all in their variables' value sets (each built again only when its
+  mask changes) in C-level passes with no Python frame or allocation
+  per tuple; each argument variable gets the mask of its positions'
+  projections intersected.
 
 Shrunk variables requeue their constraints, a revision's own only if it
 shrank a variable the constraint repeats (that set is then narrower than
@@ -50,11 +52,12 @@ identical domain maps.
 at the instance's variable count, run ac on them, and -- for direct
 templates declaring a semilattice -- extract and verify a concrete
 witness by folding min (or max) over each accepted candidate set. It
-builds no ``FiniteStructure``. A binary relation gets rows from
-``formula.compile_supports``, one of another arity, or on more than
-``BITSET_SIZE`` representatives, a ``formula.compile_table`` table, and
-an unused one neither; every relation is checked against the sample's
-caps first, then ``NETWORK_CAP``.
+builds no ``FiniteStructure``. A binary relation gets the rows of
+``formula.compile_rows`` at any number of representatives, one
+expression evaluation per point rather than per pair; a relation of
+another arity gets a ``formula.compile_table`` table, and an unused one
+neither. Every relation is checked against the sample's caps first,
+then ``NETWORK_CAP``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from itertools import compress, count
 from operator import itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
-from .formula import compile_formula, compile_supports, compile_table
+from .formula import compile_formula, compile_rows, compile_table
 from .sampler import check_table_caps, representatives
 from .structures import FiniteStructure, Instance
 from .template import Template
@@ -75,9 +78,9 @@ from .template import Template
 # preset sample ``solve`` propagates on, takes 10^6; 10^7 are 1.25 MB of mask bits.
 NETWORK_CAP = 10**7
 
-# Elements a target may have for its binary constraints to revise on
+# Elements a structure may have for its binary relations to revise on
 # support bitsets. Each bitset then spans at most 4096 bits (137 int
-# digits), and a relation's two lists at most 4 MB; a wider target
+# digits), and a relation's two lists at most 4 MB; a wider structure
 # keeps tables, on which a sparse relation costs less.
 BITSET_SIZE = 4096
 
@@ -125,27 +128,24 @@ def _union(rows, mask):
     return reduce(or_, compress(rows, _flags(mask)), 0)
 
 
-def network(variables, constraints, size, rows, table):
+def network(variables, constraints, size, relation):
     """The state ``propagate`` works on: each variable's full mask
     ``(1 << size) - 1``, each constraint's argument tuple and live state,
-    and the constraints on each variable. A binary constraint over at most
-    ``BITSET_SIZE`` values, ``R(x, x)`` included, gets its relation's
-    support bitsets ``rows(rel)``, ``(fwd, bwd)``; any other constraint
-    gets its relation's tuples ``table(rel)`` as its live tuples. Each is
-    asked for once per relation name, after the cap check: raises
-    ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
-    values together. A ``range`` of variables is counted from its end, as
-    ``len`` fails past sys.maxsize."""
+    and the constraints on each variable. A constraint's live state is
+    ``relation(rel)``, asked for once per relation name after the cap
+    check: support bitsets ``(fwd, bwd)`` or a set of tuples, as the
+    relation source chose. Raises ``CapExceeded`` when the domains would
+    hold more than ``NETWORK_CAP`` values together. A ``range`` of
+    variables is counted from its end, as ``len`` fails past sys.maxsize."""
     n = variables.stop if isinstance(variables, range) else len(variables)
     if n * size > NETWORK_CAP:
         raise CapExceeded(f"network cap: {n} variables x {size} values > {NETWORK_CAP}")
     h = dict.fromkeys(variables, (1 << size) - 1)
     args_of = [tuple(args) for _, args in constraints]
     built = {}
-    for rel, args in constraints:
+    for rel, _ in constraints:
         if rel not in built:
-            source = rows if len(args) == 2 and size <= BITSET_SIZE else table
-            built[rel] = source(rel)
+            built[rel] = relation(rel)
     live = [built[rel] for rel, _ in constraints]
     by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
@@ -155,32 +155,41 @@ def network(variables, constraints, size, rows, table):
 
 
 def structure_source(b: FiniteStructure):
-    """``network``'s ``size, rows, table`` for the relations of ``b``."""
+    """``network``'s ``size, relation`` for the relations of ``b``: the
+    support bitsets of a binary relation on at most ``BITSET_SIZE``
+    elements, and the tuples of any other."""
     rels = b.relations
-    return b.size, lambda rel: _supports(rels[rel], b.size), rels.__getitem__
+
+    def relation(name):
+        if b.size <= BITSET_SIZE and b.signature.arity(name) == 2:
+            return _supports(rels[name], b.size)
+        return rels[name]
+
+    return b.size, relation
 
 
 def template_source(t: Template, points):
-    """``network``'s ``size, rows, table`` for the relations of ``t`` on
-    the sample elements ``points``, built from the formulas with
-    ``compile_supports`` and ``compile_table``. Every relation is checked
+    """``network``'s ``size, relation`` for the relations of ``t`` on the
+    sample elements ``points``, built from the formulas: ``compile_rows``
+    rows, listed, for a binary relation at any number of points, and a
+    ``compile_table`` table for any other. Every relation is checked
     against ``check_table_caps`` and compiled first, used or not, so a
     template fails here as its sample would."""
     check_table_caps(t, len(points))
     d = t.dimension
     build = {
-        rel.name: compile_supports(rel.formula, d)
+        rel.name: compile_rows(rel.formula, d)
         if rel.arity == 2
         else compile_table(rel.formula, rel.arity, d)
         for rel in t.relations
     }
-    indexed = list(enumerate(points))
 
-    def table(name):
-        rel = t.relation(name)
-        return compile_table(rel.formula, rel.arity, d)(indexed)
+    def relation(name):
+        if t.relation(name).arity == 2:
+            return tuple(map(list, build[name](points)))
+        return build[name](list(enumerate(points)))
 
-    return len(points), lambda rel: build[rel](points), table
+    return len(points), relation
 
 
 def propagate(h, args_of, live, by_var, queue, trail, sets):

@@ -131,6 +131,28 @@ def test_solve_exit_codes_and_witness(tmp_path, capsys):
     assert "grid cap" in capsys.readouterr().err
 
 
+def test_solve_gamma2_past_bitset_size(tmp_path, capsys):
+    # 48 variables give 9,216 representatives, past BITSET_SIZE: the rows
+    # answer. 64 give 16,384, whose 16,384^2 candidate pairs the table
+    # cap still refuses.
+    t = tmp_path / "gamma2.json"
+    run_cli(["preset", "--name", "gamma2", "--out", str(t)])
+    for n, code in ((48, 0), (64, 3)):
+        variables = [f"v{i}" for i in range(n)]
+        chain = [
+            {"rel": "S" if i % 2 else "R", "args": pair}
+            for i, pair in enumerate(zip(variables, variables[1:]))
+        ]
+        path = tmp_path / f"chain{n}.json"
+        write_json(path, {"variables": variables, "constraints": chain})
+        assert run_cli(["solve", "--template", str(t), "--instance", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["sample_size"] == 9216
+        else:
+            assert err == "error: grid cap: 16384^2 > 100000000\n"
+
+
 def test_ac_and_hom_disagree_on_k4_k3(tmp_path, capsys):
     k3 = tmp_path / "k3.json"
     write_json(k3, complete_graph(3).to_json_dict())

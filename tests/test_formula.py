@@ -37,7 +37,7 @@ from ordcsp.formula import (
     _table_source,
     compile_formula,
     compile_pair_codes,
-    compile_supports,
+    compile_rows,
     compile_table,
 )
 
@@ -387,8 +387,12 @@ def test_pair_codes_match_brute_force(case):
         table = brute_table(f, 2, points)
         for i, j in product(range(k), repeat=2):
             assert (codes[i * k + j] >> bit & 1) == ((i, j) in table)
-        assert compile_supports(f, d)(points) == supports(table, k)
+        assert rows(f, d, points) == supports(table, k)
     assert all(code >> len(fs) == 0 for code in codes)
+
+
+def rows(f, d, points):
+    return tuple(map(list, compile_rows(f, d)(points)))
 
 
 def supports(table, k):
@@ -416,7 +420,7 @@ GAPPY = st.sampled_from([-7, -1, 0, 3, 4, 50])
 def test_supports_match_brute_force_on_gappy_points(case):
     d, f, points = case
     table = brute_table(f, 2, points)
-    assert compile_supports(f, d)(points) == supports(table, len(points))
+    assert rows(f, d, points) == supports(table, len(points))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -431,10 +435,10 @@ def test_supports_every_atom_placement(op, d):
             a = Atom(op, i, j)
             for f in (a, not_(a), and_(a, TRUE), or_(FALSE, not_(a))):
                 table = brute_table(f, 2, points)
-                assert compile_supports(f, d)(points) == supports(table, len(points))
+                assert rows(f, d, points) == supports(table, len(points))
         for f in (TRUE, FALSE, not_(TRUE), and_(TRUE, FALSE), or_(FALSE, TRUE)):
             table = brute_table(f, 2, points)
-            assert compile_supports(f, d)(points) == supports(table, len(points))
+            assert rows(f, d, points) == supports(table, len(points))
 
 
 def test_pair_codes_check_like_tables():
@@ -446,15 +450,15 @@ def test_pair_codes_check_like_tables():
         compile_pair_codes([TRUE], 5001)
     assert compile_pair_codes([], 5001)([(0,) * 5001] * 2) == [0] * 4
     with pytest.raises(ValueError, match="does not fit"):
-        compile_supports(lt(0, 2), 1)
+        compile_rows(lt(0, 2), 1)
     with pytest.raises(TypeError):
-        compile_supports("(lt 0 1)", 1)
+        compile_rows("(lt 0 1)", 1)
     with pytest.raises(CapExceeded, match=r"table width: 2 \* 5001"):
-        compile_supports(TRUE, 5001)
+        compile_rows(TRUE, 5001)
     f = lt(0, 1)
-    assert compile_supports(f, 1) is compile_supports(f, 1)  # cached on it
+    assert compile_rows(f, 1) is compile_rows(f, 1)  # cached on it
     # Rows of 5,000 bits: int() reads base 2 past the decimal digit limit.
-    fwd, bwd = compile_supports(f, 1)([(v,) for v in range(5000)])
+    fwd, bwd = rows(f, 1, [(v,) for v in range(5000)])
     assert fwd[0] == 2**5000 - 2 and bwd[4999] == 2**4999 - 1
 
 
@@ -465,7 +469,7 @@ def test_table_on_deep_chains():
         f = mixed_chain(rng, MAX_DEPTH)
         table = compile_table(f, 2, 2)(list(enumerate(points)))
         assert table == brute_table(f, 2, points)
-        assert compile_supports(f, 2)(points) == supports(table, len(points))
+        assert rows(f, 2, points) == supports(table, len(points))
 
 
 def test_table_of_constants():

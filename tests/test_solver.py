@@ -16,6 +16,7 @@ from ordcsp import (
     VerificationFailed,
     ac,
     ac_roundrobin,
+    compile_formula,
     extract_witness,
     hom_exists,
     power_structure,
@@ -30,6 +31,7 @@ import ordcsp.sampler
 import ordcsp.solver
 from ordcsp.template import PRESET_NAMES, Relation, Template
 from ordcsp.formula import TRUE, and_, eq, lt
+from ordcsp.sampler import representatives
 from ordcsp.solver import BITSET_SIZE, _union, _values, network, structure_source
 
 from conftest import (
@@ -618,6 +620,39 @@ def test_solve_builds_no_table_for_a_repeated_binary_constraint(monkeypatch, nam
     for a in cases:
         solve(t, a)
     assert set(arities) == ({3} if name == "ord3" else set())
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_solve_answers_past_bitset_size(monkeypatch, name):
+    # n = 48 gives 9,216 representatives, past BITSET_SIZE; every binary
+    # relation still revises on rows, so no table is built. Each variable
+    # is planted on a representative, and its domain must keep that
+    # representative's index.
+    t = preset(name)
+    n = 48
+    rng = random.Random(f"planted-{name}")
+    reps = representatives(t, n)
+    assert len(reps) == 9216 > BITSET_SIZE
+    planted = [rng.choice(reps) for _ in range(n)]
+    variables = tuple(f"v{i}" for i in range(n))
+    constraints = []
+    while len(constraints) < 2 * n:
+        rel = rng.choice(t.relations)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if compile_formula(rel.formula)(planted[i] + planted[j]):
+            constraints.append((rel.name, (variables[i], variables[j])))
+    arities = []
+    compile_table = ordcsp.formula.compile_table
+    monkeypatch.setattr(
+        ordcsp.solver,
+        "compile_table",
+        lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
+    )
+    v = solve(t, Instance(variables, tuple(constraints)))
+    assert v.accept and v.sample_size == 9216
+    for var, p in zip(variables, planted):
+        assert reps.index(p) in v.domains[var]
+    assert arities == []
 
 
 def cap_template(kind, wide_arity):
