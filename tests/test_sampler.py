@@ -4,7 +4,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ordcsp.sampler
 from ordcsp import (
@@ -411,6 +411,54 @@ def test_representatives_match_brute_force(equality, domain, n):
     ]
     least = {min(q for q in points if holds(eqf, p + q)) for p in points}
     assert representatives(t, n) == sorted(least)
+
+
+@st.composite
+def drawn_templates(draw):
+    """A direct template, or a 2-dimensional interpretation over one of
+    ``EQUALITIES`` with a drawn domain, of one to three relations of
+    arity 1 to 3."""
+    direct = draw(st.booleans())
+    d = 1 if direct else 2
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    relations = tuple(
+        Relation(f"R{i}", m, draw(formulas(max_leaves=6, variables=m * d)))
+        for i, m in enumerate(arities)
+    )
+    if direct:
+        return Template("drawn", "direct", 1, TRUE, eq(0, 1), relations)
+    eqf, base = map(parse_formula, draw(st.sampled_from(EQUALITIES)))
+    domain = and_(base, draw(formulas(max_leaves=6, variables=2)))
+    return Template("drawn", "interpretation", 2, domain, eqf, relations)
+
+
+@settings(deadline=None)
+@given(drawn_templates(), st.integers(min_value=1, max_value=3))
+def test_sample_matches_brute_force(t, n):
+    # The definition, read through the reference evaluator: the least
+    # member of each class of domain points, and every tuple of them whose
+    # concatenation satisfies a relation's formula.
+    try:
+        smp = sample(t, n)
+    except (EqualityNotEquivalence, EqualityNotCongruence):
+        assume(False)
+    g = t.dimension * n
+    points = [
+        p for p in product(range(g), repeat=t.dimension)
+        if holds(t.domain_formula, p)
+    ]
+    reps = sorted({
+        min(q for q in points if holds(t.equality_formula, p + q)) for p in points
+    })
+    assert smp.representatives == tuple(reps)
+    assert smp.structure.relations == {
+        rel.name: frozenset(
+            combo
+            for combo in product(range(len(reps)), repeat=rel.arity)
+            if holds(rel.formula, sum((reps[i] for i in combo), ()))
+        )
+        for rel in t.relations
+    }
 
 
 def test_representatives_at_scale():
