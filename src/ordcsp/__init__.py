@@ -54,7 +54,7 @@ from .polymorphism import (
     is_polymorphism,
 )
 from .powerset import power_structure
-from .sampler import Sample, sample, sample_direct, sample_interpretation
+from .sampler import Sample, sample
 from .solver import (
     Verdict,
     ac,
@@ -123,8 +123,6 @@ __all__ = [
     "preset",
     "print_formula",
     "sample",
-    "sample_direct",
-    "sample_interpretation",
     "solve",
     "subset_class_count",
     "verify_assignment",

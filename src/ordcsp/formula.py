@@ -26,7 +26,8 @@ expression: atoms become ``p[i] < p[j]`` and so on, connectives the
 Python operators ``not``/``and``/``or``, which short-circuit left to
 right. ``compile_table`` puts the same expression, on coordinate names,
 into one generated comprehension that builds a relation's whole table
-over a list of points; samples build every table with it.
+over a list of points; a sample builds each relation of arity other
+than 2 with it.
 ``compile_rows`` evaluates a binary formula over a list of m points on
 m-bit masks, one generated expression per point rather than one per
 pair. On the coordinates ``x0, x1, ...`` of its own point, an atom on two
@@ -36,10 +37,11 @@ and a mixed atom such as ``x0 < x3`` a lookup ``T[x0]`` in a value table,
 which maps each coordinate value to the mask of the points whose
 coordinate compares with it that way; ``and``, ``or`` and ``not`` become
 ``&``, ``|`` and ``F ^``. The same expression with the two points'
-roles swapped gives the backward rows. ``solve`` lists both directions
-of every binary relation as the support bitsets it revises on, and
-``sampler`` reads the equality formula's rows to decide the formula and
-to list the representatives.
+roles swapped gives the backward rows. ``sampler.template_source``
+lists both directions of every binary relation: ``solve`` revises on
+them as support bitsets, and ``sample`` decodes the forward rows into
+pairs. ``sampler`` also reads the equality formula's rows to decide the
+formula and to list the representatives.
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SignatureMismatch
-from .solver import _values, network, propagate, structure_source
+from .sampler import _values
+from .solver import network, propagate, structure_source
 from .structures import FiniteStructure, Instance, instance_view
 
 

@@ -50,9 +50,9 @@ from .polymorphism import (
     has_ts_polymorphism,
 )
 from .powerset import power_structure
-from .sampler import _power_exceeds
+from .sampler import _check_equality, _power_exceeds
 from .structures import FiniteStructure
-from .template import PRESETS, Template
+from .template import INTERPRETATION, PRESETS, Template
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -412,7 +412,9 @@ def orbit_count(
     ``CapExceeded`` past ``MAX_ORBIT_N``, and when the d^d first-level
     patterns, a level's candidate points, a table's n^arity candidate
     tuples or the configurations grown exceed ``budget``; no giant power
-    is computed for the comparison.
+    is computed for the comparison. Once these caps that enumerate nothing
+    have passed, an interpretation's equality formula is checked as
+    ``sample`` checks it, so candidates are compared with a symmetric one.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -428,6 +430,8 @@ def orbit_count(
                 f"orbit counting budget: {n}^{rel.arity} table candidates "
                 f"> {budget}"
             )
+    if t.kind == INTERPRETATION:
+        _check_equality(t)
     dom = compile_formula(t.domain_formula)
     eqf = compile_formula(t.equality_formula)
     codes = _pair_codes(t)
@@ -465,7 +469,7 @@ def orbit_count(
             for w in product(range(fine), repeat=d):
                 if not dom(w):
                     continue
-                if any(eqf(p + w) or eqf(w + p) for p in gapped):
+                if any(eqf(p + w) for p in gapped):
                     continue
                 candidates.add(_rank_normalize(gapped + (w,)))
         work += len(candidates)

@@ -13,14 +13,18 @@ the sample iff it maps into the template.
   on those representatives.
 
 ``representatives(t, n)`` lists those points, or those least members,
-in element order; ``sample`` is that call plus one structure build. It
-finds the least members from the equality formula's bitset rows over
-the domain points (``formula.compile_rows``): a point is least in its
-class iff the lowest set bit of its row is its own index. The rows are
-streamed, and none is kept.
-``solve`` stops at the representatives: it builds only the support rows
-and tables its constraints use, straight from the formulas (see
-``solver``), and never a ``FiniteStructure``.
+in element order. It finds the least members from the equality
+formula's bitset rows over the domain points (``formula.compile_rows``):
+a point is least in its class iff the lowest set bit of its row is its
+own index. The rows are streamed, and none is kept.
+``template_source(t, points)`` is the one builder of a sample's
+relations, straight from the formulas: a binary relation's forward and
+backward rows (``formula.compile_rows``, one generated expression per
+point rather than per pair), and a ``formula.compile_table`` table for
+any other arity. ``sample`` is ``representatives`` plus every relation
+from it in one ``FiniteStructure``, with the forward rows decoded into
+pairs; ``solve`` builds only the relations its constraints use and
+revises on them as they are (see ``solver``).
 
 Templates arrive structurally checked (``Template`` checks itself when it
 is built), and a sample's signature is the template's ``signature``.
@@ -30,12 +34,12 @@ points over g grid values hold each value table that the equality
 formula uses, g * m bits, plus one row of m bits at a time: gamma2 at
 n = 100 (m = 40,000) holds two tables of 1 MB each, and a grid near the
 cap, 1,000 values per coordinate at d = 2, would take about 125 MB per
-table. ``formula.compile_table`` builds every relation table in one
-pass, once ``check_table_caps`` has found each relation's m**arity
-candidate tuples over the m sample elements within ``GRID_CAP``
-(direct) or ``TABLE_CAP`` (interpretation, whose m grows as (dn)**d);
-past it, ``CapExceeded`` is raised. ``solve`` runs the same check on
-every relation, used or not. The comparisons never compute a giant
+table. ``template_source`` builds nothing before ``check_table_caps``
+has found each relation's m**arity candidate tuples (bits, for rows)
+over the m sample elements within ``GRID_CAP`` (direct) or
+``TABLE_CAP`` (interpretation, whose m grows as (dn)**d), for every
+relation, used or not; past it, ``CapExceeded`` is raised, for
+``sample`` and ``solve`` alike. The comparisons never compute a giant
 power, so an arity or dimension of 2**70 is refused at once; on one
 element, by ``formula.MAX_TABLE_WIDTH``.
 
@@ -53,14 +57,17 @@ interpretation's representatives are listed, and its outcome is cached
 on the template object. It reads the equality formula's rows over the
 domain points of that grid: the formula is reflexive iff bit i of row i
 is set, symmetric iff the forward rows equal the backward rows, and then
-transitive iff each row equals the row of every point in it. A template
-too large to check exactly raises ``CapExceeded``.
+transitive iff each row equals the row of every point in it. The rows
+of the s points of that grid hold s**2 bits, refused past ``TABLE_CAP``
+as a binary relation's rows in an interpretation's sample are, and the
+congruence check's evaluations are refused past ``CHECK_BUDGET``; a
+template too large to check exactly raises ``CapExceeded``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, product
 
 from .errors import (
     CapExceeded,
@@ -70,7 +77,7 @@ from .errors import (
 )
 from .formula import compile_formula, compile_rows, compile_table
 from .structures import FiniteStructure
-from .template import DIRECT, INTERPRETATION, Template
+from .template import DIRECT, Template
 
 GRID_CAP = 10**6
 TABLE_CAP = 10**8
@@ -94,29 +101,21 @@ class Sample:
 
 
 def sample(t: Template, n: int) -> Sample:
-    """The representatives at ``n`` plus every relation's table on them;
-    an interpretation's elements are labelled by their points."""
+    """The representatives at ``n`` plus every relation on them, as
+    ``template_source`` builds it: a table as it is, and a binary
+    relation's forward rows decoded into pairs. An interpretation's
+    elements are labelled by their points."""
     reps = representatives(t, n)
+    size, relation = template_source(t, reps)
+    relations = {}
+    for rel in t.relations:
+        built = relation(rel.name)
+        if rel.arity == 2:
+            built = ((a, b) for a, row in enumerate(built[0]) for b in _values(row))
+        relations[rel.name] = built
     labels = None if t.kind == DIRECT else tuple(str(tuple(r)) for r in reps)
-    structure = FiniteStructure(
-        t.signature, len(reps), _relation_tables(t, reps), labels
-    )
+    structure = FiniteStructure(t.signature, size, relations, labels)
     return Sample(structure, tuple(reps), t.dimension * max(n, 1))
-
-
-def sample_direct(t: Template, n: int) -> Sample:
-    """Evaluate each relation formula on the grid {0..n-1}."""
-    if t.kind != DIRECT:
-        raise ValueError("sample_direct needs a direct template")
-    return sample(t, n)
-
-
-def sample_interpretation(t: Template, n: int) -> Sample:
-    """Quotient the satisfying grid tuples and evaluate relations on
-    each class's least member."""
-    if t.kind != INTERPRETATION:
-        raise ValueError("sample_interpretation needs an interpretation")
-    return sample(t, n)
 
 
 def representatives(t: Template, n: int) -> list:
@@ -145,15 +144,41 @@ def check_table_caps(t: Template, m: int):
             raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
 
 
-def _relation_tables(t: Template, points) -> dict:
-    """Each relation of ``t`` on the given d-tuples, as index tuples,
-    checked against ``check_table_caps`` before any table is built."""
+def template_source(t: Template, points):
+    """``solver.network``'s ``size, relation`` for the relations of ``t``
+    on the sample elements ``points``, built from the formulas:
+    ``compile_rows`` rows, listed, for a binary relation at any number of
+    points, and a ``compile_table`` table for any other. Every relation is
+    checked against ``check_table_caps`` and compiled first, used or not,
+    so ``solve`` fails where ``sample`` does."""
     check_table_caps(t, len(points))
-    r = list(enumerate(points))
-    return {
-        rel.name: compile_table(rel.formula, rel.arity, t.dimension)(r)
+    d = t.dimension
+    build = {
+        rel.name: compile_rows(rel.formula, d)
+        if rel.arity == 2
+        else compile_table(rel.formula, rel.arity, d)
         for rel in t.relations
     }
+
+    def relation(name):
+        if t.relation(name).arity == 2:
+            return tuple(map(list, build[name](points)))
+        return build[name](list(enumerate(points)))
+
+    return len(points), relation
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask):
+    """``compress``'s flags for ``mask``: byte ``a`` is 1 iff bit ``a`` is."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _values(mask):
+    """The values ``a`` whose bit is set in ``mask``, ascending."""
+    return compress(count(), _flags(mask))
 
 
 def _power_exceeds(base, exponent, cap):
@@ -189,8 +214,8 @@ def _decide_equality(t):
     arities = [rel.arity for rel in t.relations]
     points = _domain_points(t, t.dimension * (max([2, *arities]) + 1))
     size = len(points)
-    if size * size > CHECK_BUDGET:
-        raise CapExceeded(f"equality check: {size}^2 pairs > {CHECK_BUDGET}")
+    if size * size > TABLE_CAP:
+        raise CapExceeded(f"equality check: {size}^2 row bits > {TABLE_CAP}")
     fwd, bwd = map(list, compile_rows(t.equality_formula, t.dimension)(points))
     bad = next(
         (p for i, (p, row) in enumerate(zip(points, fwd)) if not row >> i & 1), None

@@ -15,9 +15,9 @@ makes the procedure incomplete in general.
 ``ac``, ``solve`` and ``hom.hom_exists`` share both. ``network`` asks a
 relation source for each relation it needs, and the source picks support
 bitsets or a table: ``structure_source`` reads a ``FiniteStructure``'s
-tuples, and ``template_source`` builds rows and tables straight from a
-template's formulas. A candidate set is an int mask, bit ``a`` set iff
-``a`` is a candidate; ``propagate`` has two rules.
+tuples, and ``sampler.template_source`` builds rows and tables straight
+from a template's formulas. A candidate set is an int mask, bit ``a``
+set iff ``a`` is a candidate; ``propagate`` has two rules.
 
 * A binary constraint ``R(x, y)`` revises on support bitsets (Lecoutre
   & Vion 2008): ``fwd[a]`` has bit ``b`` set iff ``(a, b)`` is in R, and
@@ -52,12 +52,12 @@ identical domain maps.
 at the instance's variable count, run ac on them, and -- for direct
 templates declaring a semilattice -- extract and verify a concrete
 witness by folding min (or max) over each accepted candidate set. It
-builds no ``FiniteStructure``. A binary relation gets the rows of
-``formula.compile_rows`` at any number of representatives, one
-expression evaluation per point rather than per pair; a relation of
-another arity gets a ``formula.compile_table`` table, and an unused one
-neither. Every relation is checked against the sample's caps first,
-then ``NETWORK_CAP``.
+builds no ``FiniteStructure``: its relations come from
+``sampler.template_source``, the builder ``sample`` reads too, and an
+unused relation is not built. A binary relation gets rows at any number
+of representatives, and a relation of another arity a table. Every
+relation is checked against the sample's caps first, then
+``NETWORK_CAP``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress
 from operator import itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
-from .formula import compile_formula, compile_rows, compile_table
-from .sampler import check_table_caps, representatives
+from .formula import compile_formula
+from .sampler import _flags, _values, representatives, template_source
 from .structures import FiniteStructure, Instance
 from .template import Template
 
@@ -108,19 +108,6 @@ def _supports(tuples, size):
         fwd[a] |= 1 << b
         bwd[b] |= 1 << a
     return fwd, bwd
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _flags(mask):
-    """``compress``'s flags for ``mask``: byte ``a`` is 1 iff bit ``a`` is."""
-    return bin(mask)[:1:-1].encode().translate(_FLAGS)
-
-
-def _values(mask):
-    """The values ``a`` whose bit is set in ``mask``, ascending."""
-    return compress(count(), _flags(mask))
 
 
 def _union(rows, mask):
@@ -166,30 +153,6 @@ def structure_source(b: FiniteStructure):
         return rels[name]
 
     return b.size, relation
-
-
-def template_source(t: Template, points):
-    """``network``'s ``size, relation`` for the relations of ``t`` on the
-    sample elements ``points``, built from the formulas: ``compile_rows``
-    rows, listed, for a binary relation at any number of points, and a
-    ``compile_table`` table for any other. Every relation is checked
-    against ``check_table_caps`` and compiled first, used or not, so a
-    template fails here as its sample would."""
-    check_table_caps(t, len(points))
-    d = t.dimension
-    build = {
-        rel.name: compile_rows(rel.formula, d)
-        if rel.arity == 2
-        else compile_table(rel.formula, rel.arity, d)
-        for rel in t.relations
-    }
-
-    def relation(name):
-        if t.relation(name).arity == 2:
-            return tuple(map(list, build[name](points)))
-        return build[name](list(enumerate(points)))
-
-    return len(points), relation
 
 
 def propagate(h, args_of, live, by_var, queue, trail, sets):

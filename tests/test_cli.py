@@ -287,6 +287,29 @@ def test_orbits_budget_cap(tmp_path, capsys):
     assert code == 3
 
 
+def test_orbits_checks_the_equality_as_sample_does(tmp_path, capsys):
+    # (eq 0 2) relates points with equal first coordinates, which R,
+    # reading the second, tells apart.
+    template = tmp_path / "t.json"
+    write_json(
+        template,
+        {
+            "name": "loose",
+            "kind": "interpretation",
+            "dimension": 2,
+            "equality_formula": "(eq 0 2)",
+            "relations": [{"name": "R", "arity": 2, "formula": "(lt 1 3)"}],
+        },
+    )
+    errors = []
+    for command in ("sample", "orbits"):
+        argv = [command, "--template", str(template), "--size", "2"]
+        assert run_cli(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "equal arguments" in errors[0]
+
+
 @pytest.mark.parametrize(
     "base, change, cap",
     [

@@ -41,6 +41,8 @@ from ordcsp.formula import (
     compile_table,
 )
 
+import ordcsp.formula
+
 from conftest import holds
 
 
@@ -304,9 +306,22 @@ TABLE_TOKENS = {
 }
 
 
+ROW_TOKENS = {
+    ",", ":", "def", "make", "return", "P", "F", "for", "in", "if", "else",
+    "&", "|", "^",
+}
+PAIR_CODE_TOKENS = {
+    ",", "lambda", ":", "P", "[", "]", "for", "in", "if", "else", "|",
+}
+LAYOUT = (
+    tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+)
+
+
 def assert_tokens(source, env, allowed, names=None):
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+        if tok.type in LAYOUT:
             continue
         assert (
             tok.string in allowed
@@ -316,7 +331,7 @@ def assert_tokens(source, env, allowed, names=None):
         ), tok
 
 
-def test_generated_source_tokens():
+def test_generated_source_tokens(monkeypatch):
     # Every token of a generated function comes from the fixed table,
     # the point name, a chunk function's name or a written index.
     f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
@@ -332,6 +347,29 @@ def test_generated_source_tokens():
         assert any(name.startswith("f") for name in env)
         allowed = CONNECTIVE_TOKENS | TABLE_TOKENS
         assert_tokens(source, env, allowed, names=r"[ix]\d+")
+    # The row builder's source goes to exec and the pair-code builder's to
+    # eval; both are captured on their way there. Rows add the mask
+    # operators and generated names of masks, tables and chunk functions.
+    sources = []
+
+    def capture(run):
+        def spy(source, env):
+            sources.append((source, env))
+            return run(source, env)
+
+        return spy
+
+    monkeypatch.setattr(ordcsp.formula, "exec", capture(exec), raising=False)
+    monkeypatch.setattr(ordcsp.formula, "eval", capture(eval), raising=False)
+    compile_rows(f, 2)
+    ((source, env),) = [s for s in sources if s[0].startswith("def make(")]
+    assert "def c0(" in source  # the chain spans several chunks
+    assert_tokens(source, env, CONNECTIVE_TOKENS | ROW_TOKENS, names=r"[xcD]\d+")
+    sources.clear()
+    compile_pair_codes([f, lt(0, 3)], 2)
+    ((source, env),) = [s for s in sources if s[0].startswith("lambda P: [")]
+    assert any(name.startswith("f") for name in env)
+    assert_tokens(source, env, CONNECTIVE_TOKENS | PAIR_CODE_TOKENS, names=r"x\d+")
 
 
 def brute_table(f, arity, points):

@@ -17,8 +17,6 @@ from ordcsp import (
     hom_exists,
     preset,
     sample,
-    sample_direct,
-    sample_interpretation,
 )
 from ordcsp.formula import TRUE, Atom, and_, eq, lt, ne, or_, parse_formula
 from ordcsp.sampler import representatives
@@ -28,7 +26,7 @@ from test_formula import formulas
 
 
 def test_direct_qlt_3():
-    smp = sample_direct(preset("qlt"), 3)
+    smp = sample(preset("qlt"), 3)
     assert smp.structure.size == 3
     assert smp.structure.relations["Lt"] == {(0, 1), (0, 2), (1, 2)}
     assert smp.representatives == ((0,), (1,), (2,))
@@ -36,26 +34,26 @@ def test_direct_qlt_3():
 
 
 def test_direct_ord3_2():
-    smp = sample_direct(preset("ord3"), 2)
+    smp = sample(preset("ord3"), 2)
     assert smp.structure.relations["T"] == {(1, 0, 0), (1, 0, 1), (1, 1, 0)}
 
 
 def test_direct_qlt_1():
-    assert sample_direct(preset("qlt"), 1).structure.relations["Lt"] == frozenset()
+    assert sample(preset("qlt"), 1).structure.relations["Lt"] == frozenset()
 
 
 def test_direct_size_zero_is_size_one():
-    assert sample_direct(preset("qlt"), 0).structure.size == 1
+    assert sample(preset("qlt"), 0).structure.size == 1
 
 
 def test_interpretation_gamma1_1():
-    smp = sample_interpretation(preset("gamma1"), 1)
+    smp = sample(preset("gamma1"), 1)
     assert smp.structure.size == 4
     assert smp.base_grid_size == 2
 
 
 def test_interpretation_gamma3_1():
-    smp = sample_interpretation(preset("gamma3"), 1)
+    smp = sample(preset("gamma3"), 1)
     assert smp.structure.size == 2
     assert smp.representatives == ((0, 1), (1, 0))
     assert smp.structure.relations["M"] == frozenset()
@@ -63,7 +61,7 @@ def test_interpretation_gamma3_1():
 
 
 def test_interpretation_gamma2_3_size_bound():
-    smp = sample_interpretation(preset("gamma2"), 3)
+    smp = sample(preset("gamma2"), 3)
     assert smp.structure.size <= 36
 
 
@@ -82,8 +80,8 @@ def test_direct_samples_nest():
     for name in ("qlt", "ord3"):
         t = preset(name)
         for n in (1, 2, 3, 4):
-            small = sample_direct(t, n).structure
-            big = sample_direct(t, n + 1).structure
+            small = sample(t, n).structure
+            big = sample(t, n + 1).structure
             for rel, tuples in small.relations.items():
                 restricted = {
                     tu
@@ -96,7 +94,7 @@ def test_direct_samples_nest():
 def test_representatives_satisfy_invariants():
     for name in ("gamma1", "gamma2", "gamma3"):
         t = preset(name)
-        smp = sample_interpretation(t, 2)
+        smp = sample(t, 2)
         dom = t.domain_formula
         eqf = t.equality_formula
         reps = smp.representatives
@@ -114,7 +112,7 @@ def test_representatives_satisfy_invariants():
 
 def test_grid_cap():
     with pytest.raises(CapExceeded):
-        sample_interpretation(preset("gamma2"), 600)
+        sample(preset("gamma2"), 600)
     # 30**6 candidate tuples for one 6-ary relation on 30 elements: refused
     # before any table is built.
     t = Template(
@@ -157,7 +155,7 @@ def test_unsatisfiable_domain_gives_empty_sample():
         equality_formula=and_(eq(0, 2), eq(1, 3)),
         relations=(Relation("S", 2, lt(0, 2)),),
     )
-    smp = sample_interpretation(t, 2)
+    smp = sample(t, 2)
     assert smp.structure.size == 0
     assert smp.structure.relations["S"] == frozenset()
 
@@ -166,7 +164,7 @@ def rejected_at_every_n(t, error):
     # A fresh copy per n: the verdict is cached on the template object.
     for n in (1, 2, 5):
         with pytest.raises(error):
-            sample_interpretation(replace(t), n)
+            sample(replace(t), n)
 
 
 def test_equality_not_equivalence_detected():
@@ -209,9 +207,9 @@ def test_equality_not_congruence_detected():
 
 
 def test_equality_too_large_to_check_exactly():
-    # Both are congruences, but too large to check exactly: a cap, not a
+    # A congruence, but too large to check exactly: a cap, not a
     # spot-check. On its grid, "wide" needs 4 * 90 * 100^3 congruence
-    # evaluations and "deep" 5832^2 equality pairs.
+    # evaluations.
     wide = Template(
         name="wide",
         kind="interpretation",
@@ -222,6 +220,16 @@ def test_equality_too_large_to_check_exactly():
             Relation("R", 4, parse_formula("(and (lt 0 2) (lt 4 6))")),
         ),
     )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapExceeded):
+            sample(wide, 2)
+
+
+def test_equality_check_caps_row_bits():
+    # The check reads one row of size bits per point of its grid. "deep"
+    # has 18^3 = 5,832 points at n* = 6, within TABLE_CAP bits, and is
+    # decided; a 4-dimensional identity has 12^4 = 20,736 at n* = 3.
     deep = Template(
         name="deep",
         kind="interpretation",
@@ -230,11 +238,14 @@ def test_equality_too_large_to_check_exactly():
         equality_formula=and_(eq(0, 3), eq(1, 4), eq(2, 5)),
         relations=(Relation("R", 5, lt(0, 3)),),
     )
-    for t in (wide, deep):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(CapExceeded):
-                sample_interpretation(t, 2)
+    assert len(representatives(deep, 1)) == 27
+    four = Template(
+        "four", "interpretation", 4, TRUE,
+        and_(eq(0, 4), eq(1, 5), eq(2, 6), eq(3, 7)), (),
+    )
+    with pytest.raises(CapExceeded) as exc:
+        representatives(four, 1)
+    assert str(exc.value) == "equality check: 20736^2 row bits > 100000000"
 
 
 def test_equality_checked_once_per_template(monkeypatch):
@@ -327,15 +338,15 @@ def test_direct_sampling_stability():
         for _ in range(40):
             a = random_instance(rng, symbols, max_vars=4, max_constraints=5)
             n = len(a.variables)
-            small = sample_direct(t, n).structure
-            big = sample_direct(t, n + 2).structure
+            small = sample(t, n).structure
+            big = sample(t, n + 2).structure
             assert (hom_exists(a, small) is None) == (
                 hom_exists(a, big) is None
             )
 
 
 def test_sidecar_json():
-    smp = sample_interpretation(preset("gamma3"), 1)
+    smp = sample(preset("gamma3"), 1)
     assert smp.sidecar_json_dict() == {
         "representatives": [[0, 1], [1, 0]],
         "base_grid_size": 2,
@@ -375,7 +386,7 @@ def test_interpretation_matches_brute_force(name, sizes):
             )
             for rel in t.relations
         }
-        smp = sample_interpretation(t, n)
+        smp = sample(t, n)
         assert smp.structure.relations == relations
         assert smp.structure.labels == tuple(str(r) for r in reps)
         assert smp.representatives == tuple(reps)

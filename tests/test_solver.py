@@ -22,7 +22,6 @@ from ordcsp import (
     power_structure,
     preset,
     sample,
-    sample_direct,
     solve,
     verify_assignment,
 )
@@ -106,7 +105,7 @@ def test_ac_on_a_loop_on_either_side_of_bitset_size(m):
 
 
 def test_ac_rejects_impossible_repeat():
-    b = sample_direct(preset("ord3"), 1).structure
+    b = sample(preset("ord3"), 1).structure
     a = Instance(("x",), (("T", ("x", "x", "x")),))
     accept, h = ac(a, b)
     assert not accept
@@ -119,7 +118,7 @@ def test_ac_signature_mismatch():
 
 
 def test_ac_chain_domains():
-    b = sample_direct(preset("qlt"), 3).structure
+    b = sample(preset("qlt"), 3).structure
     a = Instance(("x", "y", "z"), (("Lt", ("x", "y")), ("Lt", ("y", "z"))))
     accept, h = ac(a, b)
     assert accept
@@ -471,7 +470,12 @@ def test_verdict_json():
 def table_path(t, a):
     """What ``solve`` answers, computed on the full sample: ``ac`` on its
     tables, then the witness fold. An error is returned as its type and
-    message."""
+    message. The sample's relations come from the rows and tables of
+    ``sampler.template_source``, as ``solve``'s do, so this checks
+    propagation and not formula evaluation. The checks of that which
+    share none of its code are ``test_sampler``'s
+    ``test_sample_matches_brute_force`` and ``test_formula``'s
+    brute-force tests of ``compile_rows``."""
     try:
         b = sample(t, len(a.variables)).structure
         accept, h = ac(a, b)
@@ -563,12 +567,11 @@ def test_solve_builds_no_sample_structure(monkeypatch, name):
     def refuse(*args):
         raise AssertionError("solve built a sample structure")
 
-    monkeypatch.setattr(ordcsp.sampler, "_relation_tables", refuse)
     monkeypatch.setattr(FiniteStructure, "__post_init__", refuse)
     arities = []
     compile_table = ordcsp.formula.compile_table
     monkeypatch.setattr(
-        ordcsp.solver,
+        ordcsp.sampler,
         "compile_table",
         lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
         raising=False,
@@ -613,7 +616,7 @@ def test_solve_builds_no_table_for_a_repeated_binary_constraint(monkeypatch, nam
     arities = []
     compile_table = ordcsp.formula.compile_table
     monkeypatch.setattr(
-        ordcsp.solver,
+        ordcsp.sampler,
         "compile_table",
         lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
     )
@@ -644,7 +647,7 @@ def test_solve_answers_past_bitset_size(monkeypatch, name):
     arities = []
     compile_table = ordcsp.formula.compile_table
     monkeypatch.setattr(
-        ordcsp.solver,
+        ordcsp.sampler,
         "compile_table",
         lambda f, arity, d: arities.append(arity) or compile_table(f, arity, d),
     )
