@@ -311,6 +311,123 @@ def test_ac_and_hom_pinned_across_word_boundaries(m):
     assert repeats >= 5 and empty >= 5 and rejects >= 5 and found >= 5
 
 
+ORDERS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def incomparable(rows, k):
+    return rows[k] & rows[k + 1] not in (rows[k], rows[k + 1])
+
+
+def broken_order(tuples, m, k):
+    """``tuples`` with the first single pair toggled in row ``k`` or
+    ``k + 1`` that leaves forward rows ``k`` and ``k + 1`` unnested
+    either way."""
+    for r, j in product((k, k + 1), range(m)):
+        toggled = tuples ^ {(r, j)}
+        if incomparable(ordcsp.solver._supports(toggled, m)[0], k):
+            return toggled
+    raise AssertionError(f"no toggle breaks rows {k}, {k + 1}")
+
+
+def order_structures(m):
+    """E is <, <=, > or >= on ``m`` elements, whose support rows are all
+    nested, and each again with the pair of rows at the start, the
+    middle and the end of the list broken, so nested only partway."""
+    for order in ORDERS.values():
+        tuples = {(a, b) for a in range(m) for b in range(m) if order(a, b)}
+        yield binary_structure(m, tuples), True
+        for k in sorted({0, (m - 2) // 2, m - 2}) if m > 1 else ():
+            yield binary_structure(m, broken_order(tuples, m, k)), False
+
+
+@pytest.mark.parametrize("m", [1, 2, 29, 30, 31, 59, 60, 61, 62, 63, 64, 65])
+def test_ac_and_hom_on_order_relations_and_their_broken_chains(m):
+    # Order relations, whose support rows form a chain, and the same with
+    # one pair of rows broken: ac against the round-robin scheduler and
+    # hom_exists against the reference search, on instances with E(x, x)
+    # constraints and chains that prune from both ends.
+    rng = random.Random(70 + m)
+    loops = rejects = found = pruned = broken = 0
+    for b, nested in order_structures(m):
+        broken += not nested
+        for _ in range(3):
+            a = random_instance(rng, [("E", 2)], max_vars=4, max_constraints=4)
+            loops += any(x == y for _, (x, y) in a.constraints)
+            accept, h = ac(a, b)
+            assert (accept, h) == ac_roundrobin(a, b)
+            rejects += not accept
+            pruned += accept and any(len(s) < m for s in h.values())
+            mapping = hom_exists(a, b)
+            assert mapping == reference_hom(a, b)
+            if mapping is not None:
+                found += 1
+                assert accept and satisfies(a, b, mapping)
+    assert broken == {1: 0, 2: 4}.get(m, 12)
+    assert loops >= 3 and rejects >= 3 and found >= 3
+    assert pruned >= 3 or m <= 2
+
+
+def acyclic_domains(n, edges):
+    """The candidate sets arc consistency leaves for ``x < y`` on every
+    edge over n increasing values, or None when the edges have a cycle:
+    from the longest edge path into each vertex up to n - 1 minus the
+    longest path out of it."""
+    succ = [[] for _ in range(n)]
+    indegree = [0] * n
+    for x, y in edges:
+        succ[x].append(y)
+        indegree[y] += 1
+    order = [v for v in range(n) if not indegree[v]]
+    for v in order:
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) < n:
+        return None
+    below, above = [0] * n, [0] * n
+    for v in order:
+        for w in succ[v]:
+            below[w] = max(below[w], below[v] + 1)
+    for v in reversed(order):
+        for w in succ[v]:
+            above[v] = max(above[v], above[w] + 1)
+    return [list(range(below[v], n - above[v])) for v in range(n)]
+
+
+def test_solve_qlt_400_against_an_acyclicity_check():
+    # Seeded qlt instances on 400 variables: random ones with n / 2 and
+    # 2n constraints, and planted ones whose constraints hold on drawn
+    # points; solve accepts iff the Lt edges have no cycle, with the
+    # candidate sets between the longest paths in and out.
+    qlt, n = preset("qlt"), 400
+    names = [f"v{i}" for i in range(n)]
+    rng = random.Random(72)
+    verdicts = []
+    for kind, m in [("random", n // 2), ("random", 2 * n), ("planted", 2 * n)] * 2:
+        point = [rng.randrange(n) for _ in range(n)]
+        edges = []
+        while len(edges) < m:
+            x, y = rng.randrange(n), rng.randrange(n)
+            if kind == "random" or point[x] < point[y]:
+                edges.append((x, y))
+        a = Instance(tuple(names), tuple(("Lt", (names[x], names[y])) for x, y in edges))
+        verdict = solve(qlt, a)
+        expected = acyclic_domains(n, edges)
+        assert verdict.accept == (expected is not None)
+        if expected is not None:
+            assert verdict.domains == dict(zip(names, expected))
+            assert verify_assignment(qlt, a, verdict.witness)
+        verdicts.append((kind, verdict.accept))
+    assert ("random", False) in verdicts and ("random", True) in verdicts
+    assert ("planted", True) in verdicts
+
+
 def test_ac_sets_off_no_garbage_collection():
     # A revision filters and projects its live tuples in C-level passes
     # that allocate nothing per tuple, so even the 450- and 4,500-tuple
