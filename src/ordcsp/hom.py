@@ -51,13 +51,14 @@ def hom_exists(a, b: FiniteStructure):
     if not variables:
         return {}
     h, args_of, live, by_var = network(variables, constraints, *structure_source(b))
-    # A repeated variable takes one value: on the diagonal rows, or on the
-    # tuples equal on its positions, each position projects to the same set.
+    # A repeated variable takes one value: on the diagonal rows, flagged
+    # as no chain, or on the tuples equal on its positions, each position
+    # projects to the same set.
     for ci, args in enumerate(args_of):
         repeats = [(p, q) for p, v in enumerate(args) if (q := args.index(v)) != p]
         if repeats and type(live[ci]) is tuple:
             diagonal = [f & 1 << a for a, f in enumerate(live[ci][0])]
-            live[ci] = diagonal, diagonal
+            live[ci] = diagonal, diagonal, 0, 0
         elif repeats:
             live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
     order_index = {v: i for i, v in enumerate(variables)}

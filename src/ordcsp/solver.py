@@ -24,9 +24,14 @@ set iff ``a`` is a candidate; ``propagate`` has two rules.
   ``bwd[b]`` bit ``a``. ``h[y] &= OR of fwd[a]`` over the bits ``a`` of
   ``h[x]``, then ``h[x] &= OR of bwd[b]`` over the bits ``b`` of the new
   ``h[y]``, each a C-level pass over rows with no scan of tuples and no
-  live state to change. ``R(x, x)`` keeps ``m & OR fwd & OR bwd`` over
-  the bits of ``m = h[x]``; the requeue rule below repeats that to the
-  fixpoint the table rule reaches.
+  live state to change. ``network`` tests once whether each list of rows
+  is a chain, each row containing the next (``x < y``: ``fwd[a]`` is
+  every value above ``a``) or each contained in the next (AC-5's
+  monotone constraints; Van Hentenryck, Deville & Teng 1992). The OR
+  over a chain is one row, that of the lowest or the highest bit.
+  ``R(x, x)`` keeps ``m & OR fwd & OR bwd`` over the bits of
+  ``m = h[x]``; the requeue rule below repeats that to the fixpoint the
+  table rule reaches.
 * A constraint given a table (arity other than 2, or a binary relation
   of a structure of more than ``BITSET_SIZE`` elements, whose bitsets
   would cost more words than its sparse tuples) revises by table
@@ -66,7 +71,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import compress
-from operator import itemgetter, or_
+from operator import and_, eq, itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
 from .formula import compile_formula
@@ -110,9 +115,23 @@ def _supports(tuples, size):
     return fwd, bwd
 
 
-def _union(rows, mask):
-    """The OR of ``rows[a]`` over the bits ``a`` of ``mask``."""
+def _union(rows, mask, chain=0):
+    """The OR of ``rows[a]`` over the bits ``a`` of ``mask``. On a chain
+    (``_chain``) that is one row: the row of the lowest bit when each row
+    contains the next (``chain`` 1), of the highest when each is contained
+    in the next (-1)."""
+    if chain:
+        return mask and rows[(mask & -mask if chain > 0 else mask).bit_length() - 1]
     return reduce(or_, compress(rows, _flags(mask)), 0)
+
+
+def _chain(rows):
+    """``_union``'s flag for ``rows``: 1 if each row contains the next, -1
+    if each is contained in the next, 0 otherwise."""
+    later = rows[1:]
+    if all(map(eq, map(and_, rows, later), later)):
+        return 1
+    return -1 if all(map(eq, map(and_, rows, later), rows)) else 0
 
 
 def network(variables, constraints, size, relation):
@@ -120,8 +139,9 @@ def network(variables, constraints, size, relation):
     ``(1 << size) - 1``, each constraint's argument tuple and live state,
     and the constraints on each variable. A constraint's live state is
     ``relation(rel)``, asked for once per relation name after the cap
-    check: support bitsets ``(fwd, bwd)`` or a set of tuples, as the
-    relation source chose. Raises ``CapExceeded`` when the domains would
+    check: a set of tuples, or support bitsets ``(fwd, bwd)``, to which
+    each list's ``_chain`` flag is appended, as the relation source
+    chose. Raises ``CapExceeded`` when the domains would
     hold more than ``NETWORK_CAP`` values together. A ``range`` of
     variables is counted from its end, as ``len`` fails past sys.maxsize."""
     n = variables.stop if isinstance(variables, range) else len(variables)
@@ -132,7 +152,10 @@ def network(variables, constraints, size, relation):
     built = {}
     for rel, _ in constraints:
         if rel not in built:
-            built[rel] = relation(rel)
+            state = relation(rel)
+            if type(state) is tuple:
+                state += tuple(map(_chain, state))
+            built[rel] = state
     live = [built[rel] for rel, _ in constraints]
     by_var = {v: [] for v in variables}
     for ci, args in enumerate(args_of):
@@ -175,13 +198,13 @@ def propagate(h, args_of, live, by_var, queue, trail, sets):
         old = live[ci]
         if type(old) is tuple:
             x, y = args
-            fwd, bwd = old
+            fwd, bwd, fchain, bchain = old
             if x == y:
-                kept = h[x] & _union(fwd, h[x]) & _union(bwd, h[x])
+                kept = h[x] & _union(fwd, h[x], fchain) & _union(bwd, h[x], bchain)
                 support = ((x, kept),)
             else:
-                to = h[y] & _union(fwd, h[x])
-                kept = h[x] & _union(bwd, to)
+                to = h[y] & _union(fwd, h[x], fchain)
+                kept = h[x] & _union(bwd, to, bchain)
                 support = ((x, kept), (y, to))
         else:
             gets = [itemgetter(i) for i in range(len(args))]

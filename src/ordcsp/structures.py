@@ -11,6 +11,8 @@ Both have a stable JSON form, documented next to ``to_json_dict``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 from .errors import SchemaError, SignatureMismatch
 
@@ -57,19 +59,29 @@ class FiniteStructure:
             raise SchemaError(f"size must be an int >= 0, got {self.size!r}")
         normalized = {}
         for name, arity in self.signature.symbols:
-            tuples = frozenset(tuple(t) for t in self.relations.get(name, ()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise SchemaError(
-                        f"relation {name!r}: tuple {t} has length {len(t)}, "
-                        f"declared arity is {arity}"
-                    )
-                for x in t:
-                    if type(x) is not int or not 0 <= x < self.size:
+            listed = list(map(tuple, self.relations.get(name, ())))
+            tuples = frozenset(listed)
+            # C-level passes over the tuples as given, which visit memory in
+            # order; the loop that names the first bad entry runs on failure.
+            entries = partial(chain.from_iterable, listed)
+            if not (
+                set(map(len, listed)) <= {arity}
+                and set(map(type, entries())) <= {int}
+                and 0 <= min(values := set(entries()), default=0)
+                and max(values, default=-1) < self.size
+            ):
+                for t in tuples:
+                    if len(t) != arity:
                         raise SchemaError(
-                            f"relation {name!r}: entry {x!r} outside domain "
-                            f"[0, {self.size})"
+                            f"relation {name!r}: tuple {t} has length {len(t)}, "
+                            f"declared arity is {arity}"
                         )
+                    for x in t:
+                        if type(x) is not int or not 0 <= x < self.size:
+                            raise SchemaError(
+                                f"relation {name!r}: entry {x!r} outside domain "
+                                f"[0, {self.size})"
+                            )
             normalized[name] = tuples
         extra = set(self.relations) - set(normalized)
         if extra:

@@ -31,7 +31,14 @@ import ordcsp.solver
 from ordcsp.template import PRESET_NAMES, Relation, Template
 from ordcsp.formula import TRUE, and_, eq, lt
 from ordcsp.sampler import representatives
-from ordcsp.solver import BITSET_SIZE, _union, _values, network, structure_source
+from ordcsp.solver import (
+    BITSET_SIZE,
+    _chain,
+    _union,
+    _values,
+    network,
+    structure_source,
+)
 
 from conftest import (
     binary_structure,
@@ -143,6 +150,48 @@ def test_mask_values_and_unions_round_trip():
         for a in values:
             expected |= rows[a]
         assert _union(rows, mask) == expected
+        # A chain's flagged union is the plain OR, either way round.
+        chain = random_chain(rng, size)
+        flags = (1, -1 if len(set(chain)) > 1 else 1)
+        for rows, flag in zip((chain, chain[::-1]), flags):
+            assert _chain(rows) == flag
+            assert _union(rows, mask, flag) == _union(rows, mask)
+    # The flag is set exactly when every consecutive pair is nested: on
+    # every list of up to four 2-bit rows, which holds equal and all-zero
+    # rows, one row, and lists broken at each position, and on chains
+    # broken at their first pair, a middle pair and their last pair.
+    lists = [list(rows) for k in range(5) for rows in product(range(4), repeat=k)]
+    for k in (0, 30, 62):
+        for chain in (random_chain(rng, 64), [(1 << 64) - (1 << a) for a in range(64)]):
+            broken = chain[:]
+            broken[k + 1] |= ~chain[k] & -~chain[k]
+            assert _chain(broken) == _chain(broken[::-1]) == 0
+            lists += [broken, broken[::-1]]
+    seen = set()
+    for rows in lists:
+        seen.add(_chain(rows))
+        assert _chain(rows) == nesting(rows)
+    assert seen == {1, -1, 0}
+
+
+def random_chain(rng, size):
+    """``size`` rows of up to ``size`` bits, each containing the next;
+    about half of them equal their predecessor."""
+    rows, row = [], rng.getrandbits(size)
+    for _ in range(size):
+        rows.append(row)
+        if rng.random() < 0.5:
+            row &= ~(1 << rng.randrange(size))
+    return rows
+
+
+def nesting(rows):
+    """1 if each row contains the next, -1 if each is contained in the
+    next, 0 otherwise."""
+    pairs = list(zip(rows, rows[1:]))
+    if all(a | b == a for a, b in pairs):
+        return 1
+    return -1 if all(a | b == b for a, b in pairs) else 0
 
 
 def uses_bitsets(b, args=("x", "y")):
@@ -426,6 +475,43 @@ def test_solve_qlt_400_against_an_acyclicity_check():
         verdicts.append((kind, verdict.accept))
     assert ("random", False) in verdicts and ("random", True) in verdicts
     assert ("planted", True) in verdicts
+
+
+@pytest.mark.parametrize("name, n, chains", [("qlt", 400, True), ("gamma1", 8, False)])
+def test_chains_revise_by_one_row(monkeypatch, name, n, chains):
+    # qlt's Lt rows are nested both ways, so solve revises each of its
+    # constraints on one row per direction and never ORs rows; no
+    # relation of gamma1 at n >= 2 is a chain, so every union ORs them.
+    t = preset(name)
+    rng = random.Random(f"chains-{name}")
+    names = [f"v{i}" for i in range(n)]
+    calls = {"union": 0, "or": 0}
+    union, flags = ordcsp.solver._union, ordcsp.solver._flags
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(ordcsp.solver, "_union", counted("union", union))
+    monkeypatch.setattr(ordcsp.solver, "_flags", counted("or", flags))
+    points = representatives(t, n)
+    holds = {rel.name: compile_formula(rel.formula) for rel in t.relations}
+    verdicts = set()
+    for planted in (False, True) * 2:
+        chosen = [rng.choice(points) for _ in range(n)]
+        constraints = []
+        while len(constraints) < 2 * n:
+            rel = rng.choice(t.relations)
+            args = [rng.randrange(n) for _ in range(rel.arity)]
+            if not planted or holds[rel.name](sum((chosen[i] for i in args), ())):
+                constraints.append((rel.name, tuple(names[i] for i in args)))
+        verdicts.add(solve(t, Instance(tuple(names), tuple(constraints))).accept)
+    assert calls["union"] > 0
+    assert calls["or"] == (0 if chains else calls["union"])
+    assert verdicts == {False, True}
 
 
 def test_ac_sets_off_no_garbage_collection():

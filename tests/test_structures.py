@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ordcsp import (
@@ -34,6 +36,66 @@ def test_structure_validation():
     # Missing relations default to empty; size 0 is legal.
     b = FiniteStructure(sig, 0, {})
     assert b.relations["E"] == frozenset()
+
+
+def first_schema_error(signature, size, relations):
+    """The message of the tuple-by-tuple check of every entry, in
+    signature order, or None when all pass."""
+    for name, arity in signature.symbols:
+        for t in frozenset(tuple(t) for t in relations.get(name, ())):
+            if len(t) != arity:
+                return (
+                    f"relation {name!r}: tuple {t} has length {len(t)}, "
+                    f"declared arity is {arity}"
+                )
+            for x in t:
+                if type(x) is not int or not 0 <= x < size:
+                    return f"relation {name!r}: entry {x!r} outside domain [0, {size})"
+    return None
+
+
+def test_structure_validation_names_the_first_bad_entry():
+    # Bad lengths and entries (negative, at or past the size, bool, float,
+    # str, None) alone, together and in two relations: the same first
+    # message as the tuple-by-tuple check. (1, True) equals (1, 1), so it
+    # is dropped when (1, 1) comes first, and passes as it always has.
+    rng = random.Random(42)
+    sig = Signature((("E", 2), ("T", 3)))
+    bad = [-1, 4, 5, True, False, 1.0, "a", None]
+    cases = [{"E": [(1, 1), (1, True)]}, {"E": [(1, True), (1, 1)]}, {"E": []}]
+    for _ in range(300):
+        relations = {}
+        for name, arity in sig.symbols:
+            tuples = [
+                tuple(rng.randrange(4) for _ in range(arity))
+                for _ in range(rng.randrange(6))
+            ]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                t = list(rng.choice(tuples or [(0,) * arity]))
+                if rng.random() < 0.3:
+                    t = t[: rng.randrange(arity)] or t + [0]
+                else:
+                    t[rng.randrange(len(t))] = rng.choice(bad)
+                tuples.insert(rng.randrange(len(tuples) + 1), tuple(t))
+            relations[name] = tuples
+        cases.append(relations)
+    raised = 0
+    for relations in cases:
+        expected = first_schema_error(sig, 4, relations)
+        if expected is None:
+            b = FiniteStructure(sig, 4, relations)
+            assert b.relations == {
+                name: frozenset(map(tuple, relations.get(name, ())))
+                for name, _ in sig.symbols
+            }
+        else:
+            raised += 1
+            with pytest.raises(SchemaError) as exc:
+                FiniteStructure(sig, 4, relations)
+            assert str(exc.value) == expected
+    assert first_schema_error(sig, 4, cases[0]) is None
+    assert str(first_schema_error(sig, 4, cases[1])).endswith("entry True outside domain [0, 4)")
+    assert raised >= 100
 
 
 def test_structure_json_roundtrip():
