@@ -141,9 +141,9 @@ def network(variables, constraints, size, relation):
     ``relation(rel)``, asked for once per relation name after the cap
     check: a set of tuples, or support bitsets ``(fwd, bwd)``, to which
     each list's ``_chain`` flag is appended, as the relation source
-    chose. Raises ``CapExceeded`` when the domains would
-    hold more than ``NETWORK_CAP`` values together. A ``range`` of
-    variables is counted from its end, as ``len`` fails past sys.maxsize."""
+    chose. Raises ``CapExceeded`` when the domains would hold more than
+    ``NETWORK_CAP`` values together. A ``range`` of variables is counted
+    from its end, as ``len`` fails past sys.maxsize."""
     n = variables.stop if isinstance(variables, range) else len(variables)
     if n * size > NETWORK_CAP:
         raise CapExceeded(f"network cap: {n} variables x {size} values > {NETWORK_CAP}")
