@@ -59,6 +59,8 @@ def _load_json(path):
         raise SchemaError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_template(path) -> Template:

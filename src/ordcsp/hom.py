@@ -20,9 +20,8 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SignatureMismatch
-from .sampler import _values
 from .solver import network, propagate, structure_source
-from .structures import FiniteStructure, Instance, instance_view
+from .structures import FiniteStructure, Instance, _values, instance_view
 
 
 def _constraint_view(a, b: FiniteStructure):

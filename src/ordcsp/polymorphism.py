@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import CapExceeded
-from .structures import FiniteStructure
+from .structures import FiniteStructure, _mask, _values
 
 DEFAULT_CONSTRAINT_BUDGET = 10**6
 SEMILATTICE_CAP = 6
@@ -106,14 +106,6 @@ def column_signatures(tuples, m: int, n: int, budget: int, used: int):
     return set(zip(*columns)), used
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
-def _mask(subset) -> int:
-    return sum(1 << x for x in subset)
-
-
 def _all_subsets(m: int, n: int):
     for size in range(1, min(m, n) + 1):
         for combo in combinations(range(m), size):
@@ -155,7 +147,7 @@ def has_ts_polymorphism(
         constraints.append((sigs, tuples))
 
     masks = set().union(*(sig for sigs, _ in constraints for sig in sigs))
-    members = {s: _members(s) for s in masks}
+    members = {s: tuple(_values(s)) for s in masks}
     variables = sorted(masks, key=lambda s: (len(members[s]), members[s]))
     position = {s: i for i, s in enumerate(variables)}.__getitem__
     # checks[i]: the constraints whose last variable is variables[i].

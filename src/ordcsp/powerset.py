@@ -11,17 +11,9 @@ a box is kept iff each x in each U_i is the i-th entry of a live tuple.
 from __future__ import annotations
 
 from .errors import CapExceeded
-from .structures import FiniteStructure, Signature
+from .structures import FiniteStructure, Signature, _values
 
 DEFAULT_SUBSET_CAP_BITS = 16
-
-
-def subsets_in_canonical_order(m: int):
-    """Non-empty subsets of {0..m-1} as frozensets, bitmask ascending."""
-    out = []
-    for mask in range(1, 1 << m):
-        out.append(frozenset(i for i in range(m) if mask >> i & 1))
-    return out
 
 
 def power_structure(
@@ -34,7 +26,7 @@ def power_structure(
             f"power_structure cap: size {b.size} > {cap_bits} "
             f"(2^{b.size} - 1 subsets)"
         )
-    subsets = subsets_in_canonical_order(b.size)
+    subsets = [tuple(_values(mask)) for mask in range(1, 1 << b.size)]
     relations = {}
     for name, arity in b.signature.symbols:
         # byval[i][x]: bitmask of the tuples t with t[i] == x;
@@ -58,7 +50,7 @@ def power_structure(
             for box, live in boxes
             if all(v & live for ni, u in zip(need, box) for v in ni[u])
         )
-    labels = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in subsets)
+    labels = tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
     return FiniteStructure(
         Signature(b.signature.symbols), len(subsets), relations, labels
     )

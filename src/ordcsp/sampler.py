@@ -67,7 +67,7 @@ template too large to check exactly raises ``CapExceeded``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, product
+from itertools import product
 
 from .errors import (
     CapExceeded,
@@ -76,7 +76,7 @@ from .errors import (
     SchemaError,
 )
 from .formula import compile_formula, compile_rows, compile_table
-from .structures import FiniteStructure
+from .structures import FiniteStructure, _values
 from .template import DIRECT, Template
 
 GRID_CAP = 10**6
@@ -166,19 +166,6 @@ def template_source(t: Template, points):
         return build[name](list(enumerate(points)))
 
     return len(points), relation
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _flags(mask):
-    """``compress``'s flags for ``mask``: byte ``a`` is 1 iff bit ``a`` is."""
-    return bin(mask)[:1:-1].encode().translate(_FLAGS)
-
-
-def _values(mask):
-    """The values ``a`` whose bit is set in ``mask``, ascending."""
-    return compress(count(), _flags(mask))
 
 
 def _power_exceeds(base, exponent, cap):

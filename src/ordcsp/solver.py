@@ -75,8 +75,8 @@ from operator import and_, eq, itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
 from .formula import compile_formula
-from .sampler import _flags, _values, representatives, template_source
-from .structures import FiniteStructure, Instance
+from .sampler import representatives, template_source
+from .structures import FiniteStructure, Instance, _flags, _mask, _values
 from .template import Template
 
 # Full-domain values over all variables. qlt at n = 1000, the largest
@@ -220,7 +220,7 @@ def propagate(h, args_of, live, by_var, queue, trail, sets):
                 column = set(map(g, kept))
                 support[v] = support[v] & column if v in support else column
             support = [
-                (v, sum(map((1).__lshift__, values)))
+                (v, _mask(values))
                 for v, values in support.items()
                 if len(values) < h[v].bit_count()
             ]

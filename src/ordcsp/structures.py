@@ -6,13 +6,15 @@ the input side of a constraint problem: named variables plus constraints
 ``(symbol, variable tuple)`` to be interpreted in some target structure.
 
 Both have a stable JSON form, documented next to ``to_json_dict``.
+
+A subset of a domain is an int mask: ``_values`` reads one, ``_mask`` builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, count
 
 from .errors import SchemaError, SignatureMismatch
 
@@ -217,3 +219,21 @@ def instance_view(structure: FiniteStructure):
         for t in sorted(tuples)
     ]
     return variables, constraints
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask):
+    """``compress``'s flags for ``mask``: byte ``a`` is 1 iff bit ``a`` is."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _values(mask):
+    """The values ``a`` whose bit is set in ``mask``, ascending."""
+    return compress(count(), _flags(mask))
+
+
+def _mask(values):
+    """The mask with bit ``a`` set for each ``a`` in ``values`` (distinct)."""
+    return sum(map((1).__lshift__, values))

@@ -442,6 +442,32 @@ def test_schema_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expected exactly one binary relation, found 2" in err
 
+    # json.load recurses per nesting level; every command that loads a
+    # file reports the overflow as a format error naming that file.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    one = tmp_path / "one_variable.json"
+    write_json(one, {"variables": ["x"], "constraints": []})
+    d, s = str(deep), str(structure)
+    for argv in (
+        ["sample", "--template", d, "--size", "2"],
+        ["solve", "--template", d, "--instance", d],
+        ["ac", "--instance", d, "--structure", s],
+        ["ac", "--instance", str(one), "--structure", d],
+        ["hom", "--from", d, "--to", s],
+        ["hom", "--from", s, "--to", d],
+        ["powerset", "--structure", d],
+        ["check-ts", "--structure", d, "--arity", "2"],
+        ["check-semilattice", "--structure", d],
+        ["check-equiv", "--structure", d],
+        ["walk", "--from", d, "--to", s, "--size", "2"],
+        ["walk-lemma", "--structure", d, "--arity", "2"],
+        ["orbits", "--template", d, "--size", "2"],
+    ):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "deep.json: JSON nested too deeply" in err, argv
+
 
 @pytest.mark.parametrize(
     "formula",
