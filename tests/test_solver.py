@@ -637,6 +637,19 @@ def test_solve_empty_instance():
     assert verdict.domains == {}
 
 
+@pytest.mark.parametrize("constraints", [(), (("Lt", ("x", "y")),)])
+def test_solve_rejects_on_an_empty_sample(constraints):
+    # No point satisfies the domain formula, so every variable's candidate
+    # set starts empty. With no constraint nothing is revised and no
+    # revision reports the empty sets; solve must still reject.
+    t = Template(
+        "empty", "interpretation", 1, lt(0, 0), eq(0, 1),
+        (Relation("Lt", 2, lt(0, 1)),),
+    )
+    verdict = solve(t, Instance(("x", "y"), constraints))
+    assert verdict == ordcsp.solver.Verdict(False, 0)
+
+
 def test_solve_unknown_symbol():
     with pytest.raises(SignatureMismatch):
         solve(preset("qlt"), Instance(("x",), (("Gt", ("x", "x")),)))
