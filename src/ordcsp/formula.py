@@ -37,11 +37,17 @@ and a mixed atom such as ``x0 < x3`` a lookup ``T[x0]`` in a value table,
 which maps each coordinate value to the mask of the points whose
 coordinate compares with it that way; ``and``, ``or`` and ``not`` become
 ``&``, ``|`` and ``F ^``. The same expression with the two points'
-roles swapped gives the backward rows. ``sampler.template_source``
-lists both directions of every binary relation: ``solve`` revises on
-them as support bitsets, and ``sample`` decodes the forward rows into
-pairs. ``sampler`` also reads the equality formula's rows to decide the
-formula and to list the representatives.
+roles swapped gives the backward rows. The masks and value tables depend
+only on the point list, so the builder takes a dict that holds them by
+key, ``(op, a, b)`` or ``(op, c)``, and makes each at most once per
+dict: formulas over the same points share one. A value table holds every
+value of every coordinate, since a mixed atom such as ``x0 < x3`` looks
+up a coordinate-0 value in the coordinate-1 table.
+``sampler.template_source`` lists both directions of every binary
+relation: ``solve`` revises on them as support bitsets, and ``sample``
+decodes the forward rows into pairs. ``sampler`` also reads the
+equality formula's rows to decide the formula and to list the
+representatives.
 ``compile_pair_codes`` puts the expressions of several binary formulas
 into one comprehension that gives each ordered pair of points an int
 with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
@@ -262,10 +268,12 @@ def compile_rows(f: Formula, d: int):
     dimension ``d``, cached on the node per ``d``. The builder maps a list
     of m points ``P`` to two iterators over m-bit ints, the forward and
     the backward rows: bit ``j`` of forward row ``i`` and bit ``i`` of
-    backward row ``j`` are set iff ``P[i] + P[j]`` satisfies ``f``. It
-    makes the masks and value tables its expressions read (see the module
-    docstring) when called, and each row as it is read. Raises as
-    ``compile_table`` does for arity 2.
+    backward row ``j`` are set iff ``P[i] + P[j]`` satisfies ``f``. The
+    masks and value tables its expressions read (see the module docstring)
+    are looked up when it is called in ``tables``, a dict over the same
+    ``P`` that other builders may share, and made and put there if
+    missing; without ``tables`` they are made for the one call. Each row
+    is made as it is read. Raises as ``compile_table`` does for arity 2.
     """
     compile_formula(f)  # type and depth checks
     fn = f._tables.get(("rows", d))
@@ -324,44 +332,45 @@ def _rows_builder(f, d):
     exec("def make(%s):\n%s" % (head, body), env)
     make, keys = env["make"], list(keys)
 
-    def rows(P):
+    def rows(P, tables=None):
         full = (1 << len(P)) - 1
-        return make(P, full, *_row_data(P, keys, full))
+        tables = {} if tables is None else tables
+        return make(P, full, *[_row_data(P, key, full, tables) for key in keys])
 
     return rows
 
 
-def _row_data(P, keys, full):
-    """For each of ``keys``, the mask ``(op, a, b)`` of the points p with
-    ``p[a] op p[b]``, or the value table ``(op, c)`` that maps each value
-    v in ``P`` to the mask of the points p with ``v op p[c]``. A table ORs
-    the masks of the points at each value of c, found in one pass, over
-    the values that compare."""
-    values = sorted(set().union(*P))
-    at, out = {}, []
-    for key in keys:
-        op, c = key[0], key[-1]
-        if len(key) == 3:
-            a = [p[key[1]] for p in P]
-            holds = map(getattr(operator, op), a, [p[c] for p in P])
-            out.append(sum(map((1).__lshift__, compress(count(), holds))))
-            continue
-        if c not in at:
-            points_at = {v: [] for v in values}
-            for j, p in enumerate(P):
-                points_at[p[c]].append(j)
-            at[c] = [sum(map((1).__lshift__, js)) for js in points_at.values()]
-        eqs = at[c]
-        if op in ("eq", "ne"):
-            masks = eqs if op == "eq" else [full ^ e for e in eqs]
+def _row_data(P, key, full, tables):
+    """``tables[key]``, made first if missing: for ``(op, a, b)`` the mask
+    of the points p with ``p[a] op p[b]``, for ``(op, c)`` the value table
+    that maps each value v of any coordinate in ``P`` to the mask of the
+    points p with ``v op p[c]``. The ``("eq", c)`` table is one pass over
+    ``P``; the others are its masks, complemented or ORed in value order."""
+    if key in tables:
+        return tables[key]
+    op, c = key[0], key[-1]
+    if len(key) == 3:
+        a = [p[key[1]] for p in P]
+        holds = map(getattr(operator, op), a, [p[c] for p in P])
+        data = sum(map((1).__lshift__, compress(count(), holds)))
+    elif op == "eq":
+        data = dict.fromkeys(sorted(set().union(*P)), 0)
+        for j, p in enumerate(P):
+            data[p[c]] |= 1 << j
+    else:
+        at = _row_data(P, ("eq", c), full, tables)
+        eqs = list(at.values())
+        if op == "ne":
+            masks = [full ^ e for e in eqs]
         elif op in ("gt", "ge"):  # the points below v, or at v too
             up = list(accumulate(eqs, operator.or_, initial=0))
             masks = up[:-1] if op == "gt" else up[1:]
         else:  # the points above v, or at v too
             down = list(accumulate(reversed(eqs), operator.or_, initial=0))[::-1]
             masks = down[1:] if op == "lt" else down[:-1]
-        out.append(dict(zip(values, masks)))
-    return out
+        data = dict(zip(at, masks))
+    tables[key] = data
+    return data
 
 
 def compile_pair_codes(fs, d: int):

@@ -17,14 +17,20 @@ in element order. It finds the least members from the equality
 formula's bitset rows over the domain points (``formula.compile_rows``):
 a point is least in its class iff the lowest set bit of its row is its
 own index. The rows are streamed, and none is kept.
-``template_source(t, points)`` is the one builder of a sample's
+``template_source(t, points, tables)`` is the one builder of a sample's
 relations, straight from the formulas: a binary relation's forward and
 backward rows (``formula.compile_rows``, one generated expression per
 point rather than per pair), and a ``formula.compile_table`` table for
-any other arity. ``sample`` is ``representatives`` plus every relation
-from it in one ``FiniteStructure``, with the forward rows decoded into
-pairs; ``solve`` builds only the relations its constraints use and
-revises on them as they are (see ``solver``).
+any other arity. Every binary relation it builds reads one dict of value
+tables over ``points``. ``representatives(t, n, tables)`` puts the
+equality rows' tables into the caller's dict only when it keeps every
+domain point (identity equality, as in gamma1 and gamma2), for only then
+are the representatives the point list those tables were made on.
+``sample`` and ``solve`` make one dict per call; no table outlives it.
+``sample`` is ``representatives`` plus every relation from it in one
+``FiniteStructure``, with the forward rows decoded into pairs; ``solve``
+builds only the relations its constraints use and revises on them as
+they are (see ``solver``).
 
 Templates arrive structurally checked (``Template`` checks itself when it
 is built), and a sample's signature is the template's ``signature``.
@@ -34,8 +40,10 @@ points over g grid values hold each value table that the equality
 formula uses, g * m bits, plus one row of m bits at a time: gamma2 at
 n = 100 (m = 40,000) holds two tables of 1 MB each, and a grid near the
 cap, 1,000 values per coordinate at d = 2, would take about 125 MB per
-table. ``template_source`` builds nothing before ``check_table_caps``
-has found each relation's m**arity candidate tuples (bits, for rows)
+table. Tables handed on to ``template_source`` are held until the
+``sample`` or ``solve`` call ends, with those its relations add.
+``template_source`` builds nothing before ``check_table_caps`` has
+found each relation's m**arity candidate tuples (bits, for rows)
 over the m sample elements within ``GRID_CAP`` (direct) or
 ``TABLE_CAP`` (interpretation, whose m grows as (dn)**d), for every
 relation, used or not; past it, ``CapExceeded`` is raised, for
@@ -105,8 +113,9 @@ def sample(t: Template, n: int) -> Sample:
     ``template_source`` builds it: a table as it is, and a binary
     relation's forward rows decoded into pairs. An interpretation's
     elements are labelled by their points."""
-    reps = representatives(t, n)
-    size, relation = template_source(t, reps)
+    tables = {}
+    reps = representatives(t, n, tables)
+    size, relation = template_source(t, reps, tables)
     relations = {}
     for rel in t.relations:
         built = relation(rel.name)
@@ -118,21 +127,25 @@ def sample(t: Template, n: int) -> Sample:
     return Sample(structure, tuple(reps), t.dimension * max(n, 1))
 
 
-def representatives(t: Template, n: int) -> list:
+def representatives(t: Template, n: int, tables=None) -> list:
     """The points that stand for the elements of ``t``'s sample at ``n``,
     in element order: the grid {0..n-1} of a direct template, or the
     least member of each equality class of an interpretation's domain
     points over {0..dn-1}, after the equality check; those are the
-    points whose equality row has no bit below their own index."""
+    points whose equality row has no bit below their own index. When
+    every domain point is kept, the value tables of the equality rows
+    are put into the dict ``tables``, if given, for ``template_source``."""
     n = max(n, 1)
     if t.kind == DIRECT:
         return _domain_points(t, n)
     _check_equality(t)
     points = _domain_points(t, t.dimension * n)
-    rows, _ = compile_rows(t.equality_formula, t.dimension)(points)
-    return [
-        p for i, (p, row) in enumerate(zip(points, rows)) if row & -row == 1 << i
-    ]
+    own = {}
+    rows, _ = compile_rows(t.equality_formula, t.dimension)(points, own)
+    reps = [p for i, (p, row) in enumerate(zip(points, rows)) if row & -row == 1 << i]
+    if tables is not None and len(reps) == len(points):
+        tables.update(own)
+    return reps
 
 
 def check_table_caps(t: Template, m: int):
@@ -144,13 +157,15 @@ def check_table_caps(t: Template, m: int):
             raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
 
 
-def template_source(t: Template, points):
+def template_source(t: Template, points, tables=None):
     """``solver.network``'s ``size, relation`` for the relations of ``t``
     on the sample elements ``points``, built from the formulas:
     ``compile_rows`` rows, listed, for a binary relation at any number of
-    points, and a ``compile_table`` table for any other. Every relation is
-    checked against ``check_table_caps`` and compiled first, used or not,
-    so ``solve`` fails where ``sample`` does."""
+    points, and a ``compile_table`` table for any other. The rows of every
+    relation read one dict of value tables over ``points``: ``tables``, if
+    given, or a new one. Every relation is checked against
+    ``check_table_caps`` and compiled first, used or not, so ``solve``
+    fails where ``sample`` does."""
     check_table_caps(t, len(points))
     d = t.dimension
     build = {
@@ -160,9 +175,11 @@ def template_source(t: Template, points):
         for rel in t.relations
     }
 
+    tables = {} if tables is None else tables
+
     def relation(name):
         if t.relation(name).arity == 2:
-            return tuple(map(list, build[name](points)))
+            return tuple(map(list, build[name](points, tables)))
         return build[name](list(enumerate(points)))
 
     return len(points), relation

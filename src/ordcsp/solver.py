@@ -54,10 +54,13 @@ once a set is empty, and the fixpoint is unique, so they return
 identical domain maps.
 
 ``solve`` ties the pieces together: list the sample's representatives
-at the instance's variable count, run ac on them, and -- for direct
+at the instance's variable count, propagate on them, and -- for direct
 templates declaring a semilattice -- extract and verify a concrete
 witness by folding min (or max) over each accepted candidate set. It
-builds no ``FiniteStructure``: its relations come from
+stops at the first wipe-out, since masks only shrink and a reject
+reports no domains, and accepts only at a fixpoint where every mask is
+non-empty (an empty sample has no value to revise away). It builds no
+``FiniteStructure``: its relations come from
 ``sampler.template_source``, the builder ``sample`` reads too, and an
 unused relation is not built. A binary relation gets rows at any number
 of representatives, and a relation of another arity a table. Every
@@ -246,15 +249,20 @@ def ac(instance: Instance, b: FiniteStructure):
     return accept, {v: set(_values(m)) for v, m in h.items()}
 
 
-def _fixpoint(instance, source):
-    """(accept, domain map) of the instance on the network of ``source``."""
+def _fixpoint(instance, source, resume=True):
+    """(accept, domain map) of the instance on the network of ``source``.
+    Without ``resume`` it rejects at the first wipe-out, and the domain
+    map is not at the fixpoint."""
     h, args_of, live, by_var = network(
         instance.variables, instance.constraints, *source
     )
-    # Resume after each emptied live list; nothing is undone, so no trail.
+    # Resume, if asked, after each emptied live list; nothing is undone,
+    # so no trail.
     queue, sets = deque(range(len(args_of))), {}
     while queue:
-        propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets)
+        fixpoint = propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets)
+        if not (fixpoint or resume):
+            return False, h
     return all(h.values()), h
 
 
@@ -357,8 +365,9 @@ def solve(t: Template, instance: Instance) -> Verdict:
         if t.semilattice is not None:
             verdict.witness = {}
         return verdict
-    points = representatives(t, n)
-    accept, h = _fixpoint(instance, template_source(t, points))
+    tables = {}
+    points = representatives(t, n, tables)
+    accept, h = _fixpoint(instance, template_source(t, points, tables), False)
     if not accept:
         return Verdict(False, len(points))
     # Through a set, each list is allocated at its length, not grown.

@@ -461,6 +461,26 @@ def test_supports_match_brute_force_on_gappy_points(case):
     assert rows(f, d, points) == supports(table, len(points))
 
 
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(formulas(max_leaves=12, variables=2 * d), min_size=2, max_size=3),
+            st.lists(st.tuples(*[GAPPY] * d), max_size=7),
+        )
+    )
+)
+def test_rows_sharing_one_dict_of_tables_match_brute_force(case):
+    # Each formula's builder reads and fills the same dict, in the drawn
+    # order, so a later formula reads the tables of an earlier one, such
+    # as a coordinate's table made for an atom on another coordinate.
+    d, fs, points = case
+    tables = {}
+    built = [tuple(map(list, compile_rows(f, d)(points, tables))) for f in fs]
+    for f, got in zip(fs, built):
+        assert got == supports(brute_table(f, 2, points), len(points))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("op", sorted(ATOM_OPS))
 def test_supports_every_atom_placement(op, d):

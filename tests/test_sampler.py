@@ -20,6 +20,7 @@ from ordcsp import (
 )
 from ordcsp.formula import TRUE, Atom, and_, eq, lt, ne, or_, parse_formula
 from ordcsp.sampler import representatives
+from ordcsp.template import PRESET_NAMES
 
 from conftest import holds, random_instance
 from test_formula import formulas
@@ -470,6 +471,38 @@ def test_sample_matches_brute_force(t, n):
         )
         for rel in t.relations
     }
+
+
+# Keeps the first coordinate of a pair only, so the equality drops points,
+# and every relation reads that coordinate through a value table.
+FIRST_COORDINATE = Template(
+    "first", "interpretation", 2, TRUE, eq(0, 2),
+    tuple(
+        Relation(name, 2, parse_formula(text))
+        for name, text in [("Lt", "(lt 0 2)"), ("Eq", "(eq 0 2)"), ("Ge", "(ge 2 0)")]
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "t", [preset(name) for name in PRESET_NAMES] + [FIRST_COORDINATE],
+    ids=[*PRESET_NAMES, "first"],
+)
+def test_shared_tables_change_no_relation(t):
+    # representatives hands its tables on only when it keeps every domain
+    # point, as gamma1 and gamma2 do. gamma3 and FIRST_COORDINATE drop
+    # points from n = 2 on, and their equality tables would then give
+    # wrong rows on the representatives.
+    for n in range(1, 5):
+        tables = {}
+        reps = representatives(t, n, tables)
+        assert reps == representatives(t, n)
+        points = ordcsp.sampler._domain_points(t, t.dimension * n)
+        assert bool(tables) == (t.kind != "direct" and reps == points)
+        size, shared = ordcsp.sampler.template_source(t, reps, tables)
+        _, alone = ordcsp.sampler.template_source(t, reps)
+        for rel in t.relations:
+            assert shared(rel.name) == alone(rel.name)
 
 
 def test_representatives_at_scale():

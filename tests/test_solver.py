@@ -514,6 +514,26 @@ def test_chains_revise_by_one_row(monkeypatch, name, n, chains):
     assert verdicts == {False, True}
 
 
+def test_solve_stops_at_the_first_wipe_out(monkeypatch):
+    # The cycle a < b < c < a empties a candidate set while Lt(c, d) and
+    # Lt(d, a) are still queued. ac resumes propagate until the queue is
+    # empty; solve rejects after the one call.
+    calls = []
+    propagate = ordcsp.solver.propagate
+
+    def spy(*args):
+        calls.append(propagate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ordcsp.solver, "propagate", spy)
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "a")]
+    a = Instance(tuple("abcd"), tuple(("Lt", p) for p in pairs))
+    assert solve(preset("qlt"), a) == ordcsp.solver.Verdict(False, 4)
+    assert calls == [False]
+    accept, _ = ac(a, sample(preset("qlt"), 4).structure)
+    assert not accept and len(calls) > 2
+
+
 def test_ac_sets_off_no_garbage_collection():
     # gamma2's binary relations at n=5 (450 and 4,500 pairs on 100
     # elements) revise on support rows, which OR ints and build no tuple.
