@@ -157,15 +157,14 @@ def check_table_caps(t: Template, m: int):
             raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
 
 
-def template_source(t: Template, points, tables=None):
+def template_source(t: Template, points, tables):
     """``solver.network``'s ``size, relation`` for the relations of ``t``
     on the sample elements ``points``, built from the formulas:
     ``compile_rows`` rows, listed, for a binary relation at any number of
     points, and a ``compile_table`` table for any other. The rows of every
-    relation read one dict of value tables over ``points``: ``tables``, if
-    given, or a new one. Every relation is checked against
-    ``check_table_caps`` and compiled first, used or not, so ``solve``
-    fails where ``sample`` does."""
+    relation read and fill ``tables``, one dict of value tables over
+    ``points``. Every relation is checked against ``check_table_caps`` and
+    compiled first, used or not, so ``solve`` fails where ``sample`` does."""
     check_table_caps(t, len(points))
     d = t.dimension
     build = {
@@ -174,8 +173,6 @@ def template_source(t: Template, points, tables=None):
         else compile_table(rel.formula, rel.arity, d)
         for rel in t.relations
     }
-
-    tables = {} if tables is None else tables
 
     def relation(name):
         if t.relation(name).arity == 2:

@@ -256,8 +256,7 @@ def _fixpoint(instance, source, resume=True):
     h, args_of, live, by_var = network(
         instance.variables, instance.constraints, *source
     )
-    # Resume, if asked, after each emptied live list; nothing is undone,
-    # so no trail.
+    # Resume, if asked, after each wipe-out; nothing is undone, so no trail.
     queue, sets = deque(range(len(args_of))), {}
     while queue:
         fixpoint = propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets)

@@ -490,17 +490,17 @@ FIRST_COORDINATE = Template(
 )
 def test_shared_tables_change_no_relation(t):
     # representatives hands its tables on only when it keeps every domain
-    # point, as gamma1 and gamma2 do. gamma3 and FIRST_COORDINATE drop
-    # points from n = 2 on, and their equality tables would then give
-    # wrong rows on the representatives.
+    # point, as gamma1 and gamma2 do. gamma3 drops points from n = 2 on and
+    # FIRST_COORDINATE at every n, and their equality tables would then
+    # give wrong rows on the representatives.
     for n in range(1, 5):
         tables = {}
         reps = representatives(t, n, tables)
         assert reps == representatives(t, n)
         points = ordcsp.sampler._domain_points(t, t.dimension * n)
         assert bool(tables) == (t.kind != "direct" and reps == points)
-        size, shared = ordcsp.sampler.template_source(t, reps, tables)
-        _, alone = ordcsp.sampler.template_source(t, reps)
+        _, shared = ordcsp.sampler.template_source(t, reps, tables)
+        _, alone = ordcsp.sampler.template_source(t, reps, {})
         for rel in t.relations:
             assert shared(rel.name) == alone(rel.name)
 
