@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import hashlib
 import operator
 from functools import lru_cache
 from itertools import combinations, product
@@ -49,6 +50,16 @@ def min_fold_table(op, arity):
                 acc = op.apply(acc, x)
             entries[frozenset(combo)] = acc
     return SubsetFunctionTable(arity, entries)
+
+
+def digest_histories(histories):
+    """A short sha256 of ``ac_roundrobin`` histories: each snapshot written
+    as its variables' sorted values, in name order."""
+    text = repr(
+        [[sorted((v, sorted(s)) for v, s in snap.items()) for snap in history]
+         for history in histories]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def complete_graph(n):

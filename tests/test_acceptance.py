@@ -28,6 +28,7 @@ from ordcsp import (
 from conftest import (
     all_binary_structures,
     complete_graph,
+    digest_histories,
     min_closed_structure,
     random_binary_structure,
     random_instance,
@@ -187,11 +188,15 @@ def test_criterion_7_sampler_bounds():
 
 def test_criterion_8_fixpoint_determinism(ac_pairs):
     t0 = time.time()
+    histories = []
     for a, b in ac_pairs:
         accept_w, h_w = ac(a, b)
-        accept_r, h_r = ac_roundrobin(a, b)
+        histories.append([])
+        accept_r, h_r = ac_roundrobin(a, b, history=histories[-1])
         assert accept_w == accept_r
         assert h_w == h_r
+    # The reference's per-sweep snapshots, not only its fixpoint, are fixed.
+    assert digest_histories(histories) == "658ee1cc5a824fa5"
     report(8, "worklist == round-robin on all 500 pairs (bit-exact)", t0, 300)
 
 

@@ -44,6 +44,7 @@ from conftest import (
     binary_structure,
     complete_graph,
     covering_tuple,
+    digest_histories,
     random_binary_structure,
     random_instance,
     reference_hom,
@@ -394,6 +395,25 @@ def order_structures(m):
             yield binary_structure(m, broken_order(tuples, m, k)), False
 
 
+# ``ac_roundrobin``'s per-sweep snapshots on each m's instances below,
+# as ``digest_histories`` writes them: the reference's sweeps are fixed,
+# not only its fixpoint.
+ORDER_HISTORIES = {
+    1: "642332b47ee74ef0",
+    2: "d8ce1c85e248a9ca",
+    29: "d6bc4b2c27ab7e7b",
+    30: "c88a168e8ded9c84",
+    31: "9ded1f25fa5ad911",
+    59: "8f552e1148df93fe",
+    60: "beeaa3a0dcb6eb05",
+    61: "d178a559caa8d0a3",
+    62: "25c6ad8639474536",
+    63: "11bbdf3c3a7411b0",
+    64: "91a29ab52bdae698",
+    65: "9c7593079872de6f",
+}
+
+
 @pytest.mark.parametrize("m", [1, 2, 29, 30, 31, 59, 60, 61, 62, 63, 64, 65])
 def test_ac_and_hom_on_order_relations_and_their_broken_chains(m):
     # Order relations, whose support rows form a chain, and the same with
@@ -402,13 +422,15 @@ def test_ac_and_hom_on_order_relations_and_their_broken_chains(m):
     # constraints and chains that prune from both ends.
     rng = random.Random(70 + m)
     loops = rejects = found = pruned = broken = 0
+    histories = []
     for b, nested in order_structures(m):
         broken += not nested
         for _ in range(3):
             a = random_instance(rng, [("E", 2)], max_vars=4, max_constraints=4)
             loops += any(x == y for _, (x, y) in a.constraints)
             accept, h = ac(a, b)
-            assert (accept, h) == ac_roundrobin(a, b)
+            histories.append([])
+            assert (accept, h) == ac_roundrobin(a, b, history=histories[-1])
             rejects += not accept
             pruned += accept and any(len(s) < m for s in h.values())
             mapping = hom_exists(a, b)
@@ -417,6 +439,7 @@ def test_ac_and_hom_on_order_relations_and_their_broken_chains(m):
                 found += 1
                 assert accept and satisfies(a, b, mapping)
     assert broken == {1: 0, 2: 4}.get(m, 12)
+    assert digest_histories(histories) == ORDER_HISTORIES[m]
     assert loops >= 3 and rejects >= 3 and found >= 3
     assert pruned >= 3 or m <= 2
 
