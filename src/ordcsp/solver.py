@@ -93,18 +93,28 @@ NETWORK_CAP = 10**7
 BITSET_SIZE = 4096
 
 
-def _projection_pass(tuples, args, h):
+def _projection_pass(live, args, h):
     """One sequential sweep of the projection rule over a constraint's
-    coordinates. Returns the variables whose sets shrank."""
+    coordinates. Returns the variables whose sets shrank.
+
+    ``live`` holds the constraint's tuples not yet ruled out, and is
+    filtered in place: sets only shrink, so a dead tuple stays dead. It is
+    filtered once on entry, and again only after narrowing a variable the
+    constraint repeats; a variable it holds once is narrowed to its live
+    tuples' values, which kills none of them."""
+
+    def keep():
+        live[:] = [t for t in live if all(t[p] in h[v] for p, v in enumerate(args))]
+
+    keep()
     changed = set()
     for i, var in enumerate(args):
-        new = set()
-        for t in tuples:
-            if all(t[p] in h[args[p]] for p in range(len(args))):
-                new.add(t[i])
+        new = {t[i] for t in live}
         if new != h[var]:
             h[var] = new
             changed.add(var)
+            if args.count(var) > 1:
+                keep()
     return changed
 
 
@@ -281,8 +291,8 @@ def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
     changed = True
     while changed:
         changed = False
-        for tuples, args in constraints:
-            if _projection_pass(tuples, args, h):
+        for live, args in constraints:
+            if _projection_pass(live, args, h):
                 changed = True
         if history is not None:
             history.append({v: frozenset(s) for v, s in h.items()})
