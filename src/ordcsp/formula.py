@@ -21,39 +21,35 @@ the digits of other scripts. Connectives (``not``/``and``/``or``) nest at
 most ``MAX_DEPTH`` deep; deeper input raises ``FormulaError`` from the
 parser and from ``compile_formula``, never ``RecursionError``.
 
-``compile_formula`` turns a formula into one generated ``lambda p: ...``
-expression: atoms become ``p[i] < p[j]`` and so on, connectives the
-Python operators ``not``/``and``/``or``, which short-circuit left to
-right. ``compile_table`` puts the same expression, on coordinate names,
-into one generated comprehension that builds a relation's whole table
-over a list of points; a sample builds each relation of arity other
-than 2 with it.
-``compile_rows`` evaluates a binary formula over a list of m points on
-m-bit masks, one generated expression per point rather than one per
-pair. On the coordinates ``x0, x1, ...`` of its own point, an atom on two
-of them becomes ``F`` (all m bits) or ``0``, an atom on two of the other
-point's coordinates one precomputed mask of the points where it holds,
-and a mixed atom such as ``x0 < x3`` a lookup ``T[x0]`` in a value table,
-which maps each coordinate value to the mask of the points whose
-coordinate compares with it that way; ``and``, ``or`` and ``not`` become
-``&``, ``|`` and ``F ^``. The same expression with the two points'
-roles swapped gives the backward rows. The masks and value tables depend
-only on the point list, so the builder takes a dict that holds them by
-key, ``(op, a, b)`` or ``(op, c)``, and makes each at most once per
-dict: formulas over the same points share one. A value table holds every
-value of every coordinate, since a mixed atom such as ``x0 < x3`` looks
-up a coordinate-0 value in the coordinate-1 table.
-``sampler.template_source`` lists both directions of every binary
-relation: ``solve`` revises on them as support bitsets, and ``sample``
-decodes the forward rows into pairs. ``sampler`` also reads the
-equality formula's rows to decide the formula and to list the
-representatives.
-``compile_pair_codes`` puts the expressions of several binary formulas
-into one comprehension that gives each ordered pair of points an int
-with a bit per formula, which ``orbit_count`` canonicalizes on. Sources
-hold only tokens from a fixed table, generated names, ``True``,
-``False``, ``0`` and indices written by ``int()``; no field of a node is
-pasted in as text, and node fields are type-checked at construction.
+Four compilers write a formula as Python source, all through one writer
+that takes an atom writer and a token table: ``True``, ``False``,
+``not``, ``and``, ``or`` on bools, which short-circuit left to right,
+and ``F`` (all m bits), ``0``, ``F ^``, ``&``, ``|`` on m-bit masks. A
+connective ``_CHUNK_DEPTH`` levels down becomes a nested ``def cN`` of
+the point's names. Each source defines one builder, ``make``, through the
+module's one ``exec``, and a node caches its builders in one dict.
+``compile_formula`` evaluates a point, with atoms such as ``p[0] <
+p[1]``. ``compile_table`` builds a relation's whole table over a list of
+points in one comprehension, with atoms on coordinate names such as
+``x0 < x3``; a sample builds each relation of arity other than 2 with it.
+``compile_rows`` gives a binary formula's forward and backward rows over
+m points as m-bit masks, one expression per point. On its own point's
+coordinates ``x0, x1, ...`` an atom on two of them becomes ``F`` or
+``0``, an atom on two of the other point's coordinates a precomputed
+mask of the points where it holds, and a mixed atom such as ``x0 < x3``
+a lookup ``T[x0]`` in a value table, which maps each value of any
+coordinate to the mask of the points whose coordinate compares with it
+that way. Swapping the two points' roles gives the backward rows. The
+masks and tables depend only on the point list, so the builder reads
+them from a dict, keyed ``(op, a, b)`` or ``(op, c)``, that formulas
+over the same points share. ``sampler.template_source`` reads both
+directions of every binary relation, and ``sampler`` the equality rows.
+``compile_pair_codes`` puts several binary formulas into one
+comprehension that gives each ordered pair of points an int with a bit
+per formula, which ``orbit_count`` canonicalizes on. Sources hold only
+tokens from fixed tables, generated names and indices written by ``%d``;
+no field of a node is pasted in as text, and node fields are
+type-checked at construction.
 """
 
 from __future__ import annotations
@@ -221,25 +217,23 @@ def or_(*fs):
     return Or(tuple(fs))
 
 
+# Constants and connectives of a generated expression: true, false, not
+# (closed by ")"), and, or. ``F`` is the mask of all m bits.
+_BOOL = ("True", "False", "(not ", " and ", " or ")
+_MASK = ("F", "0", "(F ^ ", " & ", " | ")
+
+
 def compile_formula(f: Formula):
     """Return ``f`` as a ``point -> bool`` function, cached on the node:
-    one generated ``lambda p: <expr>``, as the module docstring says. A
-    subtree more than ``_CHUNK_DEPTH`` connectives below the root is
-    compiled the same way and called by name. Raises ``FormulaError``
-    when ``f`` nests deeper than ``MAX_DEPTH``.
-    """
-    fn = getattr(f, "_fn", None)
-    if fn is None:
-        if not isinstance(f, Formula):
-            raise TypeError(f"not a formula: {f!r}")
-        if f.depth > MAX_DEPTH:
-            raise FormulaError(
-                f"formula nests {f.depth} connectives deep, "
-                f"limit is {MAX_DEPTH}"
-            )
-        env = {"__builtins__": {}}
-        fn = eval("lambda p: " + _source(f, env, _CHUNK_DEPTH), env)
-        f._set(_fn=fn, _tables={})
+    ``make(p)``, which returns ``f``'s expression on ``p``. Raises
+    ``FormulaError`` when ``f`` nests deeper than ``MAX_DEPTH``."""
+    try:
+        return f._cache["point"]
+    except (AttributeError, KeyError):
+        pass
+    cache, chunks = _cache(f), []
+    expr = _expr(f, _atom_on("p[%d]"), _BOOL, "p", chunks)
+    fn = cache["point"] = _define("p", chunks, expr)
     return fn
 
 
@@ -248,19 +242,28 @@ def compile_table(f: Formula, arity: int, d: int):
     points of dimension ``d``, cached on the node per ``(arity, d)``.
 
     The builder maps ``R = list(enumerate(points))`` to the frozenset of
-    index tuples whose points, concatenated, satisfy ``f``: ``lambda R:
-    frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)), in
-    product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
+    index tuples whose points, concatenated, satisfy ``f``: ``make(R)``
+    returns ``frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)),
+    in product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
     One loop serves every arity. Raises as ``compile_formula`` does, and
     ``CapExceeded`` when a point has more than ``MAX_TABLE_WIDTH``
     coordinates (``arity * d``), before any source is written.
     """
-    compile_formula(f)  # type and depth checks
-    fn = f._tables.get((arity, d))
-    if fn is None:
-        env = {"__builtins__": {}, "frozenset": frozenset, "product": product}
-        fn = f._tables[arity, d] = eval(_table_source(f, arity, d, env), env)
-    return fn
+    cache = _cache(f)
+    if (arity, d) not in cache:
+        _check_shape(f, arity, d)
+        names, chunks = ["x%d" % v for v in range(arity * d)], []
+        points = [", ".join(names[i * d : (i + 1) * d]) for i in range(arity)]
+        loop = ", ".join("(i%d, (%s,))" % pair for pair in enumerate(points))
+        head = ", ".join("i%d" % i for i in range(arity))
+        expr = _expr(f, _atom_on("x%d"), _BOOL, ", ".join(names), chunks)
+        body = "frozenset((%s,) for %s, in product(R, repeat=%d) if %s)"
+        cache[arity, d] = _define("R", chunks, body % (head, loop, arity, expr))
+    return cache[arity, d]
+
+
+# A comparison with its sides exchanged: v < w iff w > v.
+_FLIPPED = {"lt": "gt", "le": "ge", "eq": "eq", "ne": "ne", "gt": "lt", "ge": "le"}
 
 
 def compile_rows(f: Formula, d: int):
@@ -275,68 +278,37 @@ def compile_rows(f: Formula, d: int):
     missing; without ``tables`` they are made for the one call. Each row
     is made as it is read. Raises as ``compile_table`` does for arity 2.
     """
-    compile_formula(f)  # type and depth checks
-    fn = f._tables.get(("rows", d))
-    if fn is None:
-        _check_shape(f, 2, d)
-        fn = f._tables["rows", d] = _rows_builder(f, d)
-    return fn
-
-
-# A comparison with its sides exchanged: v < w iff w > v.
-_FLIPPED = {"lt": "gt", "le": "ge", "eq": "eq", "ne": "ne", "gt": "lt", "ge": "le"}
-
-
-def _rows_builder(f, d):
-    """Generate ``make(P, F, D0, D1, ...)``, which returns both row
-    iterators over ``P`` given the full mask ``F`` and the data that
-    ``keys`` name: ``(op, a, b)`` a mask, ``(op, c)`` a value table. A
-    connective ``_CHUNK_DEPTH`` levels down becomes a nested function of
-    the row point's coordinates ``x0, x1, ...``."""
+    cache = _cache(f)
+    if ("rows", d) in cache:
+        return cache["rows", d]
+    _check_shape(f, 2, d)
     keys, chunks = {}, []
     row = ", ".join("x%d" % c for c in range(d))
 
-    def source(g, swap, levels):
-        if isinstance(g, Const):
-            return "F" if g.value else "0"
-        if isinstance(g, Atom):
-            row_a, row_b = (g.left < d) != swap, (g.right < d) != swap
-            op, a, b = g.op, int(g.left) % d, int(g.right) % d
-            if row_a and row_b:
-                return "(F if x%d %s x%d else 0)" % (a, ATOM_OPS[op], b)
-            if row_b:  # read a op b as b FLIPPED[op] a
-                op, a, b, row_a = _FLIPPED[op], b, a, True
-            key = (op, b) if row_a else (op, a, b)
-            name = keys.setdefault(key, "D%d" % len(keys))
-            return "%s[x%d]" % (name, a) if row_a else name
-        if levels == 0:
-            body = source(g, swap, _CHUNK_DEPTH)
-            call = "c%d(%s)" % (len(chunks), row)
-            chunks.append("    def %s:\n        return %s\n" % (call, body))
-            return call
-        if isinstance(g, Not):
-            return "(F ^ " + source(g.child, swap, levels - 1) + ")"
-        if isinstance(g, (And, Or)):
-            glue = " & " if isinstance(g, And) else " | "
-            parts = []
-            for c in g.children:  # a loop, not a generator: one frame per level
-                parts.append(source(c, swap, levels - 1))
-            return "(" + glue.join(parts) + ")"
-        raise TypeError(f"not a formula: {g!r}")
+    def atom(g, swap):
+        row_a, row_b = (g.left < d) != swap, (g.right < d) != swap
+        op, a, b = g.op, int(g.left) % d, int(g.right) % d
+        if row_a and row_b:
+            return "(F if x%d %s x%d else 0)" % (a, ATOM_OPS[op], b)
+        if row_b:  # read a op b as b FLIPPED[op] a
+            op, a, b, row_a = _FLIPPED[op], b, a, True
+        key = (op, b) if row_a else (op, a, b)
+        name = keys.setdefault(key, "D%d" % len(keys))
+        return "%s[x%d]" % (name, a) if row_a else name
 
-    fwd, bwd = source(f, False, _CHUNK_DEPTH), source(f, True, _CHUNK_DEPTH)
+    fwd = _expr(f, lambda g: atom(g, False), _MASK, row, chunks)
+    bwd = _expr(f, lambda g: atom(g, True), _MASK, row, chunks)
     loop = "for (%s,) in P)" % row
-    env = {"__builtins__": {}}
     head = ", ".join(["P", "F", *keys.values()])
-    body = "".join(chunks) + "    return (%s %s, (%s %s\n" % (fwd, loop, bwd, loop)
-    exec("def make(%s):\n%s" % (head, body), env)
-    make, keys = env["make"], list(keys)
+    make = _define(head, chunks, "(%s %s, (%s %s" % (fwd, loop, bwd, loop))
+    keys = list(keys)
 
     def rows(P, tables=None):
         full = (1 << len(P)) - 1
         tables = {} if tables is None else tables
         return make(P, full, *[_row_data(P, key, full, tables) for key in keys])
 
+    cache["rows", d] = rows
     return rows
 
 
@@ -379,25 +351,21 @@ def compile_pair_codes(fs, d: int):
 
     The builder maps a list of k points to the flat list of k * k ints
     whose entry i * k + j has bit b set iff points i and j, concatenated,
-    satisfy ``fs[b]``: ``lambda P: [(1 if <expr0> else 0) | (2 if <expr1>
-    else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
+    satisfy ``fs[b]``: ``make(P)`` returns ``[(1 if <expr0> else 0) | (2
+    if <expr1> else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
     ``compile_table`` does for arity 2.
     """
-    env = {"__builtins__": {}}
-    names = ["x%d" % v for v in range(2 * d)]
-    terms = []
+    names, chunks, terms = ["x%d" % v for v in range(2 * d)], [], []
     for bit, f in enumerate(fs):
-        compile_formula(f)  # type and depth checks
+        _cache(f)  # type and depth checks
         _check_shape(f, 2, d)
-        expr = _source(f, env, _CHUNK_DEPTH, names)
+        expr = _expr(f, _atom_on("x%d"), _BOOL, ", ".join(names), chunks)
         terms.append("(%d if %s else 0)" % (1 << bit, expr))
     if not terms:
         return lambda P: [0] * (len(P) * len(P))
-    loops = "for (%s,) in P for (%s,) in P" % (
-        ", ".join(names[:d]),
-        ", ".join(names[d:]),
-    )
-    return eval("lambda P: [%s %s]" % (" | ".join(terms), loops), env)
+    row, col = ", ".join(names[:d]), ", ".join(names[d:])
+    body = "[%s for (%s,) in P for (%s,) in P]" % (" | ".join(terms), row, col)
+    return _define("P", chunks, body)
 
 
 def _check_shape(f, arity, d):
@@ -409,44 +377,60 @@ def _check_shape(f, arity, d):
         )
 
 
-def _table_source(f, arity, d, env):
-    _check_shape(f, arity, d)
-    names = ["x%d" % v for v in range(arity * d)]
-    targets = [
-        "(i%d, (%s,))" % (i, ", ".join(names[i * d : (i + 1) * d]))
-        for i in range(arity)
-    ]
-    loops = "for %s, in product(R, repeat=%d)" % (", ".join(targets), arity)
-    head = "(%s,)" % ", ".join("i%d" % i for i in range(arity))
-    expr = _source(f, env, _CHUNK_DEPTH, names)
-    return "lambda R: frozenset(%s %s if %s)" % (head, loops, expr)
+def _cache(f):
+    """``f``'s one dict of builders, given once ``f`` passes the type and
+    depth checks, so those run before anything is built."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    if f.depth > MAX_DEPTH:
+        raise FormulaError(
+            f"formula nests {f.depth} connectives deep, limit is {MAX_DEPTH}"
+        )
+    return vars(f).setdefault("_cache", {})
 
 
-def _source(f, env, levels, names=None):
-    """Python source for ``f`` inlining ``levels`` connectives; a
-    connective below those is compiled on its own and bound in ``env``
-    under a new name. Atoms read ``p[i]``, or ``names[i]`` if given."""
-    if isinstance(f, Const):
-        return "True" if f.value else "False"
-    if isinstance(f, Atom):
-        op = ATOM_OPS[f.op]
-        if names is None:
-            return "p[%d] %s p[%d]" % (int(f.left), op, int(f.right))
-        return "%s %s %s" % (names[f.left], op, names[f.right])
-    if levels == 0:
-        name = "f%d" % len(env)
-        env[name] = compile_formula(f)
-        point = "p" if names is None else "(%s,)" % ", ".join(names)
-        return "%s(%s)" % (name, point)
-    if isinstance(f, Not):
-        return "(not " + _source(f.child, env, levels - 1, names) + ")"
-    if isinstance(f, (And, Or)):
-        glue = " and " if isinstance(f, And) else " or "
-        parts = []
-        for c in f.children:  # a loop, not a generator: one frame per level
-            parts.append(_source(c, env, levels - 1, names))
-        return "(" + glue.join(parts) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+def _atom_on(name):
+    """An atom writer on the names ``name % i``, such as ``p[%d]``."""
+    return lambda g: "%s %s %s" % (name % g.left, ATOM_OPS[g.op], name % g.right)
+
+
+def _expr(f, atom, tokens, point, chunks):
+    """Python source for ``f``: ``atom(node)`` writes an atom, and
+    ``tokens`` (``_BOOL`` or ``_MASK``) the constants and connectives. A
+    connective ``_CHUNK_DEPTH`` levels below the root, or below a chunk's
+    root, becomes a chunk: ``def cN(<point>): return <expr>`` is appended
+    to ``chunks``, and ``cN(<point>)`` called in its place."""
+    true, false, neg, conj, disj = tokens
+
+    def walk(g, levels):
+        if isinstance(g, Const):
+            return true if g.value else false
+        if isinstance(g, Atom):
+            return atom(g)
+        if levels == 0:
+            body = walk(g, _CHUNK_DEPTH)
+            call = "c%d(%s)" % (len(chunks), point)
+            chunks.append("    def %s:\n        return %s\n" % (call, body))
+            return call
+        if isinstance(g, Not):
+            return neg + walk(g.child, levels - 1) + ")"
+        if isinstance(g, (And, Or)):
+            glue = conj if isinstance(g, And) else disj
+            parts = []
+            for c in g.children:  # a loop, not a generator: one frame per level
+                parts.append(walk(c, levels - 1))
+            return "(" + glue.join(parts) + ")"
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, _CHUNK_DEPTH)
+
+
+def _define(params, chunks, body):
+    """The module's one ``exec``: ``def make(<params>)``, which defines the
+    ``chunks`` and returns ``body``, with no builtins but a table's two."""
+    env = {"__builtins__": {}, "frozenset": frozenset, "product": product}
+    exec("def make(%s):\n%s    return %s\n" % (params, "".join(chunks), body), env)
+    return env["make"]
 
 
 def print_formula(f: Formula) -> str:

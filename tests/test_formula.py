@@ -33,8 +33,6 @@ from ordcsp.formula import (
     Not,
     Or,
     _CHUNK_DEPTH,
-    _source,
-    _table_source,
     compile_formula,
     compile_pair_codes,
     compile_rows,
@@ -300,18 +298,19 @@ def test_too_deep_is_a_formula_error():
 CONNECTIVE_TOKENS = set(ATOM_OPS.values()) | {
     "(", ")", "not", "and", "or", "True", "False",
 }
+# Every source is one function ``make``, with its chunks nested in it.
+FRAME_TOKENS = {"def", "make", ":", "return"}
+POINT_TOKENS = {"[", "]", "p"}
 TABLE_TOKENS = {
-    ",", "lambda", ":", "R", "for", "in", "if", "frozenset", "product",
-    "repeat", "=",
+    ",", "R", "for", "in", "if", "frozenset", "product", "repeat", "=",
 }
 
 
 ROW_TOKENS = {
-    ",", ":", "def", "make", "return", "P", "F", "for", "in", "if", "else",
-    "&", "|", "^",
+    ",", "P", "F", "for", "in", "if", "else", "&", "|", "^",
 }
 PAIR_CODE_TOKENS = {
-    ",", "lambda", ":", "P", "[", "]", "for", "in", "if", "else", "|",
+    ",", "P", "[", "]", "for", "in", "if", "else", "|",
 }
 LAYOUT = (
     tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
@@ -319,57 +318,50 @@ LAYOUT = (
 )
 
 
-def assert_tokens(source, env, allowed, names=None):
+def assert_tokens(source, allowed, names):
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type in LAYOUT:
             continue
         assert (
             tok.string in allowed
-            or tok.string in env
-            or (names is not None and re.fullmatch(names, tok.string))
+            or re.fullmatch(names, tok.string)
             or (tok.type == tokenize.NUMBER and tok.string.isdigit())
         ), tok
 
 
 def test_generated_source_tokens(monkeypatch):
-    # Every token of a generated function comes from the fixed table,
-    # the point name, a chunk function's name or a written index.
+    # Every generator's source goes to the module's one exec, and is
+    # captured on its way there. Each token comes from the fixed table of
+    # its generator, is a generated name (a chunk function ``cN``, a
+    # coordinate ``xN``, an index ``iN`` or row data ``DN``) or a written
+    # index.
     f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
-    env = {}
-    source = _source(f, env, _CHUNK_DEPTH)
-    assert env  # the chain spans several chunks
-    assert_tokens(source, env, CONNECTIVE_TOKENS | {"[", "]", "p"})
-    # A table builder adds the loop syntax and generated index and
-    # coordinate names.
-    for arity in (2, 3):
-        env = {}
-        source = _table_source(f, arity, 2, env)
-        assert any(name.startswith("f") for name in env)
-        allowed = CONNECTIVE_TOKENS | TABLE_TOKENS
-        assert_tokens(source, env, allowed, names=r"[ix]\d+")
-    # The row builder's source goes to exec and the pair-code builder's to
-    # eval; both are captured on their way there. Rows add the mask
-    # operators and generated names of masks, tables and chunk functions.
     sources = []
 
-    def capture(run):
-        def spy(source, env):
-            sources.append((source, env))
-            return run(source, env)
+    def spy(source, env):
+        sources.append(source)
+        return exec(source, env)
 
-        return spy
-
-    monkeypatch.setattr(ordcsp.formula, "exec", capture(exec), raising=False)
-    monkeypatch.setattr(ordcsp.formula, "eval", capture(eval), raising=False)
-    compile_rows(f, 2)
-    ((source, env),) = [s for s in sources if s[0].startswith("def make(")]
-    assert "def c0(" in source  # the chain spans several chunks
-    assert_tokens(source, env, CONNECTIVE_TOKENS | ROW_TOKENS, names=r"[xcD]\d+")
-    sources.clear()
-    compile_pair_codes([f, lt(0, 3)], 2)
-    ((source, env),) = [s for s in sources if s[0].startswith("lambda P: [")]
-    assert any(name.startswith("f") for name in env)
-    assert_tokens(source, env, CONNECTIVE_TOKENS | PAIR_CODE_TOKENS, names=r"x\d+")
+    monkeypatch.setattr(ordcsp.formula, "exec", spy, raising=False)
+    table_tokens = CONNECTIVE_TOKENS | TABLE_TOKENS
+    cases = [
+        (lambda: compile_formula(f), CONNECTIVE_TOKENS | POINT_TOKENS, r"c\d+"),
+        (lambda: compile_table(f, 2, 2), table_tokens, r"[cix]\d+"),
+        (lambda: compile_table(f, 3, 2), table_tokens, r"[cix]\d+"),
+        (lambda: compile_rows(f, 2), CONNECTIVE_TOKENS | ROW_TOKENS, r"[cxD]\d+"),
+        (
+            lambda: compile_pair_codes([f, lt(0, 3)], 2),
+            CONNECTIVE_TOKENS | PAIR_CODE_TOKENS,
+            r"[cx]\d+",
+        ),
+    ]
+    for build, allowed, names in cases:
+        sources.clear()
+        build()
+        (source,) = sources
+        assert source.startswith("def make(")
+        assert "def c0(" in source  # the chain spans several chunks
+        assert_tokens(source, allowed | FRAME_TOKENS, names)
 
 
 def brute_table(f, arity, points):
@@ -523,11 +515,16 @@ def test_pair_codes_check_like_tables():
 def test_table_on_deep_chains():
     rng = random.Random(6)
     points = [(a, b) for a in range(3) for b in range(3)]
+    k = len(points)
     for _ in range(5):
         f = mixed_chain(rng, MAX_DEPTH)
         table = compile_table(f, 2, 2)(list(enumerate(points)))
         assert table == brute_table(f, 2, points)
-        assert rows(f, 2, points) == supports(table, len(points))
+        assert rows(f, 2, points) == supports(table, k)
+        codes = compile_pair_codes([f], 2)(points)
+        assert codes == [int((i, j) in table) for i in range(k) for j in range(k)]
+        triples = compile_table(f, 3, 2)(list(enumerate(points)))
+        assert triples == brute_table(f, 3, points)
 
 
 def test_table_of_constants():
