@@ -151,10 +151,10 @@ def representatives(t: Template, n: int, tables=None) -> list:
 def check_table_caps(t: Template, m: int):
     """Raise ``CapExceeded`` when a relation of ``t`` has more candidate
     tuples over ``m`` elements than the cap of ``t``'s kind."""
-    cap = GRID_CAP if t.kind == DIRECT else TABLE_CAP
+    name, cap = ("grid", GRID_CAP) if t.kind == DIRECT else ("table", TABLE_CAP)
     for rel in t.relations:
         if _power_exceeds(m, rel.arity, cap):
-            raise CapExceeded(f"grid cap: {m}^{rel.arity} > {cap}")
+            raise CapExceeded(f"{name} cap: {m}^{rel.arity} > {cap}")
 
 
 def template_source(t: Template, points, tables):

@@ -150,7 +150,7 @@ def test_solve_gamma2_past_bitset_size(tmp_path, capsys):
         if code == 0:
             assert json.loads(out)["sample_size"] == 9216
         else:
-            assert err == "error: grid cap: 16384^2 > 100000000\n"
+            assert err == "error: table cap: 16384^2 > 100000000\n"
 
 
 def test_ac_and_hom_disagree_on_k4_k3(tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_grid_cap():
         equality_formula=eq(0, 1),
         relations=(Relation("W", 6, lt(0, 5)),),
     )
-    with pytest.raises(CapExceeded, match="grid cap"):
+    with pytest.raises(CapExceeded, match="table cap"):
         sample(t, 30)
 
 

@@ -939,7 +939,7 @@ def chain(k):
     "kind, k, message",
     [
         ("direct", 11, "grid cap: 11^6 > 1000000"),
-        ("interpretation", 22, "grid cap: 22^6 > 100000000"),
+        ("interpretation", 22, "table cap: 22^6 > 100000000"),
     ],
 )
 def test_solve_checks_unused_relations_against_the_table_caps(
