@@ -67,9 +67,10 @@ ATOM_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="
 # Connectives may nest this deep; deeper formulas raise FormulaError.
 MAX_DEPTH = 300
 
-# Coordinates per point in a generated table builder. Its source grows
-# with them (10^4 compiled in about 0.4 s and 70 MB on a 2-core Xeon VM),
-# and a one-element sample meets any arity, since 1^arity passes every cap.
+# Coordinates per point in a generated table builder. Its source grows with
+# them, and again with each chunk: 10^4 compile in about 0.2 s and 70 MB, and
+# a MAX_DEPTH chain on them (5 chunks) in 0.5 s and 150 MB, on a 2-core Xeon
+# VM. A one-element sample meets any arity, since 1^arity passes every cap.
 MAX_TABLE_WIDTH = 10**4
 
 # Connective levels inlined into one generated function. A deeper subtree

@@ -95,13 +95,10 @@ BITSET_SIZE = 4096
 
 def _projection_pass(live, args, h):
     """One sequential sweep of the projection rule over a constraint's
-    coordinates. Returns the variables whose sets shrank.
-
-    ``live`` holds the constraint's tuples not yet ruled out, and is
-    filtered in place: sets only shrink, so a dead tuple stays dead. It is
-    filtered once on entry, and again only after narrowing a variable the
-    constraint repeats; a variable it holds once is narrowed to its live
-    tuples' values, which kills none of them."""
+    coordinates. Returns the variables whose sets shrank. ``live``, the
+    tuples not yet ruled out, is filtered in place on entry, and again only
+    after narrowing a variable the constraint repeats: sets only shrink,
+    and narrowing a variable it holds once to its live values kills none."""
 
     def keep():
         live[:] = [t for t in live if all(t[p] in h[v] for p, v in enumerate(args))]
