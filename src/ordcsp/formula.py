@@ -25,9 +25,10 @@ Four compilers write a formula as Python source, all through one writer
 that takes an atom writer and a token table: ``True``, ``False``,
 ``not``, ``and``, ``or`` on bools, which short-circuit left to right,
 and ``F`` (all m bits), ``0``, ``F ^``, ``&``, ``|`` on m-bit masks. A
-connective ``_CHUNK_DEPTH`` levels down becomes a nested ``def cN`` of
-the point's names. Each source defines one builder, ``make``, through the
-module's one ``exec``, and a node caches its builders in one dict.
+connective ``_CHUNK_DEPTH`` levels down becomes a ``def cN`` of the
+point's names nested in ``make``, the function each source defines in
+the module's one ``exec``, which returns the builder (for rows, the
+rows). A node caches its builders in one dict.
 ``compile_formula`` evaluates a point, with atoms such as ``p[0] <
 p[1]``. ``compile_table`` builds a relation's whole table over a list of
 points in one comprehension, with atoms on coordinate names such as
@@ -48,8 +49,7 @@ directions of every binary relation, and ``sampler`` the equality rows.
 comprehension that gives each ordered pair of points an int with a bit
 per formula, which ``orbit_count`` canonicalizes on. Sources hold only
 tokens from fixed tables, generated names and indices written by ``%d``;
-no field of a node is pasted in as text, and node fields are
-type-checked at construction.
+no node field is pasted in as text; each is type-checked at construction.
 """
 
 from __future__ import annotations
@@ -226,15 +226,15 @@ _MASK = ("F", "0", "(F ^ ", " & ", " | ")
 
 def compile_formula(f: Formula):
     """Return ``f`` as a ``point -> bool`` function, cached on the node:
-    ``make(p)``, which returns ``f``'s expression on ``p``. Raises
-    ``FormulaError`` when ``f`` nests deeper than ``MAX_DEPTH``."""
+    one generated ``lambda p: <expr>``, as the module docstring says.
+    Raises ``FormulaError`` when ``f`` nests deeper than ``MAX_DEPTH``."""
     try:
         return f._cache["point"]
     except (AttributeError, KeyError):
         pass
     cache, chunks = _cache(f), []
     expr = _expr(f, _atom_on("p[%d]"), _BOOL, "p", chunks)
-    fn = cache["point"] = _define("p", chunks, expr)
+    fn = cache["point"] = _define("", chunks, "lambda p: " + expr)()
     return fn
 
 
@@ -243,9 +243,9 @@ def compile_table(f: Formula, arity: int, d: int):
     points of dimension ``d``, cached on the node per ``(arity, d)``.
 
     The builder maps ``R = list(enumerate(points))`` to the frozenset of
-    index tuples whose points, concatenated, satisfy ``f``: ``make(R)``
-    returns ``frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)),
-    in product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
+    index tuples whose points, concatenated, satisfy ``f``: ``lambda R:
+    frozenset((i0, i1,) for (i0, (x0, x1,)), (i1, (x2, x3,)), in
+    product(R, repeat=2) if <expr>)``, with atoms such as ``x0 < x3``.
     One loop serves every arity. Raises as ``compile_formula`` does, and
     ``CapExceeded`` when a point has more than ``MAX_TABLE_WIDTH``
     coordinates (``arity * d``), before any source is written.
@@ -258,8 +258,8 @@ def compile_table(f: Formula, arity: int, d: int):
         loop = ", ".join("(i%d, (%s,))" % pair for pair in enumerate(points))
         head = ", ".join("i%d" % i for i in range(arity))
         expr = _expr(f, _atom_on("x%d"), _BOOL, ", ".join(names), chunks)
-        body = "frozenset((%s,) for %s, in product(R, repeat=%d) if %s)"
-        cache[arity, d] = _define("R", chunks, body % (head, loop, arity, expr))
+        body = "lambda R: frozenset((%s,) for %s, in product(R, repeat=%d) if %s)"
+        cache[arity, d] = _define("", chunks, body % (head, loop, arity, expr))()
     return cache[arity, d]
 
 
@@ -352,8 +352,8 @@ def compile_pair_codes(fs, d: int):
 
     The builder maps a list of k points to the flat list of k * k ints
     whose entry i * k + j has bit b set iff points i and j, concatenated,
-    satisfy ``fs[b]``: ``make(P)`` returns ``[(1 if <expr0> else 0) | (2
-    if <expr1> else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
+    satisfy ``fs[b]``: ``lambda P: [(1 if <expr0> else 0) | (2 if <expr1>
+    else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
     ``compile_table`` does for arity 2.
     """
     names, chunks, terms = ["x%d" % v for v in range(2 * d)], [], []
@@ -365,8 +365,8 @@ def compile_pair_codes(fs, d: int):
     if not terms:
         return lambda P: [0] * (len(P) * len(P))
     row, col = ", ".join(names[:d]), ", ".join(names[d:])
-    body = "[%s for (%s,) in P for (%s,) in P]" % (" | ".join(terms), row, col)
-    return _define("P", chunks, body)
+    body = "lambda P: [%s for (%s,) in P for (%s,) in P]"
+    return _define("", chunks, body % (" | ".join(terms), row, col))()
 
 
 def _check_shape(f, arity, d):

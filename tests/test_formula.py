@@ -300,9 +300,10 @@ CONNECTIVE_TOKENS = set(ATOM_OPS.values()) | {
 }
 # Every source is one function ``make``, with its chunks nested in it.
 FRAME_TOKENS = {"def", "make", ":", "return"}
-POINT_TOKENS = {"[", "]", "p"}
+POINT_TOKENS = {"lambda", "p", "[", "]"}
 TABLE_TOKENS = {
-    ",", "R", "for", "in", "if", "frozenset", "product", "repeat", "=",
+    ",", "lambda", ":", "R", "for", "in", "if", "frozenset", "product",
+    "repeat", "=",
 }
 
 
@@ -310,7 +311,7 @@ ROW_TOKENS = {
     ",", "P", "F", "for", "in", "if", "else", "&", "|", "^",
 }
 PAIR_CODE_TOKENS = {
-    ",", "P", "[", "]", "for", "in", "if", "else", "|",
+    ",", "lambda", ":", "P", "[", "]", "for", "in", "if", "else", "|",
 }
 LAYOUT = (
     tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
