@@ -32,12 +32,17 @@ from dataclasses import asdict
 from .errors import CapExceeded, SchemaError, VerificationFailed
 from .hom import hom_exists
 from .lab import (
+    DEFAULT_ORBIT_BUDGET,
     check_aclwalk_lemma,
     check_set_hom_equiv,
     find_alternating_walk,
     orbit_count,
 )
-from .polymorphism import find_semilattice, has_ts_polymorphism
+from .polymorphism import (
+    DEFAULT_CONSTRAINT_BUDGET,
+    find_semilattice,
+    has_ts_polymorphism,
+)
 from .powerset import DEFAULT_SUBSET_CAP_BITS, power_structure
 from .sampler import sample
 from .solver import ac, solve
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-ts", _cmd_check_ts, "totally symmetric polymorphism")
     p.add_argument("--structure", required=True)
     p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_CONSTRAINT_BUDGET)
 
     p = add("check-semilattice", _cmd_check_semilattice, "semilattice search")
     p.add_argument("--structure", required=True)
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orbits", _cmd_orbits, "growth of distinguishable n-subsets")
     p.add_argument("--template", required=True)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET)
 
     return parser
 

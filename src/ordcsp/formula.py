@@ -26,7 +26,7 @@ that takes an atom writer and a token table: ``True``, ``False``,
 ``not``, ``and``, ``or`` on bools, which short-circuit left to right,
 and ``F`` (all m bits), ``0``, ``F ^``, ``&``, ``|`` on m-bit masks. A
 connective ``_CHUNK_DEPTH`` levels down becomes a ``def cN`` of the
-point's names nested in ``make``, the function each source defines in
+names it reads, nested in ``make``, the function each source defines in
 the module's one ``exec``, which returns the builder (for rows, the
 rows). A node caches its builders in one dict.
 ``compile_formula`` evaluates a point, with atoms such as ``p[0] <
@@ -67,10 +67,10 @@ ATOM_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="
 # Connectives may nest this deep; deeper formulas raise FormulaError.
 MAX_DEPTH = 300
 
-# Coordinates per point in a generated table builder. Its source grows with
-# them, and again with each chunk: 10^4 compile in about 0.2 s and 70 MB, and
-# a MAX_DEPTH chain on them (5 chunks) in 0.5 s and 150 MB, on a 2-core Xeon
-# VM. A one-element sample meets any arity, since 1^arity passes every cap.
+# Coordinates per point in a generated table builder, whose source grows with
+# them; a chunk takes only the names it reads. 10^4 compile in about 0.2 s and
+# 71 MB for one atom, a MAX_DEPTH chain (5 chunks) or an and of 10 subtrees 51
+# deep alike (2-core Xeon VM). 1^arity passes every cap: one element, any arity.
 MAX_TABLE_WIDTH = 10**4
 
 # Connective levels inlined into one generated function. A deeper subtree
@@ -233,7 +233,7 @@ def compile_formula(f: Formula):
     except (AttributeError, KeyError):
         pass
     cache, chunks = _cache(f), []
-    expr = _expr(f, _atom_on("p[%d]"), _BOOL, "p", chunks)
+    expr = _expr(f, _atom_on("p[%d]"), _BOOL, chunks)
     fn = cache["point"] = _define("", chunks, "lambda p: " + expr)()
     return fn
 
@@ -257,7 +257,7 @@ def compile_table(f: Formula, arity: int, d: int):
         points = [", ".join(names[i * d : (i + 1) * d]) for i in range(arity)]
         loop = ", ".join("(i%d, (%s,))" % pair for pair in enumerate(points))
         head = ", ".join("i%d" % i for i in range(arity))
-        expr = _expr(f, _atom_on("x%d"), _BOOL, ", ".join(names), chunks)
+        expr = _expr(f, _atom_on("x%d"), _BOOL, chunks)
         body = "lambda R: frozenset((%s,) for %s, in product(R, repeat=%d) if %s)"
         cache[arity, d] = _define("", chunks, body % (head, loop, arity, expr))()
     return cache[arity, d]
@@ -297,8 +297,8 @@ def compile_rows(f: Formula, d: int):
         name = keys.setdefault(key, "D%d" % len(keys))
         return "%s[x%d]" % (name, a) if row_a else name
 
-    fwd = _expr(f, lambda g: atom(g, False), _MASK, row, chunks)
-    bwd = _expr(f, lambda g: atom(g, True), _MASK, row, chunks)
+    fwd = _expr(f, lambda g: atom(g, False), _MASK, chunks)
+    bwd = _expr(f, lambda g: atom(g, True), _MASK, chunks)
     loop = "for (%s,) in P)" % row
     head = ", ".join(["P", "F", *keys.values()])
     make = _define(head, chunks, "(%s %s, (%s %s" % (fwd, loop, bwd, loop))
@@ -360,7 +360,7 @@ def compile_pair_codes(fs, d: int):
     for bit, f in enumerate(fs):
         _cache(f)  # type and depth checks
         _check_shape(f, 2, d)
-        expr = _expr(f, _atom_on("x%d"), _BOOL, ", ".join(names), chunks)
+        expr = _expr(f, _atom_on("x%d"), _BOOL, chunks)
         terms.append("(%d if %s else 0)" % (1 << bit, expr))
     if not terms:
         return lambda P: [0] * (len(P) * len(P))
@@ -395,12 +395,13 @@ def _atom_on(name):
     return lambda g: "%s %s %s" % (name % g.left, ATOM_OPS[g.op], name % g.right)
 
 
-def _expr(f, atom, tokens, point, chunks):
+def _expr(f, atom, tokens, chunks):
     """Python source for ``f``: ``atom(node)`` writes an atom, and
     ``tokens`` (``_BOOL`` or ``_MASK``) the constants and connectives. A
     connective ``_CHUNK_DEPTH`` levels below the root, or below a chunk's
-    root, becomes a chunk: ``def cN(<point>): return <expr>`` is appended
-    to ``chunks``, and ``cN(<point>)`` called in its place."""
+    root, becomes a chunk: ``def cN(<names>): return <expr>`` is appended
+    to ``chunks``, and ``cN(<names>)`` called in its place, with the names
+    ``p`` or ``x0, x1, ...`` that ``<expr>`` reads, in index order."""
     true, false, neg, conj, disj = tokens
 
     def walk(g, levels):
@@ -410,7 +411,9 @@ def _expr(f, atom, tokens, point, chunks):
             return atom(g)
         if levels == 0:
             body = walk(g, _CHUNK_DEPTH)
-            call = "c%d(%s)" % (len(chunks), point)
+            names = set(re.findall(r"\b(?:p|x\d+)\b", body))
+            names = sorted(names, key=lambda name: (len(name), name))
+            call = "c%d(%s)" % (len(chunks), ", ".join(names))
             chunks.append("    def %s:\n        return %s\n" % (call, body))
             return call
         if isinstance(g, Not):

@@ -21,10 +21,11 @@ from collections import deque
 
 from .errors import SignatureMismatch
 from .solver import network, propagate, structure_source
-from .structures import FiniteStructure, Instance, _values, instance_view
+from .structures import FiniteStructure, Instance, _values
 
 
 def _constraint_view(a, b: FiniteStructure):
+    """``a``'s variables, a ``range`` for a structure, and constraints."""
     if isinstance(a, FiniteStructure):
         for name, arity in a.signature.symbols:
             if b.signature.arity(name) != arity:
@@ -32,7 +33,8 @@ def _constraint_view(a, b: FiniteStructure):
                     f"relation {name!r}: arity {arity} vs "
                     f"{b.signature.arity(name)} in target"
                 )
-        return instance_view(a)
+        tuples = [(name, t) for name, ts in a.relations.items() for t in sorted(ts)]
+        return range(a.size), tuples
     if isinstance(a, Instance):
         a.check_against(b.signature)
         return list(a.variables), list(a.constraints)
@@ -47,8 +49,6 @@ def hom_exists(a, b: FiniteStructure):
     homomorphism exists.
     """
     variables, constraints = _constraint_view(a, b)
-    if not variables:
-        return {}
     h, args_of, live, by_var = network(variables, constraints, *structure_source(b))
     # A repeated variable takes one value: on the diagonal rows, flagged
     # as no chain, or on the tuples equal on its positions, each position

@@ -10,8 +10,8 @@ whether B has a totally symmetric polymorphism of arity (max arity) * |B|
 ``check_aclwalk_lemma`` exercises a second finite consequence of total
 symmetry: when R and S are preserved by a totally symmetric operation of
 arity n and some alternating closed walk on (R, S) has length exactly 2n,
-then R and the converse of S must intersect. One layered search finds
-both that walk and the shortest one (``find_alternating_walk``).
+then R and the converse of S must intersect. One layered search per
+start finds both that walk and the shortest one (``find_alternating_walk``).
 
 ``orbit_count`` counts, for a template, the isomorphism classes of
 induced substructures on n distinct elements. For the built-in templates
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations, product
+from operator import attrgetter
 
 from .errors import CapExceeded
 from .formula import compile_formula, compile_pair_codes, compile_table
@@ -119,16 +120,17 @@ def _successors(tuples):
 def find_alternating_walk(r_tuples, s_tuples, max_half_length: int):
     """Shortest alternating closed walk of length <= 2 * max_half_length,
     or None. Ties break toward the smallest starting element."""
-    r_succ = _successors(r_tuples)
-    s_succ = _successors(s_tuples)
-    best = None
+    walks = _walks(_successors(r_tuples), _successors(s_tuples), max_half_length, False)
+    return min(walks, key=attrgetter("half_length"), default=None)
+
+
+def _walks(r_succ, s_succ, n, exact):
+    """The ``_closed_walk`` of 2n steps from each element that has an
+    R-successor, in ascending order, where there is one."""
     for x0 in sorted(r_succ):
-        walk = _closed_walk(x0, r_succ, s_succ, 2 * max_half_length, False)
-        if walk is not None and (
-            best is None or len(walk.elements) < len(best.elements)
-        ):
-            best = walk
-    return best
+        walk = _closed_walk(x0, r_succ, s_succ, 2 * n, exact)
+        if walk is not None:
+            yield walk
 
 
 def _closed_walk(x0, r_succ, s_succ, steps, exact):
@@ -211,23 +213,15 @@ def check_aclwalk_lemma(b: FiniteStructure, n: int) -> WalkLemmaReport:
             f"precondition unmet: no totally symmetric polymorphism of "
             f"arity {n}"
         )
-    binary = [
-        (name, b.relations[name])
-        for name, arity in b.signature.symbols
-        if arity == 2
-    ]
+    rels = b.relations
+    succ = {name: _successors(rels[name]) for name, k in b.signature.symbols if k == 2}
     report = WalkLemmaReport(n)
-    for r_name, r_tuples in binary:
-        for s_name, s_tuples in binary:
-            r_succ = _successors(r_tuples)
-            s_succ = _successors(s_tuples)
-            exact = None
-            for x0 in sorted(r_succ):
-                exact = _closed_walk(x0, r_succ, s_succ, 2 * n, True)
-                if exact is not None:
-                    break
-            intersects = any((y, x) in s_tuples for x, y in r_tuples)
-            shortest = find_alternating_walk(r_tuples, s_tuples, n)
+    for r_name, r_succ in succ.items():
+        for s_name, s_succ in succ.items():
+            exact = next(_walks(r_succ, s_succ, n, True), None)
+            walks = _walks(r_succ, s_succ, n, False)
+            shortest = min(walks, key=attrgetter("half_length"), default=None)
+            intersects = any((y, x) in rels[s_name] for x, y in rels[r_name])
             report.pairs.append(
                 PairCheck(
                     r_name,

@@ -17,18 +17,17 @@ in element order. It finds the least members from the equality
 formula's bitset rows over the domain points (``formula.compile_rows``):
 a point is least in its class iff the lowest set bit of its row is its
 own index. The rows are streamed, and none is kept.
-``template_source(t, points, tables)`` is the one builder of a sample's
-relations, straight from the formulas: a binary relation's forward and
-backward rows (``formula.compile_rows``, one generated expression per
-point rather than per pair), and a ``formula.compile_table`` table for
-any other arity. Every binary relation it builds reads one dict of value
-tables over ``points``. ``representatives(t, n, tables)`` puts the
-equality rows' tables into the caller's dict only when it keeps every
-domain point (identity equality, as in gamma1 and gamma2), for only then
-are the representatives the point list those tables were made on.
-``sample`` and ``solve`` make one dict per call; no table outlives it.
-``sample`` is ``representatives`` plus every relation from it in one
-``FiniteStructure``, with the forward rows decoded into pairs; ``solve``
+``template_source(t, n)`` is the one call that builds a sample: the
+representatives, their count and the relations on them, straight from
+the formulas: a binary relation's forward and backward rows
+(``formula.compile_rows``, one generated expression per point rather
+than per pair), and a ``formula.compile_table`` table for any other
+arity. It makes one dict of value tables per call, which every binary
+relation reads; ``representatives`` puts the equality rows' tables in it
+only when it keeps every domain point (identity equality, as in gamma1
+and gamma2), for only then are the representatives the point list those
+tables were made on. ``sample`` puts every relation in one
+``FiniteStructure``, the forward rows decoded into pairs; ``solve``
 builds only the relations its constraints use and revises on them as
 they are (see ``solver``).
 
@@ -40,9 +39,9 @@ points over g grid values hold each value table that the equality
 formula uses, g * m bits, plus one row of m bits at a time: gamma2 at
 n = 100 (m = 40,000) holds two tables of 1 MB each, and a grid near the
 cap, 1,000 values per coordinate at d = 2, would take about 125 MB per
-table. Tables handed on to ``template_source`` are held until the
-``sample`` or ``solve`` call ends, with those its relations add.
-``template_source`` builds nothing before ``check_table_caps`` has
+table. Tables handed on are held, with those the relations add, as long
+as ``template_source``'s ``relation`` is.
+``template_source`` builds no relation before ``check_table_caps`` has
 found each relation's m**arity candidate tuples (bits, for rows)
 over the m sample elements within ``GRID_CAP`` (direct) or
 ``TABLE_CAP`` (interpretation, whose m grows as (dn)**d), for every
@@ -113,9 +112,7 @@ def sample(t: Template, n: int) -> Sample:
     ``template_source`` builds it: a table as it is, and a binary
     relation's forward rows decoded into pairs. An interpretation's
     elements are labelled by their points."""
-    tables = {}
-    reps = representatives(t, n, tables)
-    size, relation = template_source(t, reps, tables)
+    reps, size, relation = template_source(t, n)
     relations = {}
     for rel in t.relations:
         built = relation(rel.name)
@@ -134,7 +131,7 @@ def representatives(t: Template, n: int, tables=None) -> list:
     points over {0..dn-1}, after the equality check; those are the
     points whose equality row has no bit below their own index. When
     every domain point is kept, the value tables of the equality rows
-    are put into the dict ``tables``, if given, for ``template_source``."""
+    are put into ``template_source``'s dict ``tables``, if given."""
     n = max(n, 1)
     if t.kind == DIRECT:
         return _domain_points(t, n)
@@ -157,14 +154,17 @@ def check_table_caps(t: Template, m: int):
             raise CapExceeded(f"{name} cap: {m}^{rel.arity} > {cap}")
 
 
-def template_source(t: Template, points, tables):
-    """``solver.network``'s ``size, relation`` for the relations of ``t``
-    on the sample elements ``points``, built from the formulas:
-    ``compile_rows`` rows, listed, for a binary relation at any number of
-    points, and a ``compile_table`` table for any other. The rows of every
-    relation read and fill ``tables``, one dict of value tables over
-    ``points``. Every relation is checked against ``check_table_caps`` and
-    compiled first, used or not, so ``solve`` fails where ``sample`` does."""
+def template_source(t: Template, n: int):
+    """``points, size, relation``: the representatives of ``t``'s sample
+    at ``n``, and ``solver.network``'s ``size, relation`` for the relations
+    on them, built from the formulas: ``compile_rows`` rows, listed, for a
+    binary relation at any number of points, and a ``compile_table`` table
+    for any other. The rows read and fill one dict of value tables, which
+    ``representatives`` starts. Every relation is checked against
+    ``check_table_caps`` and compiled first, used or not, so ``solve``
+    fails where ``sample`` does."""
+    tables = {}
+    points = representatives(t, n, tables)
     check_table_caps(t, len(points))
     d = t.dimension
     build = {
@@ -179,7 +179,7 @@ def template_source(t: Template, points, tables):
             return tuple(map(list, build[name](points, tables)))
         return build[name](list(enumerate(points)))
 
-    return len(points), relation
+    return points, len(points), relation
 
 
 def _power_exceeds(base, exponent, cap):

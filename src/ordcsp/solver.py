@@ -53,19 +53,17 @@ declaration order until nothing changes. Both run to the fixpoint even
 once a set is empty, and the fixpoint is unique, so they return
 identical domain maps.
 
-``solve`` ties the pieces together: list the sample's representatives
-at the instance's variable count, propagate on them, and -- for direct
-templates declaring a semilattice -- extract and verify a concrete
-witness by folding min (or max) over each accepted candidate set. It
-stops at the first wipe-out, since masks only shrink and a reject
-reports no domains, and accepts only at a fixpoint where every mask is
-non-empty (an empty sample has no value to revise away). It builds no
-``FiniteStructure``: its relations come from
-``sampler.template_source``, the builder ``sample`` reads too, and an
-unused relation is not built. A binary relation gets rows at any number
-of representatives, and a relation of another arity a table. Every
-relation is checked against the sample's caps first, then
-``NETWORK_CAP``.
+``solve`` ties the pieces together: one ``sampler.template_source``
+call, the builder ``sample`` reads too, lists the sample's
+representatives at the instance's variable count and gives the relations
+on them; ``solve`` propagates on them, and -- for direct templates
+declaring a semilattice -- extracts and verifies a concrete witness by
+folding min (or max) over each accepted candidate set. It stops at the
+first wipe-out, since masks only shrink and a reject reports no domains,
+and accepts only at a fixpoint where every mask is non-empty (an empty
+sample has no value to revise away). It builds no ``FiniteStructure``
+and no unused relation. Every relation is checked against the sample's
+caps first, then ``NETWORK_CAP``.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from operator import and_, eq, itemgetter, or_
 
 from .errors import CapExceeded, VerificationFailed
 from .formula import compile_formula
-from .sampler import representatives, template_source
+from .sampler import template_source
 from .structures import FiniteStructure, Instance, _flags, _mask, _values
 from .template import Template
 
@@ -151,13 +149,15 @@ def network(variables, constraints, size, relation):
     ``relation(rel)``, asked for once per relation name after the cap
     check: a set of tuples, or support bitsets ``(fwd, bwd)``, to which
     each list's ``_chain`` flag is appended, as the relation source
-    chose. Raises ``CapExceeded`` when the domains would hold more than
-    ``NETWORK_CAP`` values together. A ``range`` of variables is counted
-    from its end, as ``len`` fails past sys.maxsize."""
+    (``structure_source`` or ``sampler.template_source``) chose. Raises
+    ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
+    values together; no variables build no mask, at any ``size``. A
+    ``range`` of variables is counted from its end, as ``len`` fails past
+    sys.maxsize."""
     n = variables.stop if isinstance(variables, range) else len(variables)
     if n * size > NETWORK_CAP:
         raise CapExceeded(f"network cap: {n} variables x {size} values > {NETWORK_CAP}")
-    h = dict.fromkeys(variables, (1 << size) - 1)
+    h = dict.fromkeys(variables, n and (1 << size) - 1)
     args_of = [tuple(args) for _, args in constraints]
     built = {}
     for rel, _ in constraints:
@@ -371,9 +371,8 @@ def solve(t: Template, instance: Instance) -> Verdict:
         if t.semilattice is not None:
             verdict.witness = {}
         return verdict
-    tables = {}
-    points = representatives(t, n, tables)
-    accept, h = _fixpoint(instance, template_source(t, points, tables), False)
+    points, *source = template_source(t, n)
+    accept, h = _fixpoint(instance, source, False)
     if not accept:
         return Verdict(False, len(points))
     # Through a set, each list is allocated at its length, not grown.

@@ -208,19 +208,6 @@ def _json_list(value, what):
     return value
 
 
-def instance_view(structure: FiniteStructure):
-    """View a structure as (variables, constraints) with its elements as
-    variables, for feeding structures to instance-shaped searches. The
-    variables are a ``range``, so none is built before a size check."""
-    variables = range(structure.size)
-    constraints = [
-        (name, t)
-        for name, tuples in structure.relations.items()
-        for t in sorted(tuples)
-    ]
-    return variables, constraints
-
-
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ordcsp
-from ordcsp.cli import run_cli
+from ordcsp.cli import build_parser, run_cli
+from ordcsp.lab import DEFAULT_ORBIT_BUDGET
+from ordcsp.polymorphism import DEFAULT_CONSTRAINT_BUDGET
 
 from conftest import complete_graph
 
@@ -285,6 +287,14 @@ def test_orbits_budget_cap(tmp_path, capsys):
         ["orbits", "--template", str(t), "--size", "5", "--budget", "10"]
     )
     assert code == 3
+
+
+def test_budget_defaults_come_from_the_library():
+    parse = build_parser().parse_args
+    check_ts = parse(["check-ts", "--structure", "b.json", "--arity", "2"])
+    assert check_ts.budget == DEFAULT_CONSTRAINT_BUDGET
+    orbits = parse(["orbits", "--template", "t.json", "--size", "2"])
+    assert orbits.budget == DEFAULT_ORBIT_BUDGET
 
 
 def test_orbits_checks_the_equality_as_sample_does(tmp_path, capsys):
@@ -652,7 +662,9 @@ def fuzzed_structures(draw):
 def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
     arities, data = case
     b, k2, inst = tmp_path / "b.json", tmp_path / "k2.json", tmp_path / "i.json"
+    empty = tmp_path / "e.json"
     write_json(b, data)
+    write_json(empty, {"variables": [], "constraints": []})
     write_json(k2, complete_graph(2).to_json_dict())
     args = ["x", "y", "z"][: arities[0]] if arities else []
     constraints = [{"rel": "R0", "args": args}] if arities else []
@@ -670,6 +682,8 @@ def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
             ["hom", "--from", str(b), "--to", str(k2)],
             ["hom", "--from", str(inst), "--to", str(b)],
             ["ac", "--instance", str(inst), "--structure", str(b)],
+            ["hom", "--from", str(empty), "--to", str(b)],
+            ["ac", "--instance", str(empty), "--structure", str(b)],
         ):
             code = run_cli(argv)
             assert 0 <= code <= 3, capsys.readouterr().err

@@ -221,6 +221,17 @@ def test_const_rejects_non_bool(bad):
         Const(bad)
 
 
+def test_nodes_and_printer_reject_bad_input():
+    with pytest.raises(ValueError, match="unknown comparison operator 'lte'"):
+        Atom("lte", 0, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Atom("lt", 0, -1)
+    with pytest.raises(ValueError, match="and needs at least one child"):
+        And(())
+    with pytest.raises(TypeError, match="not a formula: 'x'"):
+        print_formula("x")
+
+
 def test_atoms_match_reference():
     for op in ATOM_OPS:
         for i, j in product(range(2), repeat=2):
@@ -330,13 +341,9 @@ def assert_tokens(source, allowed, names):
         ), tok
 
 
-def test_generated_source_tokens(monkeypatch):
-    # Every generator's source goes to the module's one exec, and is
-    # captured on its way there. Each token comes from the fixed table of
-    # its generator, is a generated name (a chunk function ``cN``, a
-    # coordinate ``xN``, an index ``iN`` or row data ``DN``) or a written
-    # index.
-    f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
+def captured_sources(monkeypatch):
+    """The list that each source passed to the module's one exec is
+    appended to, on its way there."""
     sources = []
 
     def spy(source, env):
@@ -344,6 +351,17 @@ def test_generated_source_tokens(monkeypatch):
         return exec(source, env)
 
     monkeypatch.setattr(ordcsp.formula, "exec", spy, raising=False)
+    return sources
+
+
+def test_generated_source_tokens(monkeypatch):
+    # Every generator's source goes to the module's one exec, and is
+    # captured on its way there. Each token comes from the fixed table of
+    # its generator, is a generated name (a chunk function ``cN``, a
+    # coordinate ``xN``, an index ``iN`` or row data ``DN``) or a written
+    # index.
+    f = and_(mixed_chain(random.Random(2), 3 * _CHUNK_DEPTH), TRUE, FALSE)
+    sources = captured_sources(monkeypatch)
     table_tokens = CONNECTIVE_TOKENS | TABLE_TOKENS
     cases = [
         (lambda: compile_formula(f), CONNECTIVE_TOKENS | POINT_TOKENS, r"c\d+"),
@@ -363,6 +381,29 @@ def test_generated_source_tokens(monkeypatch):
         assert source.startswith("def make(")
         assert "def c0(" in source  # the chain spans several chunks
         assert_tokens(source, allowed | FRAME_TOKENS, names)
+
+
+def test_chunks_take_only_the_names_they_read(monkeypatch):
+    # The chain's atoms read x0..x3 only; a ternary table on points of
+    # dimension 2 has x0..x5, and a chunk that took them all would hold
+    # unread names. Each chunk's parameters are names its body reads, in
+    # index order, and every point or coordinate name it reads is one.
+    f = mixed_chain(random.Random(4), 3 * _CHUNK_DEPTH)
+    sources = captured_sources(monkeypatch)
+    compile_formula(f)
+    compile_table(f, 3, 2)
+    compile_rows(f, 2)
+    compile_pair_codes([f], 2)
+    chunk = re.compile(r"    def c\d+\((.*)\):\n        return (.*)\n")
+    assert len(sources) == 4
+    for source in sources:
+        chunks = chunk.findall(source)
+        assert len(chunks) >= 2
+        for params, body in chunks:
+            names = params.split(", ") if params else []
+            read = set(re.findall(r"\b(?:p|x\d+)\b", body))
+            assert set(names) == read and len(names) == len(read)
+            assert names == sorted(names, key=lambda name: int(name[1:] or 0))
 
 
 def brute_table(f, arity, points):

@@ -435,6 +435,7 @@ def test_canonicalizers_define_same_classes():
             )
             fast_eq = canonical_form(k1, r1) == canonical_form(k2, r2)
             assert ref_eq == fast_eq
+    assert canonical_form(0, []) == () == _canonical_all_perms(0, [])
 
     # k = 6-7: nine binary relations as in gamma1, unary and ternary ones,
     # and empty and complete relations, which leave large colour classes.

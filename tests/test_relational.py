@@ -105,6 +105,8 @@ def test_hom_signature_mismatch():
     wrong_arity = FiniteStructure(Signature((("E", 3),)), 2, {})
     with pytest.raises(SignatureMismatch):
         hom_exists(complete_graph(2), wrong_arity)
+    with pytest.raises(TypeError, match="expected Instance or FiniteStructure"):
+        hom_exists({"variables": []}, complete_graph(2))
 
 
 def test_hom_relabeling_invariance():
@@ -334,6 +336,8 @@ def test_ts_budget():
     k3 = complete_graph(3)
     with pytest.raises(CapExceeded):
         has_ts_polymorphism(k3, 6, budget=3)
+    with pytest.raises(ValueError, match="arity must be positive"):
+        has_ts_polymorphism(k3, 0)
 
 
 def test_ts_table_cap():
@@ -474,6 +478,8 @@ def test_is_polymorphism_mismatch():
     partial = SubsetFunctionTable(2, {frozenset({0}): 0})
     with pytest.raises(ValueError):
         is_polymorphism(partial, complete_graph(2))
+    with pytest.raises(TypeError, match="expected an operation table"):
+        is_polymorphism(min, complete_graph(2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,18 @@ from ordcsp import (
     preset,
     sample,
 )
-from ordcsp.formula import TRUE, Atom, and_, eq, lt, ne, or_, parse_formula
+from ordcsp.formula import (
+    TRUE,
+    Atom,
+    and_,
+    compile_rows,
+    compile_table,
+    eq,
+    lt,
+    ne,
+    or_,
+    parse_formula,
+)
 from ordcsp.sampler import representatives
 from ordcsp.template import PRESET_NAMES
 
@@ -493,16 +504,24 @@ def test_shared_tables_change_no_relation(t):
     # point, as gamma1 and gamma2 do. gamma3 drops points from n = 2 on and
     # FIRST_COORDINATE at every n, and their equality tables would then
     # give wrong rows on the representatives.
+    # template_source builds every relation from one dict of tables; each
+    # must equal the rows or table built on the same points with no shared
+    # dict.
+    d = t.dimension
     for n in range(1, 5):
         tables = {}
         reps = representatives(t, n, tables)
         assert reps == representatives(t, n)
-        points = ordcsp.sampler._domain_points(t, t.dimension * n)
+        points = ordcsp.sampler._domain_points(t, d * n)
         assert bool(tables) == (t.kind != "direct" and reps == points)
-        _, shared = ordcsp.sampler.template_source(t, reps, tables)
-        _, alone = ordcsp.sampler.template_source(t, reps, {})
+        shared_reps, size, shared = ordcsp.sampler.template_source(t, n)
+        assert shared_reps == reps and size == len(reps)
         for rel in t.relations:
-            assert shared(rel.name) == alone(rel.name)
+            if rel.arity == 2:
+                alone = tuple(map(list, compile_rows(rel.formula, d)(reps)))
+            else:
+                alone = compile_table(rel.formula, rel.arity, d)(list(enumerate(reps)))
+            assert shared(rel.name) == alone
 
 
 def test_representatives_at_scale():

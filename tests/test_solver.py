@@ -68,6 +68,10 @@ def k4_instance():
 def test_ac_empty_instance():
     accept, h = ac(Instance((), ()), complete_graph(3))
     assert accept and h == {}
+    # No variables build no domain, so a target of any size answers.
+    for size in (2**63, 2**70, 10**12):
+        huge = FiniteStructure(Signature((("E", 2),)), size, {})
+        assert ac(Instance((), ()), huge) == (True, {})
 
 
 def test_ac_k4_k3_accepts():
@@ -1029,6 +1033,8 @@ def test_extract_witness_verifies_or_raises():
 def test_extract_witness_needs_semilattice():
     with pytest.raises(ValueError):
         extract_witness(preset("gamma2"), Instance(("x",), ()), {"x": [0]})
+    with pytest.raises(ValueError, match="'x' has an empty candidate set"):
+        extract_witness(preset("qlt"), Instance(("x",), ()), {"x": []})
 
 
 def test_verify_assignment_examples():

@@ -150,6 +150,8 @@ def test_preset_gamma2():
     assert [(r.name, r.arity) for r in t.relations] == [("R", 2), ("S", 2)]
     assert t.relation("R").formula == and_(eq(0, 2), lt(1, 3))
     assert t.relation("S").formula == lt(0, 2)
+    with pytest.raises(SchemaError, match="template 'gamma2' has no relation 'T'"):
+        t.relation("T")
 
 
 def test_preset_gamma3():
