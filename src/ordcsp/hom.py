@@ -3,16 +3,16 @@
 ``hom_exists`` decides whether an instance (or a whole structure) maps
 homomorphically into a target structure, by backtracking with forward
 checking. The search is complete, so an absent result is authoritative.
-It gives the variable with the fewest candidates (its mask's
+Its whole state is one ``solver.network``, in which each repeated
+variable is held to one value (``R(x, x)`` revises on the diagonal rows
+``fwd[a] & (1 << a)`` both ways; a table keeps the tuples equal on its
+positions), and its first fixpoint is ``solver._fixpoint``'s, as for
+``ac``. It then gives the variable with the fewest candidates (mask
 ``bit_count``; ties by declaration order) each value ascending, as the
-mask ``1 << value``, and runs ``solver.propagate``, the propagator ``ac``
-uses, to the fixpoint, with each repeated variable held to one value:
-``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)`` both ways,
-and a table constraint keeps the tuples equal on a repeated variable's
-positions. The search loops over an explicit stack and undoes a failed
-choice from the propagator's trail of ``(store, key, old)`` entries,
-restoring masks and live tuple lists together, so no node copies the
-domains and the interpreter's recursion limit bounds no depth.
+mask ``1 << value``, and runs ``solver.propagate`` to the fixpoint. It
+undoes a failed choice from the trail of ``(store, key, old)`` entries,
+restoring masks and live tuple lists together, over an explicit stack, so
+no node copies the domains and no recursion limit bounds its depth.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SignatureMismatch
-from .solver import network, propagate, structure_source
+from .solver import _fixpoint, network, propagate, structure_source
 from .structures import FiniteStructure, Instance, _values
 
 
@@ -48,8 +48,8 @@ def hom_exists(a, b: FiniteStructure):
     as variables). Returns a mapping dict on success, None when no
     homomorphism exists.
     """
-    variables, constraints = _constraint_view(a, b)
-    h, args_of, live, by_var = network(variables, constraints, *structure_source(b))
+    net = network(*_constraint_view(a, b), *structure_source(b))
+    h, args_of, live, by_var, _ = net
     # A repeated variable takes one value: on the diagonal rows, flagged
     # as no chain, or on the tuples equal on its positions, each position
     # projects to the same set.
@@ -60,16 +60,14 @@ def hom_exists(a, b: FiniteStructure):
             live[ci] = diagonal, diagonal, 0, 0
         elif repeats:
             live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
-    order_index = {v: i for i, v in enumerate(variables)}
-    # The first fixpoint is never undone, so its trail keeps nothing.
-    queue, sets = deque(range(len(args_of))), {}
-    if not propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets):
+    if not _fixpoint(net, False):
         return None
+    order_index = {v: i for i, v in enumerate(h)}
     trail = []  # (store, key, old value) per narrowing, newest last
     # One frame per assigned variable: (variable, its candidate values,
     # how many of them were tried, trail length before the first try).
     stack = []
-    unassigned = set(variables)
+    unassigned = set(h)
     while unassigned:
         var = min(unassigned, key=lambda v: (h[v].bit_count(), order_index[v]))
         unassigned.remove(var)
@@ -85,7 +83,7 @@ def hom_exists(a, b: FiniteStructure):
             stack.append((var, values, tried + 1, mark))
             trail.append((h, var, h[var]))
             h[var] = 1 << values[tried]
-            if propagate(h, args_of, live, by_var, deque(by_var[var]), trail, sets):
+            if propagate(net, deque(by_var[var]), trail):
                 break
         else:
             return None

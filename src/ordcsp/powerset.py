@@ -11,9 +11,13 @@ a box is kept iff each x in each U_i is the i-th entry of a live tuple.
 from __future__ import annotations
 
 from .errors import CapExceeded
-from .structures import FiniteStructure, Signature, _values
+from .formula import MAX_TABLE_WIDTH
+from .sampler import _power_exceeds
+from .structures import FiniteStructure, _values
 
 DEFAULT_SUBSET_CAP_BITS = 16
+# Candidate boxes, (2^m - 1)^arity summed over the relations; K11 has 4.2 M.
+BOX_CAP = 10**7
 
 
 def power_structure(
@@ -26,7 +30,14 @@ def power_structure(
             f"power_structure cap: size {b.size} > {cap_bits} "
             f"(2^{b.size} - 1 subsets)"
         )
-    subsets = [tuple(_values(mask)) for mask in range(1, 1 << b.size)]
+    count, boxes = (1 << b.size) - 1, 0
+    for _, arity in b.signature.symbols:
+        if arity > MAX_TABLE_WIDTH:
+            raise CapExceeded(f"power_structure cap: arity {arity} > {MAX_TABLE_WIDTH}")
+        if _power_exceeds(count, arity, BOX_CAP - boxes):
+            raise CapExceeded(f"box cap: {boxes} + {count}^{arity} > {BOX_CAP}")
+        boxes += count**arity
+    subsets = [tuple(_values(mask)) for mask in range(1, count + 1)]
     relations = {}
     for name, arity in b.signature.symbols:
         # byval[i][x]: bitmask of the tuples t with t[i] == x;
@@ -51,6 +62,4 @@ def power_structure(
             if all(v & live for ni, u in zip(need, box) for v in ni[u])
         )
     labels = tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
-    return FiniteStructure(
-        Signature(b.signature.symbols), len(subsets), relations, labels
-    )
+    return FiniteStructure(b.signature, len(subsets), relations, labels)

@@ -11,9 +11,10 @@ constrain every one of their coordinates through the same set; the rule
 does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
-``propagate`` reaches that fixpoint on the state ``network`` builds;
-``ac``, ``solve`` and ``hom.hom_exists`` share both. ``network`` asks a
-relation source for each relation it needs, and the source picks support
+``propagate`` reaches that fixpoint on ``network``, the whole search
+state; ``ac``, ``solve`` and ``hom.hom_exists`` share both, and the
+first fixpoint of each is ``_fixpoint``'s. ``network`` asks a relation
+source for each relation it needs, and the source picks support
 bitsets or a table: ``structure_source`` reads a ``FiniteStructure``'s
 tuples, and ``sampler.template_source`` builds rows and tables straight
 from a template's formulas. A candidate set is an int mask, bit ``a``
@@ -46,8 +47,8 @@ shrank a variable the constraint repeats (that set is then narrower than
 a projection, so live tuples may have died).
 
 ``propagate`` stops when a revision leaves its constraint no support (no
-live tuple, or an empty mask under the bitset rule); ``ac`` resumes it
-until the queue is empty, and returns sets. ``ac_roundrobin`` is the
+live tuple, or an empty mask under the bitset rule); ``_fixpoint``
+resumes it for ``ac`` until the queue is empty. ``ac_roundrobin`` is the
 reference: it sweeps the projection rule over every constraint in
 declaration order until nothing changes. Both run to the fixpoint even
 once a set is empty, and the fixpoint is unique, so they return
@@ -56,14 +57,12 @@ identical domain maps.
 ``solve`` ties the pieces together: one ``sampler.template_source``
 call, the builder ``sample`` reads too, lists the sample's
 representatives at the instance's variable count and gives the relations
-on them; ``solve`` propagates on them, and -- for direct templates
-declaring a semilattice -- extracts and verifies a concrete witness by
-folding min (or max) over each accepted candidate set. It stops at the
-first wipe-out, since masks only shrink and a reject reports no domains,
-and accepts only at a fixpoint where every mask is non-empty (an empty
-sample has no value to revise away). It builds no ``FiniteStructure``
-and no unused relation. Every relation is checked against the sample's
-caps first, then ``NETWORK_CAP``.
+on them; ``solve`` propagates on them to the first wipe-out, and -- for
+direct templates declaring a semilattice -- extracts and verifies a
+concrete witness by folding min (or max) over each accepted candidate
+set. It builds no ``FiniteStructure`` and no unused relation. Every
+relation is checked against the sample's caps first, then
+``NETWORK_CAP``.
 """
 
 from __future__ import annotations
@@ -143,19 +142,20 @@ def _chain(rows):
 
 
 def network(variables, constraints, size, relation):
-    """The state ``propagate`` works on: each variable's full mask
-    ``(1 << size) - 1``, each constraint's argument tuple and live state,
-    and the constraints on each variable. A constraint's live state is
-    ``relation(rel)``, asked for once per relation name after the cap
-    check: a set of tuples, or support bitsets ``(fwd, bwd)``, to which
-    each list's ``_chain`` flag is appended, as the relation source
-    (``structure_source`` or ``sampler.template_source``) chose. Raises
-    ``CapExceeded`` when the domains would hold more than ``NETWORK_CAP``
-    values together; no variables build no mask, at any ``size``. A
-    ``range`` of variables is counted from its end, as ``len`` fails past
-    sys.maxsize."""
+    """The search state ``(h, args_of, live, by_var, sets)``: each
+    variable's full mask ``(1 << size) - 1``, each constraint's argument
+    tuple and live state, the constraints on each variable, and the table
+    rule's cache of each variable's mask and value-set membership test. A
+    constraint's live state is ``relation(rel)``, asked for once per
+    relation name after the cap check: a set of tuples, or support bitsets
+    ``(fwd, bwd)`` with each list's ``_chain`` flag appended, as the
+    relation source (``structure_source`` or ``sampler.template_source``)
+    chose. Raises ``CapExceeded`` past ``NETWORK_CAP`` domain values, a
+    variable counting as at least one; no variables build no mask, at any
+    ``size``. A ``range`` of variables is counted from its end, as ``len``
+    fails past sys.maxsize."""
     n = variables.stop if isinstance(variables, range) else len(variables)
-    if n * size > NETWORK_CAP:
+    if n * max(size, 1) > NETWORK_CAP:
         raise CapExceeded(f"network cap: {n} variables x {size} values > {NETWORK_CAP}")
     h = dict.fromkeys(variables, n and (1 << size) - 1)
     args_of = [tuple(args) for _, args in constraints]
@@ -171,7 +171,7 @@ def network(variables, constraints, size, relation):
     for ci, args in enumerate(args_of):
         for v in set(args):
             by_var[v].append(ci)
-    return h, args_of, live, by_var
+    return h, args_of, live, by_var, {}
 
 
 def structure_source(b: FiniteStructure):
@@ -188,18 +188,16 @@ def structure_source(b: FiniteStructure):
     return b.size, relation
 
 
-def propagate(h, args_of, live, by_var, queue, trail, sets):
-    """Arc consistency from the constraints in ``queue`` (a deque) to the
-    fixpoint, by the module docstring's two rules on the masks in ``h``.
-    Every narrowed mask and shrunk live list pushes ``(store, key, old)``
-    onto ``trail``, so ``store[key] = old`` undoes it (``hom`` on
-    backtracking); an unshrunk list is an equal copy and needs no undo.
-    ``sets`` maps a variable to a mask and the membership test of its
-    value set, as the table rule last built them; a caller keeps one dict
-    per network, so a set is built again only for a changed mask. Returns
-    True at the fixpoint, and False as soon as a revision leaves its
-    constraint no support, which empties its variables' masks; the
-    constraints still queued then stay in ``queue``."""
+def propagate(net, queue, trail):
+    """Arc consistency on ``net`` (unpacked at entry, so the loop reads
+    locals) from the constraints in ``queue``, a deque, to the fixpoint by
+    the module docstring's two rules. Each narrowed mask and shrunk live
+    list pushes ``(store, key, old)`` onto ``trail``; ``store[key] = old``
+    undoes it (``hom`` on backtracking), and an unshrunk list is an equal
+    copy. Returns True at the fixpoint, and False as soon as a revision
+    leaves its constraint no support, which empties its variables' masks;
+    the constraints still queued then stay in ``queue``."""
+    h, args_of, live, by_var, sets = net
     queued = set(queue)
     while queue:
         ci = queue.popleft()
@@ -249,27 +247,22 @@ def propagate(h, args_of, live, by_var, queue, trail, sets):
 
 
 def ac(instance: Instance, b: FiniteStructure):
-    """Worklist arc-consistency with ``propagate``. Returns (accept,
-    domain map)."""
+    """Worklist arc consistency to the fixpoint: (accept, domain map)."""
     instance.check_against(b.signature)
-    accept, h = _fixpoint(instance, structure_source(b))
-    return accept, {v: set(_values(m)) for v, m in h.items()}
+    net = network(instance.variables, instance.constraints, *structure_source(b))
+    return _fixpoint(net), {v: set(_values(m)) for v, m in net[0].items()}
 
 
-def _fixpoint(instance, source, resume=True):
-    """(accept, domain map) of the instance on the network of ``source``.
-    Without ``resume`` it rejects at the first wipe-out, and the domain
-    map is not at the fixpoint."""
-    h, args_of, live, by_var = network(
-        instance.variables, instance.constraints, *source
-    )
-    # Resume, if asked, after each wipe-out; nothing is undone, so no trail.
-    queue, sets = deque(range(len(args_of))), {}
+def _fixpoint(net, resume=True):
+    """Whether every mask of ``net`` is non-empty where ``propagate``
+    from every constraint stops: at the fixpoint, resumed after each
+    wipe-out, or without ``resume`` at the first, as masks only shrink and
+    a reject reports no domains. Nothing is undone, so no trail."""
+    queue = deque(range(len(net[1])))
     while queue:
-        fixpoint = propagate(h, args_of, live, by_var, queue, deque(maxlen=0), sets)
-        if not (fixpoint or resume):
-            return False, h
-    return all(h.values()), h
+        if not (propagate(net, queue, deque(maxlen=0)) or resume):
+            break
+    return all(net[0].values())
 
 
 def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
@@ -372,11 +365,11 @@ def solve(t: Template, instance: Instance) -> Verdict:
             verdict.witness = {}
         return verdict
     points, *source = template_source(t, n)
-    accept, h = _fixpoint(instance, source, False)
-    if not accept:
+    net = network(instance.variables, instance.constraints, *source)
+    if not _fixpoint(net, False):
         return Verdict(False, len(points))
     # Through a set, each list is allocated at its length, not grown.
-    domains = {v: sorted(set(_values(h[v]))) for v in instance.variables}
+    domains = {v: sorted(set(_values(m))) for v, m in net[0].items()}
     verdict = Verdict(True, len(points), domains)
     if t.semilattice is not None:
         verdict.witness = extract_witness(t, instance, domains)

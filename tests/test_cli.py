@@ -380,12 +380,42 @@ def test_huge_structure_hits_network_cap(tmp_path, monkeypatch, capsys, argv):
 
 def test_structure_past_maxsize_hits_network_cap(tmp_path, capsys):
     # Its elements, the variables of ``hom --from``, are a range whose
-    # len() would overflow.
+    # len() would overflow. Into an empty target, each still counts as
+    # one value, so the cap holds there too.
     huge, k2 = tmp_path / "huge.json", tmp_path / "k2.json"
+    zero = tmp_path / "zero.json"
     write_json(huge, {"signature": [], "size": 2**63, "relations": {}})
     write_json(k2, complete_graph(2).to_json_dict())
-    assert run_cli(["hom", "--from", str(huge), "--to", str(k2)]) == 3
-    assert "network cap: 9223372036854775808 variables" in capsys.readouterr().err
+    write_json(zero, {"signature": [], "size": 0, "relations": {}})
+    for target in (k2, zero):
+        assert run_cli(["hom", "--from", str(huge), "--to", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert "network cap: 9223372036854775808 variables" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["powerset", "--structure", "k12.json"], "box cap: 0 + 4095^2 > 10000000"),
+        (["powerset", "--structure", "wide.json"], f"arity {2**70} > 10000"),
+        (["check-equiv", "--structure", "wide.json"], f"arity {2**70} > 10000"),
+    ],
+    ids=["powerset-boxes", "powerset-arity", "check-equiv-arity"],
+)
+def test_power_structure_caps(tmp_path, monkeypatch, capsys, argv, message):
+    # K12 has 4095^2 candidate boxes; one element with an empty relation
+    # of arity 2^70 has one, over a table too wide to build. Both are
+    # refused before any subset is listed.
+    write_json(tmp_path / "k12.json", complete_graph(12).to_json_dict())
+    write_json(
+        tmp_path / "wide.json",
+        {"signature": [{"name": "R", "arity": 2**70}], "size": 1, "relations": {}},
+    )
+    monkeypatch.chdir(tmp_path)
+    start = perf_counter()
+    assert run_cli(argv) == 3
+    assert perf_counter() - start < 5
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -662,9 +692,11 @@ def fuzzed_structures(draw):
 def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
     arities, data = case
     b, k2, inst = tmp_path / "b.json", tmp_path / "k2.json", tmp_path / "i.json"
-    empty = tmp_path / "e.json"
+    empty, zero = tmp_path / "e.json", tmp_path / "z.json"
     write_json(b, data)
     write_json(empty, {"variables": [], "constraints": []})
+    signature = [{"name": f"R{i}", "arity": k} for i, k in enumerate(arities)]
+    write_json(zero, {"signature": signature, "size": 0})
     write_json(k2, complete_graph(2).to_json_dict())
     args = ["x", "y", "z"][: arities[0]] if arities else []
     constraints = [{"rel": "R0", "args": args}] if arities else []
@@ -680,6 +712,7 @@ def test_fuzzed_structure_json_never_crashes(tmp_path, capsys, case, ts, walk):
             ["walk-lemma", "--structure", str(b), "--arity", str(walk)],
             ["walk", "--from", str(b), "--to", str(b), "--size", str(walk)],
             ["hom", "--from", str(b), "--to", str(k2)],
+            ["hom", "--from", str(b), "--to", str(zero)],
             ["hom", "--from", str(inst), "--to", str(b)],
             ["ac", "--instance", str(inst), "--structure", str(b)],
             ["hom", "--from", str(empty), "--to", str(b)],

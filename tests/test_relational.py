@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import ordcsp
 from ordcsp import (
     BinaryOpTable,
     CapExceeded,
@@ -18,6 +19,7 @@ from ordcsp import (
     preset,
     sample,
 )
+from ordcsp.formula import MAX_TABLE_WIDTH
 from ordcsp.polymorphism import TS_TABLE_CAP, SubsetFunctionTable
 
 from conftest import (
@@ -232,13 +234,33 @@ def test_power_k3_no_hom_back():
     assert hom_exists(power_structure(k3), k3) is None
 
 
-def test_power_size_and_cap():
+def test_power_size_and_cap(monkeypatch):
     for m in (1, 2, 3, 4):
         assert power_structure(binary_structure(m, ())).size == 2**m - 1
     with pytest.raises(CapExceeded):
         power_structure(binary_structure(5, ()), cap_bits=4)
     with pytest.raises(ValueError):
         power_structure(binary_structure(0, ()))
+    # Candidate boxes are (2^m - 1)^arity summed over the relations: K11's
+    # 2047^2 pass the cap, K12's 4095^2 do not, and two binary relations on
+    # 2 elements have 9 + 9.
+    assert 2047**2 <= ordcsp.powerset.BOX_CAP < 4095**2
+    with pytest.raises(CapExceeded, match=r"box cap: 0 \+ 4095\^2 > 10000000"):
+        power_structure(complete_graph(12))
+    two = FiniteStructure(Signature((("E", 2), ("F", 2))), 2, {})
+    monkeypatch.setattr(ordcsp.powerset, "BOX_CAP", 18)
+    assert power_structure(two).size == 3
+    monkeypatch.setattr(ordcsp.powerset, "BOX_CAP", 17)
+    with pytest.raises(CapExceeded, match=r"box cap: 9 \+ 3\^2 > 17"):
+        power_structure(two)
+    # One element has one box at any arity, so the arity is capped too.
+    def wide(arity):
+        return FiniteStructure(Signature((("R", arity),)), 1, {})
+
+    assert power_structure(wide(MAX_TABLE_WIDTH)).relations["R"] == frozenset()
+    for arity in (MAX_TABLE_WIDTH + 1, 2**70):
+        with pytest.raises(CapExceeded, match=f"arity {arity} > 10000"):
+            power_structure(wide(arity))
 
 
 def test_power_empty_relation():

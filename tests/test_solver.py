@@ -200,7 +200,7 @@ def nesting(rows):
 
 
 def uses_bitsets(b, args=("x", "y")):
-    _, _, live, _ = network(("x", "y"), (("E", args),), *structure_source(b))
+    _, _, live, _, _ = network(("x", "y"), (("E", args),), *structure_source(b))
     return type(live[0]) is tuple
 
 
