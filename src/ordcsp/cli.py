@@ -43,7 +43,7 @@ from .polymorphism import (
     find_semilattice,
     has_ts_polymorphism,
 )
-from .powerset import DEFAULT_SUBSET_CAP_BITS, power_structure
+from .powerset import power_structure
 from .sampler import sample
 from .solver import ac, solve
 from .structures import FiniteStructure, Instance
@@ -137,7 +137,7 @@ def _cmd_hom(args):
 
 
 def _cmd_powerset(args):
-    p = power_structure(load_structure(args.structure), args.max_subset_bits)
+    p = power_structure(load_structure(args.structure))
     return p.to_json_dict(), True, f"{p.size} subsets"
 
 
@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("powerset", _cmd_powerset, "structure on non-empty subsets")
     p.add_argument("--structure", required=True)
-    p.add_argument(
-        "--max-subset-bits", type=int, default=DEFAULT_SUBSET_CAP_BITS
-    )
 
     p = add("check-ts", _cmd_check_ts, "totally symmetric polymorphism")
     p.add_argument("--structure", required=True)

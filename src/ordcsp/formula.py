@@ -28,7 +28,7 @@ and ``F`` (all m bits), ``0``, ``F ^``, ``&``, ``|`` on m-bit masks. A
 connective ``_CHUNK_DEPTH`` levels down becomes a ``def cN`` of the
 names it reads, nested in ``make``, the function each source defines in
 the module's one ``exec``, which returns the builder (for rows, the
-rows). A node caches its builders in one dict.
+rows). A node caches all its builders in one dict.
 ``compile_formula`` evaluates a point, with atoms such as ``p[0] <
 p[1]``. ``compile_table`` builds a relation's whole table over a list of
 points in one comprehension, with atoms on coordinate names such as
@@ -98,6 +98,9 @@ class Formula:
             object.__setattr__(self, key, value)
 
     def _init(self, data, kids, free_var_count=0):
+        for k in kids:
+            if not isinstance(k, Formula):
+                raise TypeError(f"not a formula: {k!r}")
         data = (type(self), len(kids), *data)
         h = hash((data, tuple(k._hash for k in kids)))
         fvc = max([free_var_count] + [k.free_var_count for k in kids])
@@ -347,26 +350,30 @@ def _row_data(P, key, full, tables):
 
 
 def compile_pair_codes(fs, d: int):
-    """Return one builder for the binary formulas ``fs`` on points of
-    dimension ``d``, not cached.
+    """Return one builder for the sequence of binary formulas ``fs`` on
+    points of dimension ``d``, cached on ``fs[0]`` per ``d`` and ``fs``.
 
     The builder maps a list of k points to the flat list of k * k ints
     whose entry i * k + j has bit b set iff points i and j, concatenated,
     satisfy ``fs[b]``: ``lambda P: [(1 if <expr0> else 0) | (2 if <expr1>
     else 0) for (x0, x1,) in P for (x2, x3,) in P]``. Raises as
-    ``compile_table`` does for arity 2.
+    ``compile_table`` does for arity 2, checking each formula in turn.
     """
-    names, chunks, terms = ["x%d" % v for v in range(2 * d)], [], []
-    for bit, f in enumerate(fs):
+    for f in fs:
         _cache(f)  # type and depth checks
         _check_shape(f, 2, d)
-        expr = _expr(f, _atom_on("x%d"), _BOOL, chunks)
-        terms.append("(%d if %s else 0)" % (1 << bit, expr))
-    if not terms:
+    if not fs:
         return lambda P: [0] * (len(P) * len(P))
-    row, col = ", ".join(names[:d]), ", ".join(names[d:])
-    body = "lambda P: [%s for (%s,) in P for (%s,) in P]"
-    return _define("", chunks, body % (" | ".join(terms), row, col))()
+    cache, key = _cache(fs[0]), ("codes", d, tuple(fs))
+    if key not in cache:
+        names, chunks, terms = ["x%d" % v for v in range(2 * d)], [], []
+        for bit, f in enumerate(fs):
+            expr = _expr(f, _atom_on("x%d"), _BOOL, chunks)
+            terms.append("(%d if %s else 0)" % (1 << bit, expr))
+        row, col = ", ".join(names[:d]), ", ".join(names[d:])
+        body = "lambda P: [%s for (%s,) in P for (%s,) in P]"
+        cache[key] = _define("", chunks, body % (" | ".join(terms), row, col))()
+    return cache[key]
 
 
 def _check_shape(f, arity, d):

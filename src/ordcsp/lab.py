@@ -26,9 +26,10 @@ enumerated by levelwise extension from the empty configuration: keep one
 concrete point configuration per class, re-grid it with gaps so that a
 new point can take every relative position, and canonicalize the grown
 structures. A grown structure is never built as relation tables: one
-generated builder per template (``formula.compile_pair_codes``) gives
-each ordered pair of points one int code with a bit per binary relation,
-and only relations of other arities go through ``formula.compile_table``.
+generated builder per template's binary formulas, cached on the first of
+them (``formula.compile_pair_codes``), gives each ordered pair of points
+one int code with a bit per binary relation, and only relations of other
+arities go through ``formula.compile_table``.
 ``canonical_form`` refines colours on those codes to a stable partition
 and minimizes over the orderings the partition leaves.
 This visits a number of configurations proportional to the number of
@@ -378,17 +379,6 @@ class OrbitReport:
     exactness: str
 
 
-def _pair_codes(t):
-    """The pair-code builder of ``t``'s binary relations
-    (``formula.compile_pair_codes``), made once per template object and
-    cached on it, as ``sampler`` caches its equality verdict."""
-    if not hasattr(t, "_pair_code_builder"):
-        fs = [rel.formula for rel in t.relations if rel.arity == 2]
-        builder = compile_pair_codes(fs, t.dimension)
-        object.__setattr__(t, "_pair_code_builder", builder)
-    return t._pair_code_builder
-
-
 def _rank_normalize(config):
     values = sorted({x for point in config for x in point})
     rank = {v: i for i, v in enumerate(values)}
@@ -428,7 +418,7 @@ def orbit_count(
         _check_equality(t)
     dom = compile_formula(t.domain_formula)
     eqf = compile_formula(t.equality_formula)
-    codes = _pair_codes(t)
+    codes = compile_pair_codes([r.formula for r in t.relations if r.arity == 2], d)
     tables = [
         (rel.arity, compile_table(rel.formula, rel.arity, d))
         for rel in t.relations
@@ -446,16 +436,12 @@ def orbit_count(
     for _level in range(n):
         candidates = set()
         for config in reps.values():
-            # Spread the used values d+1 apart: every gap (including the
-            # ends) then has d free slots, enough for any relative
-            # placement of the new point's d coordinates. The empty
-            # configuration's grid is {0..d-1}.
-            values = sorted({x for point in config for x in point})
-            remap = {v: d + i * (d + 1) for i, v in enumerate(values)}
-            gapped = tuple(
-                tuple(remap[x] for x in point) for point in config
-            )
-            fine = d + len(values) * (d + 1)
+            # A kept configuration is rank-normalised, with values 0..V-1.
+            # Spread them d+1 apart: every gap (ends included) then has d
+            # free slots, enough for any relative placement of the new
+            # point's d coordinates. () has V = 0 and the grid {0..d-1}.
+            gapped = tuple(tuple(d + x * (d + 1) for x in p) for p in config)
+            fine = d + (max(map(max, config), default=-1) + 1) * (d + 1)
             if _power_exceeds(fine, d, budget):
                 raise CapExceeded(
                     f"orbit counting budget: {fine}^{d} points > {budget}"

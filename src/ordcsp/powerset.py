@@ -15,19 +15,19 @@ from .formula import MAX_TABLE_WIDTH
 from .sampler import _power_exceeds
 from .structures import FiniteStructure, _values
 
-DEFAULT_SUBSET_CAP_BITS = 16
+SUBSET_CAP_BITS = 16  # binds only with no relation of arity >= 2 (see BOX_CAP)
 # Candidate boxes, (2^m - 1)^arity summed over the relations; K11 has 4.2 M.
 BOX_CAP = 10**7
 
 
-def power_structure(
-    b: FiniteStructure, cap_bits: int = DEFAULT_SUBSET_CAP_BITS
-) -> FiniteStructure:
+def power_structure(b: FiniteStructure) -> FiniteStructure:
+    """P(b); ``CapExceeded`` past ``SUBSET_CAP_BITS`` elements, ``BOX_CAP``
+    boxes or arity ``MAX_TABLE_WIDTH``, before any subset is listed."""
     if b.size < 1:
         raise ValueError("power_structure needs a non-empty domain")
-    if b.size > cap_bits:
+    if b.size > SUBSET_CAP_BITS:
         raise CapExceeded(
-            f"power_structure cap: size {b.size} > {cap_bits} "
+            f"power_structure cap: size {b.size} > {SUBSET_CAP_BITS} "
             f"(2^{b.size} - 1 subsets)"
         )
     count, boxes = (1 << b.size) - 1, 0

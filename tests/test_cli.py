@@ -397,16 +397,22 @@ def test_structure_past_maxsize_hits_network_cap(tmp_path, capsys):
     "argv, message",
     [
         (["powerset", "--structure", "k12.json"], "box cap: 0 + 4095^2 > 10000000"),
+        (
+            ["powerset", "--structure", "bare17.json"],
+            "power_structure cap: size 17 > 16 (2^17 - 1 subsets)",
+        ),
         (["powerset", "--structure", "wide.json"], f"arity {2**70} > 10000"),
         (["check-equiv", "--structure", "wide.json"], f"arity {2**70} > 10000"),
     ],
-    ids=["powerset-boxes", "powerset-arity", "check-equiv-arity"],
+    ids=["powerset-boxes", "powerset-elements", "powerset-arity", "check-equiv-arity"],
 )
 def test_power_structure_caps(tmp_path, monkeypatch, capsys, argv, message):
-    # K12 has 4095^2 candidate boxes; one element with an empty relation
-    # of arity 2^70 has one, over a table too wide to build. Both are
+    # K12 has 4095^2 candidate boxes; 17 elements with no relation have
+    # no box, but 2^17 - 1 subsets; one element with an empty relation of
+    # arity 2^70 has one box, over a table too wide to build. All are
     # refused before any subset is listed.
     write_json(tmp_path / "k12.json", complete_graph(12).to_json_dict())
+    write_json(tmp_path / "bare17.json", {"signature": [], "size": 17, "relations": {}})
     write_json(
         tmp_path / "wide.json",
         {"signature": [{"name": "R", "arity": 2**70}], "size": 1, "relations": {}},
@@ -416,6 +422,17 @@ def test_power_structure_caps(tmp_path, monkeypatch, capsys, argv, message):
     assert run_cli(argv) == 3
     assert perf_counter() - start < 5
     assert message in capsys.readouterr().err
+
+
+def test_powerset_has_no_subset_size_flag(tmp_path, capsys):
+    # The element cap is the constant SUBSET_CAP_BITS; no flag overrides it.
+    path = tmp_path / "k3.json"
+    write_json(path, complete_graph(3).to_json_dict())
+    argv = ["powerset", "--structure", str(path), "--max-subset-bits", "20"]
+    assert run_cli(argv) == 2
+    assert "unrecognized arguments: --max-subset-bits 20" in capsys.readouterr().err
+    assert run_cli(["powerset", "--help"]) == 0
+    assert "--max-subset-bits" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,13 @@ def test_nodes_and_printer_reject_bad_input():
         And(())
     with pytest.raises(TypeError, match="not a formula: 'x'"):
         print_formula("x")
+    # A connective's children are type-checked as they are read.
+    with pytest.raises(TypeError, match="not a formula: 'x'"):
+        And(("x",))
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        Not(3)
+    with pytest.raises(TypeError, match="not a formula: None"):
+        Or((lt(0, 1), None))
 
 
 def test_atoms_match_reference():
@@ -552,6 +559,21 @@ def test_pair_codes_check_like_tables():
     # Rows of 5,000 bits: int() reads base 2 past the decimal digit limit.
     fwd, bwd = rows(f, 1, [(v,) for v in range(5000)])
     assert fwd[0] == 2**5000 - 2 and bwd[4999] == 2**4999 - 1
+
+
+def test_pair_codes_cached_on_their_formulas(monkeypatch):
+    # One builder per (d, formula list), kept in the first formula's
+    # cache, and made by one exec; an empty list is not cached.
+    f, g = lt(0, 1), le(1, 2)
+    sources = captured_sources(monkeypatch)
+    build = compile_pair_codes([f, g], 2)
+    assert compile_pair_codes([f, g], 2) is build
+    assert compile_pair_codes((f, g), 2) is build
+    assert len(sources) == 1
+    others = [([f, g], 3), ([f], 2), ([g, f], 2), ([f, g, f], 2)]
+    assert all(compile_pair_codes(fs, d) is not build for fs, d in others)
+    assert len(sources) == 5
+    assert compile_pair_codes([], 2) is not compile_pair_codes([], 2)
 
 
 def test_table_on_deep_chains():

@@ -289,6 +289,15 @@ def test_orbit_caps():
         orbit_count(preset("gamma2"), 3, budget=64)
 
 
+def test_orbit_count_sets_no_template_attribute():
+    # Its builders are cached on the template's formulas, not on the
+    # template; a direct template has no equality verdict to cache.
+    t = preset("qlt")
+    keys = set(vars(t))
+    orbit_count(t, 3)
+    assert set(vars(t)) == keys
+
+
 def test_orbit_report_json():
     report = orbit_count(preset("gamma2"), 4)
     assert asdict(report) == {

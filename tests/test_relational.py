@@ -237,8 +237,10 @@ def test_power_k3_no_hom_back():
 def test_power_size_and_cap(monkeypatch):
     for m in (1, 2, 3, 4):
         assert power_structure(binary_structure(m, ())).size == 2**m - 1
-    with pytest.raises(CapExceeded):
-        power_structure(binary_structure(5, ()), cap_bits=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(ordcsp.powerset, "SUBSET_CAP_BITS", 4)
+        with pytest.raises(CapExceeded, match=r"size 5 > 4 \(2\^5 - 1 subsets\)"):
+            power_structure(binary_structure(5, ()))
     with pytest.raises(ValueError):
         power_structure(binary_structure(0, ()))
     # Candidate boxes are (2^m - 1)^arity summed over the relations: K11's
