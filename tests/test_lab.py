@@ -289,6 +289,46 @@ def test_orbit_caps():
         orbit_count(preset("gamma2"), 3, budget=64)
 
 
+# The least budget under which orbit_count passes, and the cap that one
+# less hits. Where that cap is the configurations grown, the budget is the
+# total of distinct candidates over all levels, so it pins the candidates.
+ORBIT_BUDGET_THRESHOLDS = [
+    ("qlt", 1, 1, "1^1 patterns"),
+    ("qlt", 2, 4, "2^2 table candidates"),
+    ("qlt", 3, 9, "3^2 table candidates"),
+    ("qlt", 4, 16, "4^2 table candidates"),
+    ("qlt", 5, 25, "5^2 table candidates"),
+    ("ord3", 1, 1, "1^1 patterns"),
+    ("ord3", 2, 8, "2^3 table candidates"),
+    ("ord3", 3, 27, "3^3 table candidates"),
+    ("ord3", 4, 64, "4^3 table candidates"),
+    ("ord3", 5, 125, "5^3 table candidates"),
+    ("gamma2", 1, 4, "2^2 patterns"),
+    ("gamma2", 2, 25, "5^2 points"),
+    ("gamma2", 3, 67, "67 configurations"),
+    ("gamma2", 4, 220, "220 configurations"),
+    ("gamma2", 5, 655, "655 configurations"),
+    ("gamma3", 1, 4, "2^2 patterns"),
+    ("gamma3", 2, 64, "8^2 points"),
+    ("gamma3", 3, 121, "11^2 points"),
+    ("gamma3", 4, 260, "260 configurations"),
+    ("gamma3", 5, 781, "781 configurations"),
+    ("gamma1", 1, 4, "2^2 patterns"),
+    ("gamma1", 2, 25, "5^2 points"),
+    ("gamma1", 3, 125, "125 configurations"),
+    ("gamma1", 4, 1314, "1314 configurations"),
+]
+
+
+@pytest.mark.parametrize("name, n, budget, cap", ORBIT_BUDGET_THRESHOLDS)
+def test_orbit_budget_threshold_pinned(name, n, budget, cap):
+    t = preset(name)
+    orbit_count(t, n, budget)
+    with pytest.raises(CapExceeded) as raised:
+        orbit_count(t, n, budget - 1)
+    assert str(raised.value) == f"orbit counting budget: {cap} > {budget - 1}"
+
+
 def test_orbit_count_sets_no_template_attribute():
     # Its builders are cached on the template's formulas, not on the
     # template; a direct template has no equality verdict to cache.
