@@ -22,10 +22,17 @@ exact when the template's JSON, with the preset's name put in, equals
 that preset's stored JSON (``template.PRESETS``): as printed formulas
 parse back to themselves, this is equality up to the name, and no
 template is built for it. Otherwise it is a lower bound. Classes are
-enumerated by levelwise extension from the empty configuration: keep one
-concrete point configuration per class, re-grid it with gaps so that a
-new point can take every relative position, and canonicalize the grown
-structures. A grown structure is never built as relation tables: one
+enumerated by levelwise extension from the empty configuration, keeping
+one configuration per class. A kept configuration has the values 0..V-1
+and grows at each placement of a new point: each joint order type of
+its d coordinates and those values, which ``_placements`` lists once,
+for each V once per call. The domain and equality formulas read only
+order types, so they are tested on a placement's grid point; the grown
+configuration moves each old value to its new rank and inserts the new
+point. Of the grown configurations, in sorted order, one with the raw
+structure (pair codes in its own point order, the other relations'
+tables) of an earlier one is in its class and is not canonicalized.
+A grown structure is never built as relation tables: one
 generated builder per template's binary formulas, cached on the first of
 them (``formula.compile_pair_codes``), gives each ordered pair of points
 one int code with a bit per binary relation, and only relations of other
@@ -39,8 +46,9 @@ makes counts like n = 5 over a 100-element sample feasible.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import attrgetter
 
 from .errors import CapExceeded
@@ -379,10 +387,35 @@ class OrbitReport:
     exactness: str
 
 
-def _rank_normalize(config):
-    values = sorted({x for point in config for x in point})
-    rank = {v: i for i, v in enumerate(values)}
-    return tuple(sorted(tuple(rank[x] for x in point) for point in config))
+def _placements(v: int, d: int):
+    """Each joint order type of a new point's d coordinates and the values
+    0..v-1 once, as (the point on the grid that puts value x at
+    d + x * (d + 1), the new rank of each value, the point's new ranks).
+
+    The coordinates take a weak order, whose b blocks go in ascending
+    order to slots: slot 2g is the gap below value g (or above them all,
+    for g = v) and slot 2x + 1 is value x. Blocks may share a gap but not
+    a value; the blocks in gap g take its grid slots g * (d + 1) onwards.
+    """
+    step = d + 1
+    out = []
+    for blocks in product(range(d), repeat=d):
+        b = max(blocks) + 1
+        if len(set(blocks)) < b:
+            continue
+        for slots in combinations_with_replacement(range(2 * v + 1), b):
+            if any(s == t and s % 2 for s, t in zip(slots, slots[1:])):
+                continue
+            grid, rank, gaps = [], [], 0
+            for i, s in enumerate(slots):
+                grid.append(s // 2 * step + (d if s % 2 else i - slots.index(s)))
+                rank.append(s // 2 + gaps)
+                gaps += 1 - s % 2
+            # Value x moves up by the blocks in gaps 0..x.
+            old = [x + sum(s <= 2 * x and s % 2 == 0 for s in slots) for x in range(v)]
+            point = tuple(grid[k] for k in blocks)
+            out.append((point, old, tuple(rank[k] for k in blocks)))
+    return out
 
 
 def orbit_count(
@@ -394,11 +427,12 @@ def orbit_count(
     the module docstring for why this matches subset enumeration on the
     homogeneous built-ins and is a lower bound otherwise. Raises
     ``CapExceeded`` past ``MAX_ORBIT_N``, and when the d^d first-level
-    patterns, a level's candidate points, a table's n^arity candidate
-    tuples or the configurations grown exceed ``budget``; no giant power
-    is computed for the comparison. Once these caps that enumerate nothing
-    have passed, an interpretation's equality formula is checked as
-    ``sample`` checks it, so candidates are compared with a symmetric one.
+    patterns, the points of a configuration's grid, a table's n^arity
+    candidate tuples or the configurations grown exceed ``budget``; no
+    giant power is computed for the comparison. Once these caps that
+    enumerate nothing have passed, an interpretation's equality formula is
+    checked as ``sample`` checks it, so candidates are compared with a
+    symmetric one.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -426,40 +460,48 @@ def orbit_count(
     ]
     shift = len(t.relations) - len(tables)
 
-    def form(config):
-        r = list(enumerate(config))
-        others = [(a, b(r)) for a, b in tables]
-        return _canonical_key(len(config), codes(config), others, shift)
-
     work = 0
     reps: dict = {(): ()}
+    placements: dict = {}
     for _level in range(n):
         candidates = set()
         for config in reps.values():
-            # A kept configuration is rank-normalised, with values 0..V-1.
-            # Spread them d+1 apart: every gap (ends included) then has d
-            # free slots, enough for any relative placement of the new
-            # point's d coordinates. () has V = 0 and the grid {0..d-1}.
-            gapped = tuple(tuple(d + x * (d + 1) for x in p) for p in config)
-            fine = d + (max(map(max, config), default=-1) + 1) * (d + 1)
+            # A kept configuration is rank-normalised, with values 0..V-1;
+            # its placements lie on the grid that spreads them d + 1 apart.
+            v = max(map(max, config), default=-1) + 1
+            fine = d + v * (d + 1)
             if _power_exceeds(fine, d, budget):
                 raise CapExceeded(
                     f"orbit counting budget: {fine}^{d} points > {budget}"
                 )
-            for w in product(range(fine), repeat=d):
-                if not dom(w):
-                    continue
+            if v not in placements:
+                placements[v] = [pl for pl in _placements(v, d) if dom(pl[0])]
+            gapped = [tuple(d + x * (d + 1) for x in p) for p in config]
+            for w, old, new in placements[v]:
                 if any(eqf(p + w) for p in gapped):
                     continue
-                candidates.add(_rank_normalize(gapped + (w,)))
+                # The remap is increasing, so the remapped list stays sorted.
+                grown = [tuple([old[x] for x in p]) for p in config]
+                insort(grown, new)
+                candidates.add(tuple(grown))
         work += len(candidates)
         if work > budget:
             raise CapExceeded(
                 f"orbit counting budget: {work} configurations > {budget}"
             )
-        reps = {}
+        # A candidate with the raw structure of an earlier one is in that
+        # one's class, which already keeps the earlier or a lesser one.
+        reps, raw_seen = {}, set()
         for config in sorted(candidates):
-            reps.setdefault(form(config), config)
+            pair_codes = codes(config)
+            r = list(enumerate(config))
+            others = [(a, b(r)) for a, b in tables]
+            raw = (tuple(pair_codes), *[tuples for _, tuples in others])
+            if raw in raw_seen:
+                continue
+            raw_seen.add(raw)
+            key = _canonical_key(len(config), pair_codes, others, shift)
+            reps.setdefault(key, config)
 
     data = t.to_json_dict()
     exact = any({**data, "name": p} == PRESETS[p] for p in EXACT_PRESETS)

@@ -22,6 +22,7 @@ from ordcsp import (
     subset_class_count,
 )
 from ordcsp.formula import TRUE, and_, eq, gt, lt, or_
+from ordcsp.lab import _placements
 
 from conftest import (
     all_binary_structures,
@@ -329,6 +330,30 @@ def test_orbit_budget_threshold_pinned(name, n, budget, cap):
     assert str(raised.value) == f"orbit counting budget: {cap} > {budget - 1}"
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("v", range(5))
+def test_placements_list_each_order_type_once(v, d):
+    # Brute force: every point of the grid that spreads the v values d + 1
+    # apart, ranked together with those values.
+    values = [d + x * (d + 1) for x in range(v)]
+    fine = d + v * (d + 1)
+
+    def order_type(w):
+        rank = {x: i for i, x in enumerate(sorted({*values, *w}))}
+        return tuple(rank[x] for x in values), tuple(rank[x] for x in w)
+
+    brute = {order_type(w) for w in product(range(fine), repeat=d)}
+    placements = _placements(v, d)
+    types = [(tuple(old), new) for _, old, new in placements]
+    assert len(set(types)) == len(types)
+    assert set(types) == brute
+    for w, old, new in placements:
+        assert len(w) == d and all(0 <= x < fine for x in w)
+        assert order_type(w) == (tuple(old), new)
+    if d == 1:
+        assert len(placements) == 2 * v + 1
+
+
 def test_orbit_count_sets_no_template_attribute():
     # Its builders are cached on the template's formulas, not on the
     # template; a direct template has no equality verdict to cache.
@@ -532,30 +557,37 @@ def test_canonicalizers_define_same_classes():
                 assert (ref1 == ref2) == (form1 == form2)
 
 
+def _drawn_template(d):
+    """A drawn domain formula, 1-3 drawn relations of arity 1 or 2 and
+    n, all on dimension d; n <= 2 at d = 3 keeps the reference cheap."""
+    relation = st.sampled_from([2, 2, 2, 1]).flatmap(
+        lambda m: st.tuples(st.just(m), formulas(max_leaves=6, variables=m * d))
+    )
+    return st.tuples(
+        st.just(d),
+        formulas(max_leaves=4, variables=d),
+        st.lists(relation, min_size=1, max_size=3),
+        st.integers(1, 2 if d == 3 else 3),
+    )
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.sampled_from([2, 2, 2, 1]).flatmap(
-            lambda m: st.tuples(st.just(m), formulas(max_leaves=6, variables=2 * m))
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(1, 3),
-)
-def test_orbit_count_on_drawn_templates(rels, n):
-    # Random 2-dimensional interpretations with identity equality. Every
-    # class of n points has a copy in Sample(n), whose grid has 2n values,
+@given(st.integers(1, 3).flatmap(_drawn_template))
+def test_orbit_count_on_drawn_templates(drawn):
+    # Random interpretations of dimension d with identity equality and a
+    # drawn domain formula, which growth tests on each placement. Every
+    # class of n points has a copy in Sample(n), whose grid has dn values,
     # so subset enumeration counts them all. Growth keeps one configuration
     # per class, which on a template that is not homogeneous may miss some
     # (R(p, q) = p0 < q1 has 46 classes of 3 points, of which growth finds
     # 44): the count is a lower bound, and equals the reference growth's.
+    d, domain, rels, n = drawn
     t = Template(
         name="drawn",
         kind="interpretation",
-        dimension=2,
-        domain_formula=TRUE,
-        equality_formula=and_(eq(0, 2), eq(1, 3)),
+        dimension=d,
+        domain_formula=domain,
+        equality_formula=and_(*(eq(i, d + i) for i in range(d))),
         relations=tuple(Relation(f"R{i}", m, f) for i, (m, f) in enumerate(rels)),
     )
     grown = orbit_count(t, n).class_count
