@@ -406,6 +406,8 @@ def _placements(v: int, d: int):
         for slots in combinations_with_replacement(range(2 * v + 1), b):
             if any(s == t and s % 2 for s, t in zip(slots, slots[1:])):
                 continue
+            # A block ranks above the values below its slot and the blocks
+            # before it that lie in gaps.
             grid, rank, gaps = [], [], 0
             for i, s in enumerate(slots):
                 grid.append(s // 2 * step + (d if s % 2 else i - slots.index(s)))
