@@ -255,12 +255,14 @@ def canonical_form(k: int, relation_tuples):
 
     Each ordered pair (i, j) gets one int code with a bit per binary
     relation holding on it; the diagonal code (i, i) also gets a bit per
-    other relation holding on (i,) * arity. Colours start as the diagonal
-    codes and are refined until the partition is stable (colour
-    refinement, as in McKay & Piperno, "Practical graph isomorphism II",
-    2014): each round renumbers them by the sorted order of the
-    signatures (colour, sorted (colour_j, code_ij, code_ji)), so colours
-    are invariant under isomorphism. The key is the least, over orderings
+    other relation holding on (i,) * arity. Colours start as the ranks of
+    each point's diagonal code and, for each relation of arity above 2,
+    how often the point occurs at each position of its tuples. They are
+    refined until the partition is stable (colour refinement, as in
+    McKay & Piperno, "Practical graph isomorphism II", 2014): each round
+    renumbers them by the sorted order of the signatures (colour, sorted
+    (colour_j, code_ij, code_ji)), so colours are invariant under
+    isomorphism. The key is the least, over orderings
     that list the colour classes in colour order, of the code matrix read
     in that order plus the position-mapped sorted tuples of the relations
     of arity above 2 (unary ones are all in the diagonal bits).
@@ -287,11 +289,20 @@ def _canonical_key(k, codes, others, shift):
             if (i,) * arity in tuples:
                 codes[i * (k + 1)] |= 1 << bit
         if arity > 2:
-            wide.append(tuples)
+            wide.append((arity, tuples))
     rows = [codes[i * k : i * k + k] for i in points]
     columns = [codes[i::k] for i in points]
-    colour = [rows[i][i] for i in points]
-    count = len(set(colour))
+    start = [(rows[i][i],) for i in points]
+    for arity, tuples in wide:
+        occurs = [[0] * arity for _ in points]
+        for t in tuples:
+            for pos, x in enumerate(t):
+                occurs[x][pos] += 1
+        for i in points:
+            start[i] += tuple(occurs[i])
+    rank = {s: r for r, s in enumerate(sorted(set(start)))}
+    colour = [rank[s] for s in start]
+    count = len(rank)
     while count < k:
         # j = i adds (colour_i, code_ii, code_ii), itself an invariant.
         signature = [
@@ -319,7 +330,7 @@ def _canonical_key(k, codes, others, shift):
                 position[i] = pos
             key += tuple(
                 tuple(sorted(tuple(position[x] for x in t) for t in tuples))
-                for tuples in wide
+                for _, tuples in wide
             )
         if best is None or key < best:
             best = key

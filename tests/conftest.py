@@ -7,7 +7,11 @@ from itertools import combinations, product
 
 from ordcsp import FiniteStructure, Instance, Signature
 from ordcsp.lab import Walk, _canonical_all_perms
-from ordcsp.polymorphism import BinaryOpTable, SubsetFunctionTable
+from ordcsp.polymorphism import (
+    BinaryOpTable,
+    SubsetFunctionTable,
+    is_polymorphism,
+)
 
 
 def is_idempotent(op):
@@ -361,6 +365,57 @@ def reference_semilattice(b):
             for t1, t2 in product(tuples, repeat=2)
         ):
             return BinaryOpTable(m, tuple(map(tuple, t)))
+    return None
+
+
+def _associative_so_far(t) -> bool:
+    """False if (xy)z and x(yz) are both filled in and differ somewhere."""
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            xy = t[x][y]
+            if xy is None:
+                continue
+            for z in rng:
+                yz = t[y][z]
+                if yz is None:
+                    continue
+                left, right = t[xy][z], t[x][yz]
+                if left is not None and right is not None and left != right:
+                    return False
+    return True
+
+
+def enumerated_semilattice(b):
+    """``reference_semilattice`` by backtracking: the cells above the
+    diagonal are filled in the same order, values ascending, with the
+    whole partial table checked for associativity after each write and
+    ``is_polymorphism`` run on each completed table. No preservation check
+    prunes the search, so it still runs at 5 and 6 elements, where the
+    reference's full product does not."""
+    m = b.size
+    cells = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    t = [[x if x == y else None for y in range(m)] for x in range(m)]
+    tried = [0] * len(cells)  # values of cell i tried so far
+    i = 0
+    while i >= 0:
+        if i == len(cells):
+            op = BinaryOpTable(m, tuple(map(tuple, t)))
+            if is_polymorphism(op, b):
+                return op
+            i -= 1
+            continue
+        x, y = cells[i]
+        for v in range(tried[i], m):
+            t[x][y] = t[y][x] = v
+            if _associative_so_far(t):
+                tried[i] = v + 1
+                i += 1
+                break
+        else:
+            t[x][y] = t[y][x] = None
+            tried[i] = 0
+            i -= 1
     return None
 
 

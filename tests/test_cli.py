@@ -216,6 +216,44 @@ def test_check_ts_and_semilattice(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_semilattice_at_six_elements(tmp_path, capsys, qlt_path):
+    # K6 has no semilattice polymorphism and the qlt sample at n = 6 has
+    # min. Each pair of tuples is checked as soon as its cells are filled,
+    # so neither enumerates every semilattice on six elements.
+    k6 = tmp_path / "k6.json"
+    write_json(k6, complete_graph(6).to_json_dict())
+    start = perf_counter()
+    code, data = run(capsys, "check-semilattice", "--structure", str(k6))
+    assert (code, data) == (1, {"found": False})
+    b = tmp_path / "b.json"
+    assert run_cli(
+        ["sample", "--template", str(qlt_path), "--size", "6", "--out", str(b)]
+    ) == 0
+    code, data = run(capsys, "check-semilattice", "--structure", str(b))
+    table = [[min(x, y) for y in range(6)] for x in range(6)]
+    assert (code, data) == (0, {"found": True, "table": {"size": 6, "table": table}})
+    assert perf_counter() - start < 5
+
+
+def test_check_semilattice_pair_budget(tmp_path, capsys):
+    # 1,415 distinct 5-tuples make C(1415, 2) = 1,000,405 unordered pairs,
+    # one past what the default budget admits; they are counted before any
+    # is filed.
+    tuples = [[x // 6**i % 6 for i in range(5)] for x in range(1415)]
+    b = tmp_path / "wide.json"
+    signature = [{"name": "R", "arity": 5}]
+    write_json(b, {"signature": signature, "size": 6, "relations": {"R": tuples}})
+    start = perf_counter()
+    assert run_cli(["check-semilattice", "--structure", str(b)]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: semilattice pair budget: 1000405 tuple pairs > "
+        f"{DEFAULT_CONSTRAINT_BUDGET}\n"
+    )
+
+
 def test_check_ts_gamma1_sample_at_arity_4(tmp_path, capsys):
     # 2,516 subset variables, more than the default recursion limit.
     t = tmp_path / "gamma1.json"

@@ -26,6 +26,7 @@ from conftest import (
     all_binary_structures,
     binary_structure,
     complete_graph,
+    enumerated_semilattice,
     is_associative,
     is_commutative,
     is_idempotent,
@@ -449,6 +450,23 @@ def test_semilattice_cap():
         find_semilattice(binary_structure(7, ()))
 
 
+def test_semilattice_pair_budget(monkeypatch):
+    # The budget counts unordered pairs of distinct tuples, summed over the
+    # relations: 6 + 3 here. At 9 the search runs, at 8 it is refused.
+    b = FiniteStructure(
+        Signature((("R", 2), ("U", 1))),
+        3,
+        {"R": [(0, 0), (0, 1), (1, 1), (2, 2)], "U": [(0,), (1,), (2,)]},
+    )
+    monkeypatch.setattr(ordcsp.polymorphism, "DEFAULT_CONSTRAINT_BUDGET", 9)
+    op = find_semilattice(b)
+    assert op is not None and op == reference_semilattice(b)
+    monkeypatch.setattr(ordcsp.polymorphism, "DEFAULT_CONSTRAINT_BUDGET", 8)
+    with pytest.raises(CapExceeded) as info:
+        find_semilattice(b)
+    assert str(info.value) == "semilattice pair budget: 9 tuple pairs > 8"
+
+
 def test_semilattice_results_always_valid():
     rng = random.Random(9)
     for _ in range(60):
@@ -478,6 +496,32 @@ def test_semilattice_matches_reference_order():
         found += op is not None
     assert found >= 100
     assert find_semilattice(complete_graph(5)) is None
+
+
+def test_semilattice_matches_enumeration_at_5_and_6():
+    # Seeded 5-element structures of mixed density, half with a unary
+    # relation too, then K6: the search that checks each pair of tuples
+    # as its cells fill returns the table that enumerating every
+    # semilattice and testing it whole returns first, or None.
+    rng = random.Random(41)
+    found = 0
+    for k in range(40):
+        density = rng.random()
+        symbols = (("E", 2),) if k % 2 else (("E", 2), ("U", 1))
+        pairs = product(range(5), repeat=2)
+        relations = {
+            "E": [p for p in pairs if rng.random() < density],
+            "U": [(i,) for i in range(5) if rng.random() < 0.6],
+        }
+        b = FiniteStructure(
+            Signature(symbols), 5, {name: relations[name] for name, _ in symbols}
+        )
+        op = find_semilattice(b)
+        assert op == enumerated_semilattice(b)
+        found += op is not None
+    assert 10 <= found <= 30  # 29 of 40
+    assert find_semilattice(complete_graph(6)) is None
+    assert enumerated_semilattice(complete_graph(6)) is None
 
 
 # ---------------------------------------------------------------------------
