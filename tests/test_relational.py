@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -411,6 +413,35 @@ def test_ts_budget_is_signature_count(which):
     has_ts_polymorphism(b, n, budget=count)
     with pytest.raises(CapExceeded):
         has_ts_polymorphism(b, n, budget=count - 1)
+
+
+TS_PINS = {
+    ("gamma1", 2, 2): "b3902d0a0966c0e27a408fc5b40d51ab9b2f5f1060d6d733c0903c102c852ca8",
+    ("gamma1", 2, 3): "a16f23b4b6ab83ffbedd167d9ba4c8401b063d0e0dbf49c5712581eb4c77e9f5",
+    ("gamma1", 2, 4): "eb56a56d6aeb9900162b06b585d9f9e08ba7f832fbe282045f2c631e1dc6de0d",
+    ("gamma2", 2, 2): "f4ec24bf34e451efd630ceb41b0f5cedb2daea259b110530503cf0ed0d191e73",
+    ("gamma2", 2, 3): "32f38a292b38a3c31ad44427684a575a5cd53e3ae3380a4891b57c0a5f21438a",
+    ("gamma2", 2, 4): "f81d8607fedac5fee5abffd13e3cea0359f368aa4861435d79a0837def72cf6f",
+    ("ord3", 3, 9): "3263cbd202753b12b9486956e84027e8aa67574a4d1433037544d33e67055695",
+    ("ord3", 4, 12): "a7bbcd0d43783b63d74d72315f99256e0608a0bea8460824aef38387505531cf",
+    ("qlt", 5, 10): "801615b3d7ade06935a15931a25d5075a3f630e59f30ea4aed51a006fcd9ab34",
+    ("gamma3", 2, 2): "b8b116f9001a5bb812da246756f6809a366273ad1f2f88d04c80ed6e97f696a5",
+    ("K3", None, 2): "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+}
+
+
+@pytest.mark.parametrize("name, size, n", list(TS_PINS), ids=str)
+def test_ts_tables_pinned(name, size, n):
+    # Tables the reference search cannot reach in time (arity 3 and 4 on
+    # 16 elements), hashed from to_json_dict(), or from None.
+    if name == "K3":
+        b = complete_graph(3)
+    else:
+        b = sample(preset(name), size).structure
+    table = has_ts_polymorphism(b, n)
+    data = None if table is None else table.to_json_dict()
+    text = json.dumps(data, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == TS_PINS[name, size, n]
 
 
 def test_ts_gamma1_sample_at_arity_4():
