@@ -13,13 +13,12 @@ The n-th power of a relation with r tuples has r^n tuples, so the TS
 constraint set is generated up to column sets: an n-tuple of relation
 tuples only constrains the table through the k-tuple of value sets seen
 in each column. Those signatures are enumerated by breadth-first
-extension, one added tuple at a time, which keeps the constraint count
-near the number of distinct signatures instead of r^n. A signature is
-packed into one int while it grows (column i's value set as bits
-[i*m, (i+1)*m) for |B| = m), and decoded once to per-column bitmasks.
-The TS search assigns the subsets met as columns in a loop over an
-explicit stack, so its depth is not bounded by the recursion limit, and
-checks each constraint once, when its last subset is assigned.
+extension, one added tuple at a time (about as many steps as distinct
+signatures, not r^n), each packed into one int while it grows. The TS
+search assigns the subsets met as columns in a loop over an explicit
+stack and checks each constraint when its last subset is assigned: a
+binary one on masks of allowed values ANDed from support rows, as in
+``solver``, any other by tuple membership.
 
 The semilattice search fills a symmetric table cell by cell the same
 way. Each unordered pair of distinct tuples of a relation is filed under
@@ -33,11 +32,15 @@ allows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product, repeat
+from operator import and_, eq
 
 from .errors import CapExceeded
-from .structures import FiniteStructure, _mask, _values
+from .solver import _supports
+from .structures import FiniteStructure, _mask
 
 DEFAULT_CONSTRAINT_BUDGET = 10**6
 SEMILATTICE_CAP = 6
@@ -86,12 +89,12 @@ def column_signatures(tuples, m: int, n: int, budget: int, used: int):
 
     While it grows, a signature is one int: column i's value set takes
     bits [i*m, (i+1)*m), so extending it by a tuple is a single ``|``.
-    Returns (signatures, updated_used_count), each signature decoded once
-    to a k-tuple of per-column bitmasks; raises CapExceeded if the running
-    signature count passes the budget.
+    Returns (columns, updated_used_count), signature j decoded once to the
+    j-th bitmask of each of the k column lists; raises CapExceeded if the
+    running signature count passes the budget.
     """
     if not tuples:
-        return set(), used
+        return [], used
     packed = {sum(1 << (i * m + x) for i, x in enumerate(t)) for t in tuples}
     signatures = set(packed)
     frontier = packed
@@ -109,16 +112,21 @@ def column_signatures(tuples, m: int, n: int, budget: int, used: int):
             raise CapExceeded(f"TS constraint budget {budget} exceeded")
         if not frontier:
             break
-    full, signatures = (1 << m) - 1, list(signatures)
-    shifts = range(0, m * len(next(iter(tuples))), m)
-    columns = [[sig >> i & full for sig in signatures] for i in shifts]
-    return set(zip(*columns)), used
+    full, shifts = (1 << m) - 1, range(0, m * len(next(iter(tuples))), m)
+    return [[sig >> i & full for sig in signatures] for i in shifts], used
 
 
 def _all_subsets(m: int, n: int):
     for size in range(1, min(m, n) + 1):
         for combo in combinations(range(m), size):
             yield frozenset(combo)
+
+
+# Keys of TS tables by (|B|, min(|B|, n)), in _all_subsets order, so that
+# tables of one pair share them. At most TS_TABLE_CAP keys in all, least
+# recently used pair dropped first: at that bound 22-26 MB of subsets of up
+# to four members, 73 MB of larger ones (CPython 3.11, 216/728-byte sets).
+_SUBSET_KEYS: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
 
 
 def has_ts_polymorphism(
@@ -128,12 +136,14 @@ def has_ts_polymorphism(
 
     Returns a SubsetFunctionTable or None. The variables are the subsets
     met as columns, assigned in (size, members) order by a backtracking
-    loop on an explicit stack; singleton entries are tried identity-first
-    so idempotent witnesses come out when they exist. Each constraint is
-    checked once, when the last of its variables in that order is
-    assigned. Entries not pinned down by any constraint default to the
-    minimum of the subset. A table of more than ``TS_TABLE_CAP`` entries
-    raises ``CapExceeded`` before anything is built.
+    loop on an explicit stack; singletons try their own element first, so
+    idempotent witnesses come out when they exist. A constraint is checked
+    once its last variable is assigned: a binary one through that
+    variable's mask of allowed values, built on first entry from a diagonal
+    mask and the rows ``fwd``/``bwd`` at its partners' values and kept for
+    backtracking; any other by tuple membership. Unconstrained entries
+    default to the subset's minimum. Tables of one (|B|, n) share keys;
+    over ``TS_TABLE_CAP`` entries raise ``CapExceeded`` before any is built.
     """
     if n < 1:
         raise ValueError("arity must be positive")
@@ -144,41 +154,67 @@ def has_ts_polymorphism(
         entries += count
         if entries > TS_TABLE_CAP:
             raise CapExceeded(f"TS table cap: over {TS_TABLE_CAP} subsets")
+    pair = m, min(m, n)
+    subsets = _SUBSET_KEYS.pop(pair, None) or tuple(_all_subsets(m, n))
+    _SUBSET_KEYS[pair] = subsets  # the most recently used pair comes last
+    while sum(map(len, _SUBSET_KEYS.values())) > TS_TABLE_CAP:
+        del _SUBSET_KEYS[next(iter(_SUBSET_KEYS))]
     if n == 1:
         # The identity is always a unary polymorphism.
-        return SubsetFunctionTable(1, {frozenset((x,)): x for x in range(m)})
+        return SubsetFunctionTable(1, dict(zip(subsets, range(m))))
 
-    constraints = []  # (signatures, tuple set) per relation
-    used = 0
+    relations, used = [], 0
     for name, _ in b.signature.symbols:
         tuples = b.relations[name]
-        sigs, used = column_signatures(tuples, m, n, budget, used)
-        constraints.append((sigs, tuples))
-
-    masks = set().union(*(sig for sigs, _ in constraints for sig in sigs))
-    members = {s: tuple(_values(s)) for s in masks}
-    variables = sorted(masks, key=lambda s: (len(members[s]), members[s]))
+        columns, used = column_signatures(tuples, m, n, budget, used)
+        relations.append((tuples, columns))
+    met = set().union(*(c for _, columns in relations for c in columns))
+    masks = list(map(_mask, subsets))
+    variables = [s for s in masks if s in met]
     position = {s: i for i, s in enumerate(variables)}.__getitem__
-    # checks[i]: the constraints whose last variable is variables[i].
-    checks = [[] for _ in variables]
-    for sigs, tuples in constraints:
-        for sig in sigs:
-            checks[max(map(position, sig))].append((sig, tuples))
-    identity_first = [[x] + [v for v in range(m) if v != x] for x in range(m)]
+    # Per variable: binary constraints as a diagonal mask and (row, partners)
+    diagonal = [(1 << m) - 1] * len(variables)
+    pairs, wide = [[] for _ in variables], [[] for _ in variables]
+    for tuples, columns in relations:
+        at = defaultdict(list)
+        if len(columns) == 2:
+            loops = _mask(a for a, c in tuples if a == c)
+            for a, c in zip(*map(map, repeat(position), columns)):
+                if a < c:
+                    at[c, 0].append(a)  # (value[a], x) in R: x in fwd[value[a]]
+                elif a > c:
+                    at[a, 1].append(c)
+                else:
+                    diagonal[a] &= loops
+            rows = _supports(tuples, m)
+            for (i, side), partners in at.items():
+                pairs[i].append((rows[side].__getitem__, partners))
+            continue
+        for sig in zip(*map(map, repeat(position), columns)):
+            at[max(sig)].append(sig)
+        for i, sigs in at.items():  # the others as (membership, columns)
+            wide[i].append((tuples.__contains__, list(zip(*sigs))))
+    own = [[x, *range(x), *range(x + 1, m)] for x in range(m)]
     candidates = [
-        identity_first[members[s][0]] if len(members[s]) == 1 else range(m)
-        for s in variables
+        range(m) if s & (s - 1) else own[s.bit_length() - 1] for s in variables
     ]
 
-    value = {}  # subset mask -> assigned element
-    image = value.__getitem__
+    value = [0] * len(variables)  # assigned element per variable
+    get = value.__getitem__
+    allowed = diagonal[:]
     tried = [0] * len(variables)  # candidates of variable i tried so far
     i = 0
     while 0 <= i < len(variables):
-        s = variables[i]
+        if not tried[i]:
+            allowed[i] = diagonal[i]
+            for row, partners in pairs[i]:
+                allowed[i] = reduce(and_, map(row, map(get, partners)), allowed[i])
         for k in range(tried[i], m):
-            value[s] = candidates[i][k]
-            if all(tuple(map(image, sig)) in ts for sig, ts in checks[i]):
+            value[i] = candidates[i][k]
+            if allowed[i] >> value[i] & 1 and all(
+                all(map(holds, zip(*map(map, repeat(get), idx))))
+                for holds, idx in wide[i]
+            ):
                 tried[i] = k + 1
                 i += 1
                 break
@@ -187,18 +223,18 @@ def has_ts_polymorphism(
             i -= 1
     if i < 0:
         return None
-
-    entries = {}
-    for s in _all_subsets(m, n):
-        entries[s] = value.get(_mask(s), min(s))
-    return SubsetFunctionTable(n, entries)
+    got = dict(zip(variables, value))
+    return SubsetFunctionTable(
+        n, {s: got[x] if x in got else min(s) for x, s in zip(masks, subsets)}
+    )
 
 
 def is_polymorphism(op, b: FiniteStructure) -> bool:
     """Check whether an operation table preserves every relation of ``b``.
 
-    Accepts a BinaryOpTable (checked over all pairs of relation tuples) or
-    a SubsetFunctionTable (the induced totally symmetric function checked
+    Accepts a BinaryOpTable (checked over all ordered pairs of relation
+    tuples, or unordered ones when the table is symmetric) or a
+    SubsetFunctionTable (the induced totally symmetric function checked
     at the table's declared arity, via column-set signatures).
     """
     if isinstance(op, BinaryOpTable):
@@ -207,9 +243,12 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
                 f"operation on {op.size} elements, structure has {b.size}"
             )
         table = op.table
+        symmetric = all(map(eq, table, zip(*table)))
         for name, _ in b.signature.symbols:
             tuples = b.relations[name]
-            for t1, t2 in product(tuples, repeat=2):
+            pairs = (combinations_with_replacement(tuples, 2) if symmetric
+                     else product(tuples, tuples))
+            for t1, t2 in pairs:
                 if tuple([table[x][y] for x, y in zip(t1, t2)]) not in tuples:
                     return False
         return True
@@ -224,10 +263,10 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
         by_mask = {_mask(s): v for s, v in op.entries.items()}
         for name, _ in b.signature.symbols:
             tuples = b.relations[name]
-            sigs, _ = column_signatures(
+            columns, _ = column_signatures(
                 tuples, b.size, op.arity, DEFAULT_CONSTRAINT_BUDGET, 0
             )
-            for sig in sigs:
+            for sig in zip(*columns):
                 if tuple(by_mask[s] for s in sig) not in tuples:
                     return False
         return True

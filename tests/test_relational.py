@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 from itertools import combinations, product
 
@@ -22,7 +23,7 @@ from ordcsp import (
     sample,
 )
 from ordcsp.formula import MAX_TABLE_WIDTH
-from ordcsp.polymorphism import TS_TABLE_CAP, SubsetFunctionTable
+from ordcsp.polymorphism import _SUBSET_KEYS, TS_TABLE_CAP, SubsetFunctionTable
 
 from conftest import (
     all_binary_structures,
@@ -66,6 +67,20 @@ def random_structure(rng, max_size=4):
             if rng.random() < density
         )
     return FiniteStructure(Signature(tuple(symbols)), m, relations)
+
+
+def ternary_structure(rng, unary):
+    """A ternary relation on four elements, as in ord3's lab samples, and
+    when ``unary`` a unary relation beside it."""
+    density = rng.random()
+    symbols, relations = [("T", 3)], {}
+    relations["T"] = frozenset(
+        t for t in product(range(4), repeat=3) if rng.random() < density
+    )
+    if unary:
+        symbols.append(("U", 1))
+        relations["U"] = frozenset((x,) for x in range(4) if rng.random() < 0.7)
+    return FiniteStructure(Signature(tuple(symbols)), 4, relations)
 
 
 def lab_sample(name):
@@ -389,6 +404,8 @@ def test_ts_matches_reference_search():
         (lab_sample("gamma2"), 2),
     ]
     cases += [(random_structure(rng), rng.randint(1, 5)) for _ in range(300)]
+    # Ternary relations on four elements, alone and beside a unary one.
+    cases += [(ternary_structure(rng, i % 2), 2 + i % 3 // 2) for i in range(60)]
     found = absent = 0
     for b, n in cases:
         table = has_ts_polymorphism(b, n)
@@ -442,6 +459,34 @@ def test_ts_tables_pinned(name, size, n):
     data = None if table is None else table.to_json_dict()
     text = json.dumps(data, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == TS_PINS[name, size, n]
+
+
+def test_ts_tables_share_keys():
+    # Tables of one (|B|, n) hold the same subset objects as keys.
+    gamma1, gamma2 = lab_sample("gamma1"), lab_sample("gamma2")
+    first, again = has_ts_polymorphism(gamma1, 2), has_ts_polymorphism(gamma1, 2)
+    other = has_ts_polymorphism(gamma2, 2)
+    assert len(first.entries) == len(other.entries) == 136
+    assert all(map(operator.is_, first.entries, again.entries))
+    assert all(map(operator.is_, first.entries, other.entries))
+    assert first.to_json_dict() == again.to_json_dict()
+    for table, name in ((first, "gamma1"), (other, "gamma2")):
+        text = json.dumps(table.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == TS_PINS[name, 2, 2]
+    # The shared keys stay within TS_TABLE_CAP over many sizes, the
+    # largest pair (99,681 keys) pushing the others out.
+    sweep = [(m, n) for m in range(1, 40) for n in (1, 2, 3)]
+    for m, n in sweep + [(m, m + 1) for m in range(1, 12)]:
+        has_ts_polymorphism(binary_structure(m, ()), n)
+        assert sum(map(len, _SUBSET_KEYS.values())) <= TS_TABLE_CAP
+    big = has_ts_polymorphism(binary_structure(446, ()), 2)
+    assert list(_SUBSET_KEYS) == [(446, 2)]
+    assert all(map(operator.is_, big.entries, _SUBSET_KEYS[446, 2]))
+    has_ts_polymorphism(binary_structure(5, ()), 3)
+    assert list(_SUBSET_KEYS) == [(446, 2), (5, 3)]
+    has_ts_polymorphism(binary_structure(84, ()), 3)
+    assert list(_SUBSET_KEYS) == [(5, 3), (84, 3)]
+    assert sum(map(len, _SUBSET_KEYS.values())) <= TS_TABLE_CAP
 
 
 def test_ts_gamma1_sample_at_arity_4():
@@ -569,6 +614,17 @@ def test_is_polymorphism_counterexample():
         3, tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
     )
     assert not is_polymorphism(min_fold_table(min3, 2), complete_graph(3))
+
+
+def test_is_polymorphism_checks_both_orders_of_a_pair():
+    # A non-commutative table sends (0, 1) into U and (1, 0) out of it, its
+    # transpose the other way round: each fails on one order of one pair.
+    b = FiniteStructure(Signature((("U", 1),)), 3, {"U": {(0,), (1,)}})
+    table = ((0, 0, 0), (2, 1, 1), (2, 2, 2))
+    for rows in (table, tuple(zip(*table))):
+        assert not is_polymorphism(BinaryOpTable(3, rows), b)
+    fixed = ((0, 0, 0), (0, 1, 1), (2, 2, 2))
+    assert is_polymorphism(BinaryOpTable(3, fixed), b)
 
 
 def test_is_polymorphism_mismatch():
