@@ -125,7 +125,7 @@ def _all_subsets(m: int, n: int):
 # Keys of TS tables by (|B|, min(|B|, n)), in _all_subsets order, so that
 # tables of one pair share them. At most TS_TABLE_CAP keys in all, least
 # recently used pair dropped first: at that bound 22-26 MB of subsets of up
-# to four members, 73 MB of larger ones (CPython 3.11, 216/728-byte sets).
+# to four members, 72 MB of larger ones (CPython 3.11, 216/728-byte sets).
 _SUBSET_KEYS: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
 
 
