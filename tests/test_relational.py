@@ -87,6 +87,23 @@ def lab_sample(name):
     return sample(preset(name), 2).structure
 
 
+def ternary_min_structure(rng, m, binary, closed):
+    """A ternary relation on ``m`` elements, and when ``binary`` a binary
+    relation beside it; when ``closed``, each is closed under coordinatewise
+    min, so that min is a semilattice polymorphism."""
+    symbols, relations = [("T", 3), ("E", 2)][: 1 + binary], {}
+    for name, arity in symbols:
+        density = rng.random()
+        tuples = {t for t in product(range(m), repeat=arity) if rng.random() < density}
+        while closed:
+            extra = {tuple(map(min, t1, t2)) for t1 in tuples for t2 in tuples}
+            if extra <= tuples:
+                break
+            tuples |= extra
+        relations[name] = frozenset(tuples)
+    return FiniteStructure(Signature(tuple(symbols)), m, relations)
+
+
 # ---------------------------------------------------------------------------
 # hom_exists
 
@@ -570,6 +587,20 @@ def test_semilattice_matches_reference_order():
         found += op is not None
     assert found >= 100
     assert find_semilattice(complete_graph(5)) is None
+    # Ternary relations: ord3's lab samples, then seeded ones on 3 and 4
+    # elements, alone and beside a binary relation, half of them closed
+    # under min so that tables are found.
+    ternary = [sample(preset("ord3"), k).structure for k in (2, 3, 4)]
+    ternary += [
+        ternary_min_structure(rng, 3 + i % 2, i // 2 % 2, i // 4 % 2)
+        for i in range(40)
+    ]
+    found = 0
+    for b in ternary:
+        op = find_semilattice(b)
+        assert op == reference_semilattice(b)
+        found += op is not None
+    assert 10 <= found <= 33  # 26 of 43
 
 
 def test_semilattice_matches_enumeration_at_5_and_6():
