@@ -26,13 +26,14 @@ enumerated by levelwise extension from the empty configuration, keeping
 one configuration per class. A kept configuration has the values 0..V-1
 and grows at each placement of a new point: each joint order type of
 its d coordinates and those values, which ``_placements`` lists once,
-for each V once per call. The domain and equality formulas read only
-order types, so they are tested on a placement's grid point; the grown
-configuration moves each old value to its new rank and inserts the new
-point. Of the grown configurations, in sorted order, one with the raw
-structure (pair codes in its own point order, the other relations'
-tables) of an earlier one is in its class and is not canonicalized.
-A grown structure is never built as relation tables: one
+for each V once per call. The grown configuration moves each old value
+to its new rank and inserts the new point. The domain and equality
+formulas read only order types, so they are tested on these ranks: the
+domain formula on the new point, the equality formula on each old point
+followed by it. Of the grown configurations, in sorted order, one with
+the raw structure (pair codes in its own point order, the other
+relations' tables) of an earlier one is in its class and is not
+canonicalized. A grown structure is never built as relation tables: one
 generated builder per template's binary formulas, cached on the first of
 them (``formula.compile_pair_codes``), gives each ordered pair of points
 one int code with a bit per binary relation, and only relations of other
@@ -400,15 +401,14 @@ class OrbitReport:
 
 def _placements(v: int, d: int):
     """Each joint order type of a new point's d coordinates and the values
-    0..v-1 once, as (the point on the grid that puts value x at
-    d + x * (d + 1), the new rank of each value, the point's new ranks).
+    0..v-1 once, as (the new rank of each value, the point's new ranks).
 
     The coordinates take a weak order, whose b blocks go in ascending
     order to slots: slot 2g is the gap below value g (or above them all,
     for g = v) and slot 2x + 1 is value x. Blocks may share a gap but not
-    a value; the blocks in gap g take its grid slots g * (d + 1) onwards.
+    a value, so the grid that puts value x at d + x * (d + 1) realises
+    each placement.
     """
-    step = d + 1
     out = []
     for blocks in product(range(d), repeat=d):
         b = max(blocks) + 1
@@ -419,15 +419,13 @@ def _placements(v: int, d: int):
                 continue
             # A block ranks above the values below its slot and the blocks
             # before it that lie in gaps.
-            grid, rank, gaps = [], [], 0
-            for i, s in enumerate(slots):
-                grid.append(s // 2 * step + (d if s % 2 else i - slots.index(s)))
+            rank, gaps = [], 0
+            for s in slots:
                 rank.append(s // 2 + gaps)
                 gaps += 1 - s % 2
             # Value x moves up by the blocks in gaps 0..x.
             old = [x + sum(s <= 2 * x and s % 2 == 0 for s in slots) for x in range(v)]
-            point = tuple(grid[k] for k in blocks)
-            out.append((point, old, tuple(rank[k] for k in blocks)))
+            out.append((old, tuple(rank[k] for k in blocks)))
     return out
 
 
@@ -440,12 +438,13 @@ def orbit_count(
     the module docstring for why this matches subset enumeration on the
     homogeneous built-ins and is a lower bound otherwise. Raises
     ``CapExceeded`` past ``MAX_ORBIT_N``, and when the d^d first-level
-    patterns, the points of a configuration's grid, a table's n^arity
-    candidate tuples or the configurations grown exceed ``budget``; no
-    giant power is computed for the comparison. Once these caps that
-    enumerate nothing have passed, an interpretation's equality formula is
-    checked as ``sample`` checks it, so candidates are compared with a
-    symmetric one.
+    patterns, a table's n^arity candidate tuples, the configurations grown
+    or the (d + V(d + 1))^d points of the grid that realises the
+    placements for V values exceed ``budget``; that grid bounds the
+    placements, and is checked once per V. No giant power is computed for
+    the comparison. Once the caps that enumerate nothing have passed, an
+    interpretation's equality formula is checked as ``sample`` checks it,
+    so candidates are compared with a symmetric one.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -479,22 +478,20 @@ def orbit_count(
     for _level in range(n):
         candidates = set()
         for config in reps.values():
-            # A kept configuration is rank-normalised, with values 0..V-1;
-            # its placements lie on the grid that spreads them d + 1 apart.
+            # A kept configuration is rank-normalised, with values 0..V-1.
             v = max(map(max, config), default=-1) + 1
-            fine = d + v * (d + 1)
-            if _power_exceeds(fine, d, budget):
-                raise CapExceeded(
-                    f"orbit counting budget: {fine}^{d} points > {budget}"
-                )
             if v not in placements:
-                placements[v] = [pl for pl in _placements(v, d) if dom(pl[0])]
-            gapped = [tuple(d + x * (d + 1) for x in p) for p in config]
-            for w, old, new in placements[v]:
-                if any(eqf(p + w) for p in gapped):
-                    continue
+                fine = d + v * (d + 1)  # the grid that realises them all
+                if _power_exceeds(fine, d, budget):
+                    raise CapExceeded(
+                        f"orbit counting budget: {fine}^{d} points > {budget}"
+                    )
+                placements[v] = [pl for pl in _placements(v, d) if dom(pl[1])]
+            for old, new in placements[v]:
                 # The remap is increasing, so the remapped list stays sorted.
-                grown = [tuple([old[x] for x in p]) for p in config]
+                grown = [tuple(map(old.__getitem__, p)) for p in config]
+                if any(eqf(p + new) for p in grown):
+                    continue
                 insort(grown, new)
                 candidates.add(tuple(grown))
         work += len(candidates)

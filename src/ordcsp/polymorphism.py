@@ -27,7 +27,8 @@ the last cell its image reads and checked when that cell is written
 efficiency for constraint satisfaction problems", 1980). Associativity
 is checked on the triples through the written cell, and a cell takes
 only the values that every relation column holding both its points
-allows.
+allows. A pair (t, t) maps to t on the pinned diagonal, so the first full
+table is returned as it stands.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product, repeat
-from operator import and_, eq
+from itertools import combinations, product, repeat
+from operator import and_
 
 from .errors import CapExceeded
 from .solver import _supports
@@ -233,9 +234,9 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
     """Check whether an operation table preserves every relation of ``b``.
 
     Accepts a BinaryOpTable (checked over all ordered pairs of relation
-    tuples, or unordered ones when the table is symmetric) or a
-    SubsetFunctionTable (the induced totally symmetric function checked
-    at the table's declared arity, via column-set signatures).
+    tuples) or a SubsetFunctionTable (the induced totally symmetric
+    function checked at the table's declared arity, via column-set
+    signatures).
     """
     if isinstance(op, BinaryOpTable):
         if op.size != b.size:
@@ -243,12 +244,9 @@ def is_polymorphism(op, b: FiniteStructure) -> bool:
                 f"operation on {op.size} elements, structure has {b.size}"
             )
         table = op.table
-        symmetric = all(map(eq, table, zip(*table)))
         for name, _ in b.signature.symbols:
             tuples = b.relations[name]
-            pairs = (combinations_with_replacement(tuples, 2) if symmetric
-                     else product(tuples, tuples))
-            for t1, t2 in pairs:
+            for t1, t2 in product(tuples, repeat=2):
                 if tuple([table[x][y] for x, y in zip(t1, t2)]) not in tuples:
                     return False
         return True
@@ -317,10 +315,11 @@ def find_semilattice(b: FiniteStructure):
     so is every unordered pair of distinct tuples of a relation whose
     image reads that cell last in that order: the image, ``t[a][c]`` at
     each position, must be in the relation. The table is symmetric and
-    idempotent, so these pairs cover all of them. Each cell takes only
-    the values that every relation column holding both its points allows,
-    as some image reads it there. The result is the first such table in
-    that order as a BinaryOpTable, or None. More than
+    idempotent, so these pairs cover all of them, and a full table is a
+    polymorphism with no further check. Each cell takes only the values
+    that every relation column holding both its points allows, as some
+    image reads it there. The result is the first such table in that
+    order as a BinaryOpTable, or None. More than
     ``DEFAULT_CONSTRAINT_BUDGET`` pairs, counted before any is filed,
     raise ``CapExceeded``.
     """
@@ -361,13 +360,7 @@ def find_semilattice(b: FiniteStructure):
     t = [[x if x == y else None for y in range(m)] for x in range(m)]
     tried = [0] * len(cells)  # values of cell i tried so far
     i = 0
-    while i >= 0:
-        if i == len(cells):
-            op = BinaryOpTable(m, tuple(map(tuple, t)))
-            if is_polymorphism(op, b):
-                return op
-            i -= 1
-            continue
+    while 0 <= i < len(cells):
         x, y = cells[i]
         for k in range(tried[i], len(values[i])):
             t[x][y] = t[y][x] = values[i][k]
@@ -382,4 +375,6 @@ def find_semilattice(b: FiniteStructure):
             t[x][y] = t[y][x] = None
             tried[i] = 0
             i -= 1
-    return None
+    if i < 0:
+        return None
+    return BinaryOpTable(m, tuple(map(tuple, t)))

@@ -33,6 +33,7 @@ from ordcsp.formula import (
     Not,
     Or,
     _CHUNK_DEPTH,
+    _Connective,
     compile_formula,
     compile_pair_codes,
     compile_rows,
@@ -237,6 +238,9 @@ def test_nodes_and_printer_reject_bad_input():
         Not(3)
     with pytest.raises(TypeError, match="not a formula: None"):
         Or((lt(0, 1), None))
+    # A node of none of the five kinds has no source to compile to.
+    with pytest.raises(TypeError, match=r"not a formula: _Connective\(children"):
+        compile_formula(_Connective((TRUE,)))
 
 
 def test_atoms_match_reference():
