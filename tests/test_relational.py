@@ -244,6 +244,51 @@ def test_hom_long_path_into_two_cycle():
     assert mapping == {v: i % 2 for i, v in enumerate(names)}
 
 
+def test_hom_mappings_pinned():
+    # Which mapping comes back, and in which key order, not only that a
+    # valid one does: a digest of every result's items (or None), as
+    # ``digest_histories`` pins ``ac_roundrobin``'s sweeps. Instances with
+    # repeated variables on binary relations (support bitsets, one and
+    # several int digits wide) and on ternary and unary ones (tables);
+    # structures as sources; power structures; complete graphs both ways.
+    rng = random.Random(7)
+    pairs = []
+    for b in [random_binary_structure(rng, 6, min_size=0) for _ in range(200)]:
+        pairs.append((random_instance(rng, [("E", 2)], max_vars=6), b))
+    for b in wide_binary_structures(rng) * 5:
+        pairs.append((random_instance(rng, [("E", 2)], max_vars=5), b))
+    for i in range(300):
+        b = random_structure(rng) if i % 3 else ternary_structure(rng, i % 2)
+        symbols = list(b.signature.symbols)
+        pairs.append((random_instance(rng, symbols, max_vars=6), b))
+    for i in range(120):
+        b = random_binary_structure(rng, 5) if i % 2 else ternary_structure(rng, 1)
+        a = random_binary_structure(rng, 5) if i % 2 else ternary_structure(rng, 1)
+        pairs.append((a, b))
+    for b in [random_binary_structure(rng, 3) for _ in range(40)]:
+        pairs.append((power_structure(b), b))
+    for name, n in product(("qlt", "ord3"), (3, 4)):
+        b = sample(preset(name), n).structure
+        pairs.append((power_structure(b), b))
+    for m in range(2, 7):
+        pairs.append((complete_graph(m + 1), complete_graph(m)))
+        pairs.append((complete_graph(m), complete_graph(m + 1)))
+    results = [hom_exists(a, b) for a, b in pairs]
+    repeats = sum(
+        len(set(args)) < len(args)
+        for a, _ in pairs
+        if isinstance(a, Instance)
+        for _, args in a.constraints
+    )
+    found = sum(r is not None for r in results)
+    assert (len(pairs), found) == (694, 501)
+    assert repeats >= 100, repeats
+    text = repr([None if r is None else list(r.items()) for r in results])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "732e4538aed322b46da1e848e923406d6835fbc3b457c1b236f1384548a91798"
+    )
+
+
 # ---------------------------------------------------------------------------
 # power_structure
 
