@@ -38,7 +38,6 @@ from .formula import (
     parse_formula,
     print_formula,
 )
-from .hom import hom_exists
 from .lab import (
     check_aclwalk_lemma,
     check_set_hom_equiv,
@@ -60,6 +59,7 @@ from .solver import (
     ac,
     ac_roundrobin,
     extract_witness,
+    hom_exists,
     solve,
     verify_assignment,
 )

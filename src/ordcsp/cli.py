@@ -30,7 +30,6 @@ import sys
 from dataclasses import asdict
 
 from .errors import CapExceeded, SchemaError, VerificationFailed
-from .hom import hom_exists
 from .lab import (
     DEFAULT_ORBIT_BUDGET,
     check_aclwalk_lemma,
@@ -45,7 +44,7 @@ from .polymorphism import (
 )
 from .powerset import power_structure
 from .sampler import sample
-from .solver import ac, solve
+from .solver import ac, hom_exists, solve
 from .structures import FiniteStructure, Instance
 from .template import Template, preset
 

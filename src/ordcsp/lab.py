@@ -54,7 +54,6 @@ from operator import attrgetter
 
 from .errors import CapExceeded
 from .formula import compile_formula, compile_pair_codes, compile_table
-from .hom import hom_exists
 from .polymorphism import (
     BinaryOpTable,
     find_semilattice,
@@ -62,6 +61,7 @@ from .polymorphism import (
 )
 from .powerset import power_structure
 from .sampler import _check_equality, _power_exceeds
+from .solver import hom_exists
 from .structures import FiniteStructure
 from .template import INTERPRETATION, PRESETS, Template
 

@@ -1,4 +1,4 @@
-"""Arc-consistency propagation and the sampling solver.
+"""Arc-consistency propagation, the sampling solver and homomorphism search.
 
 ``ac`` shrinks a per-variable candidate set (the domain map) to the
 greatest fixpoint of the projection rule
@@ -12,7 +12,7 @@ does not force equal values across coordinates, which is exactly what
 makes the procedure incomplete in general.
 
 ``propagate`` reaches that fixpoint on ``network``, the whole search
-state; ``ac``, ``solve`` and ``hom.hom_exists`` share both, and the
+state; ``ac``, ``solve`` and ``hom_exists`` share both, and the
 first fixpoint of each is ``_fixpoint``'s. ``network`` asks a relation
 source for each relation it needs, and the source picks support
 bitsets or a table: ``structure_source`` reads a ``FiniteStructure``'s
@@ -54,6 +54,16 @@ declaration order until nothing changes. Both run to the fixpoint even
 once a set is empty, and the fixpoint is unique, so they return
 identical domain maps.
 
+``hom_exists`` searches for a homomorphism, and is complete: an absent
+result is authoritative. It holds each repeated variable to one value
+(``R(x, x)`` revises on the diagonal rows ``fwd[a] & (1 << a)``; a table
+keeps the tuples equal on its positions), then gives the variable with
+the fewest candidates (ties by declaration order) each candidate
+ascending, as the mask ``1 << value``, and propagates. A failed choice
+is undone from the trail of ``(store, key, old)`` entries over an
+explicit stack, so no node copies the domains and no recursion limit
+bounds the search's depth.
+
 ``solve`` ties the pieces together: one ``sampler.template_source``
 call, the builder ``sample`` reads too, lists the sample's
 representatives at the instance's variable count and gives the relations
@@ -73,7 +83,7 @@ from functools import reduce
 from itertools import compress
 from operator import and_, eq, itemgetter, or_
 
-from .errors import CapExceeded, VerificationFailed
+from .errors import CapExceeded, SignatureMismatch, VerificationFailed
 from .formula import compile_formula
 from .sampler import template_source
 from .structures import FiniteStructure, Instance, _flags, _mask, _values
@@ -193,10 +203,10 @@ def propagate(net, queue, trail):
     locals) from the constraints in ``queue``, a deque, to the fixpoint by
     the module docstring's two rules. Each narrowed mask and shrunk live
     list pushes ``(store, key, old)`` onto ``trail``; ``store[key] = old``
-    undoes it (``hom`` on backtracking), and an unshrunk list is an equal
-    copy. Returns True at the fixpoint, and False as soon as a revision
-    leaves its constraint no support, which empties its variables' masks;
-    the constraints still queued then stay in ``queue``."""
+    undoes it (``hom_exists`` on backtracking), and an unshrunk list is an
+    equal copy. Returns True at the fixpoint, and False as soon as a
+    revision leaves its constraint no support, which empties its
+    variables' masks; the constraints still queued then stay in ``queue``."""
     h, args_of, live, by_var, sets = net
     queued = set(queue)
     while queue:
@@ -263,6 +273,74 @@ def _fixpoint(net, resume=True):
         if not (propagate(net, queue, deque(maxlen=0)) or resume):
             break
     return all(net[0].values())
+
+
+def _constraint_view(a, b: FiniteStructure):
+    """``a``'s variables, a ``range`` for a structure, and constraints."""
+    if isinstance(a, FiniteStructure):
+        for name, arity in a.signature.symbols:
+            if b.signature.arity(name) != arity:
+                raise SignatureMismatch(
+                    f"relation {name!r}: arity {arity} vs "
+                    f"{b.signature.arity(name)} in target"
+                )
+        tuples = [(name, t) for name, ts in a.relations.items() for t in sorted(ts)]
+        return range(a.size), tuples
+    if isinstance(a, Instance):
+        a.check_against(b.signature)
+        return a.variables, a.constraints
+    raise TypeError(f"expected Instance or FiniteStructure, got {type(a)!r}")
+
+
+def hom_exists(a, b: FiniteStructure):
+    """Search for a homomorphism from ``a`` into ``b``.
+
+    ``a`` may be an Instance or a FiniteStructure (its elements then act
+    as variables). Returns a mapping dict on success, None when no
+    homomorphism exists.
+    """
+    net = network(*_constraint_view(a, b), *structure_source(b))
+    h, args_of, live, by_var, _ = net
+    # A repeated variable takes one value: on the diagonal rows, flagged
+    # as no chain, or on the tuples equal on its positions, each position
+    # projects to the same set.
+    for ci, args in enumerate(args_of):
+        repeats = [(p, q) for p, v in enumerate(args) if (q := args.index(v)) != p]
+        if repeats and type(live[ci]) is tuple:
+            diagonal = [f & 1 << a for a, f in enumerate(live[ci][0])]
+            live[ci] = diagonal, diagonal, 0, 0
+        elif repeats:
+            live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
+    if not _fixpoint(net, False):
+        return None
+    order_index = {v: i for i, v in enumerate(h)}
+    trail = []  # (store, key, old value) per narrowing, newest last
+    # One frame per assigned variable: (variable, the mask of its
+    # candidates not yet tried, trail length before the first try). Its
+    # value is its own mask, the lowest bit taken from the untried ones.
+    stack = []
+    unassigned = set(h)
+    while unassigned:
+        var = min(unassigned, key=lambda v: (h[v].bit_count(), order_index[v]))
+        unassigned.remove(var)
+        stack.append((var, h[var], len(trail)))
+        while stack:
+            var, untried, mark = stack.pop()
+            while len(trail) > mark:
+                store, key, old = trail.pop()
+                store[key] = old
+            if not untried:
+                unassigned.add(var)
+                continue
+            low = untried & -untried
+            stack.append((var, untried ^ low, mark))
+            trail.append((h, var, h[var]))
+            h[var] = low
+            if propagate(net, deque(by_var[var]), trail):
+                break
+        else:
+            return None
+    return {var: h[var].bit_length() - 1 for var, _, _ in stack}
 
 
 def ac_roundrobin(instance: Instance, b: FiniteStructure, history=None):
