@@ -488,12 +488,15 @@ def orbit_count(
                     )
                 placements[v] = [pl for pl in _placements(v, d) if dom(pl[1])]
             for old, new in placements[v]:
-                # The remap is increasing, so the remapped list stays sorted.
-                grown = [tuple(map(old.__getitem__, p)) for p in config]
-                if any(eqf(p + new) for p in grown):
-                    continue
-                insort(grown, new)
-                candidates.add(tuple(grown))
+                # An increasing remap keeps it sorted; stop at a point equal to new.
+                grown = []
+                for q in (tuple(map(old.__getitem__, p)) for p in config):
+                    if eqf(q + new):
+                        break
+                    grown.append(q)
+                else:
+                    insort(grown, new)
+                    candidates.add(tuple(grown))
         work += len(candidates)
         if work > budget:
             raise CapExceeded(

@@ -12,13 +12,11 @@ Two searches live here:
 The n-th power of a relation with r tuples has r^n tuples, so the TS
 constraint set is generated up to column sets: an n-tuple of relation
 tuples only constrains the table through the k-tuple of value sets seen
-in each column. Those signatures are enumerated by breadth-first
-extension, one added tuple at a time (about as many steps as distinct
-signatures, not r^n), each packed into one int while it grows. The TS
-search assigns the subsets met as columns in a loop over an explicit
-stack and checks each constraint when its last subset is assigned: a
-binary one on masks of allowed values ANDed from support rows, as in
-``solver``, any other by tuple membership.
+in each column, one int formed once per set of at most n distinct tuples
+by a subset-sum. The TS search assigns the subsets met as columns in a
+loop over an explicit stack and checks each constraint when its last
+subset is assigned: a binary one on masks of allowed values ANDed from
+support rows, as in ``solver``, any other by tuple membership.
 
 The semilattice search fills a symmetric table cell by cell the same
 way. Each unordered pair of distinct tuples of a relation is filed under
@@ -37,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product, repeat
-from operator import and_
+from operator import and_, or_
 
 from .errors import CapExceeded
 from .solver import _supports
@@ -88,33 +86,32 @@ class SubsetFunctionTable:
 def column_signatures(tuples, m: int, n: int, budget: int, used: int):
     """All k-tuples of column value sets realizable by picking <= n tuples.
 
-    While it grows, a signature is one int: column i's value set takes
-    bits [i*m, (i+1)*m), so extending it by a tuple is a single ``|``.
-    Returns (columns, updated_used_count), signature j decoded once to the
-    j-th bitmask of each of the k column lists; raises CapExceeded if the
-    running signature count passes the budget.
+    A signature is one int, column i's value set at bits [i*m, (i+1)*m).
+    ``layers[j]`` holds the unions of j + 1 distinct tuples taken so far;
+    each tuple, in ascending packed order (early unions hold few bits), is
+    ORed into every lower layer, top first, so each set is formed once.
+    Returns (k lazy iterators of column value masks or [], used plus their
+    number); raises CapExceeded once one layer, or all, pass the budget.
     """
     if not tuples:
         return [], used
-    packed = {sum(1 << (i * m + x) for i, x in enumerate(t)) for t in tuples}
-    signatures = set(packed)
-    frontier = packed
+    k = len(next(iter(tuples)))
+    packed = sorted(sum(1 << (i * m + x) for i, x in enumerate(t)) for t in tuples)
+    # A least cover takes <= bits - k + 1 tuples: each after the first adds a bit.
+    layers = [set() for _ in range(min(n, reduce(or_, packed).bit_count() - k + 1))]
+    for p in packed:
+        for j in range(len(layers) - 1, 0, -1):
+            layers[j].update(map(p.__or__, layers[j - 1]))
+            if used + len(layers[j]) > budget:
+                raise CapExceeded(f"TS constraint budget {budget} exceeded")
+        layers[0].add(p)
+    signatures = reduce(set.__ior__, reversed(layers))  # into the top layer
     used += len(signatures)
     if used > budget:
         raise CapExceeded(f"TS constraint budget {budget} exceeded")
-    for _ in range(n - 1):
-        grown = set()
-        for sig in frontier:
-            grown.update(map(sig.__or__, packed))
-        frontier = grown - signatures
-        signatures |= frontier
-        used += len(frontier)
-        if used > budget:
-            raise CapExceeded(f"TS constraint budget {budget} exceeded")
-        if not frontier:
-            break
-    full, shifts = (1 << m) - 1, range(0, m * len(next(iter(tuples))), m)
-    return [[sig >> i & full for sig in signatures] for i in shifts], used
+    shifted = [map(i.__rrshift__, signatures) for i in range(m, k * m, m)]
+    masked = [map(((1 << m) - 1).__and__, c) for c in [signatures, *shifted[:-1]]]
+    return masked + shifted[-1:], used  # the last column needs no mask
 
 
 def _all_subsets(m: int, n: int):
@@ -169,9 +166,10 @@ def has_ts_polymorphism(
         tuples = b.relations[name]
         columns, used = column_signatures(tuples, m, n, budget, used)
         relations.append((tuples, columns))
-    met = set().union(*(c for _, columns in relations for c in columns))
+    # A key (size <= n) is met as a column iff it lies in a relation column.
+    spans = {_mask(set(c)) for tuples, _ in relations for c in zip(*tuples)}
     masks = list(map(_mask, subsets))
-    variables = [s for s in masks if s in met]
+    variables = [s for s in masks if any(s & c == s for c in spans)]
     position = {s: i for i, s in enumerate(variables)}.__getitem__
     # Per variable: binary constraints as a diagonal mask and (row, partners)
     diagonal = [(1 << m) - 1] * len(variables)

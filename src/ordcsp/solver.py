@@ -303,14 +303,18 @@ def hom_exists(a, b: FiniteStructure):
     h, args_of, live, by_var, _ = net
     # A repeated variable takes one value: on the diagonal rows, flagged
     # as no chain, or on the tuples equal on its positions, each position
-    # projects to the same set.
+    # projects to the same set; one list per relation and repeat pattern.
+    kept = {}
     for ci, args in enumerate(args_of):
         repeats = [(p, q) for p, v in enumerate(args) if (q := args.index(v)) != p]
         if repeats and type(live[ci]) is tuple:
             diagonal = [f & 1 << a for a, f in enumerate(live[ci][0])]
             live[ci] = diagonal, diagonal, 0, 0
         elif repeats:
-            live[ci] = [t for t in live[ci] if all(t[p] == t[q] for p, q in repeats)]
+            rel, key = live[ci], tuple(repeats)
+            if (rel, key) not in kept:
+                kept[rel, key] = [t for t in rel if all(t[p] == t[q] for p, q in key)]
+            live[ci] = kept[rel, key]
     if not _fixpoint(net, False):
         return None
     order_index = {v: i for i, v in enumerate(h)}

@@ -2,9 +2,14 @@
 
 import hashlib
 import operator
+import os
+import resource
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, product
 
+import ordcsp
 from ordcsp import FiniteStructure, Instance, Signature
 from ordcsp.lab import Walk, _canonical_all_perms
 from ordcsp.polymorphism import (
@@ -12,6 +17,31 @@ from ordcsp.polymorphism import (
     SubsetFunctionTable,
     is_polymorphism,
 )
+
+
+# The address space a CLI run may use: every cap should make a command
+# answer or refuse (exit 0-3) within it, never exit 4 on MemoryError.
+MEMORY_CEILING = 1 << 30
+
+
+def run_under_ceiling(*argv):
+    """Run ``python -m ordcsp.cli *argv`` in a child process whose address
+    space is limited to ``MEMORY_CEILING`` bytes. The limit is set by
+    ``resource.setrlimit(RLIMIT_AS, ...)`` in ``preexec_fn``, so it binds
+    the child only. Returns the ``CompletedProcess``, output as text."""
+    src = os.path.dirname(os.path.dirname(ordcsp.__file__))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CEILING, MEMORY_CEILING))
+
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "ordcsp.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def is_idempotent(op):

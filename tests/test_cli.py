@@ -12,7 +12,7 @@ from ordcsp.cli import build_parser, run_cli
 from ordcsp.lab import DEFAULT_ORBIT_BUDGET
 from ordcsp.polymorphism import DEFAULT_CONSTRAINT_BUDGET
 
-from conftest import complete_graph
+from conftest import complete_graph, run_under_ceiling
 
 
 def run(capsys, *argv):
@@ -265,6 +265,24 @@ def test_check_ts_gamma1_sample_at_arity_4(tmp_path, capsys):
     capsys.readouterr()
     code, data = run(capsys, "check-ts", "--structure", str(b), "--arity", "4")
     assert code == 0 and data["found"] is True
+
+
+def test_check_ts_refuses_on_budget_under_memory_ceiling(tmp_path, capsys):
+    # gamma2 sampled at n=3 has 36 elements, R 90 tuples and S 540: its
+    # arity-3 signatures pass the default budget, which must be found
+    # before they fill the address space.
+    t = tmp_path / "gamma2.json"
+    b = tmp_path / "b.json"
+    assert run_cli(["preset", "--name", "gamma2", "--out", str(t)]) == 0
+    assert run_cli(
+        ["sample", "--template", str(t), "--size", "3", "--out", str(b)]
+    ) == 0
+    capsys.readouterr()
+    done = run_under_ceiling("check-ts", "--structure", str(b), "--arity", "3")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        f"error: TS constraint budget {DEFAULT_CONSTRAINT_BUDGET} exceeded\n"
+    )
 
 
 def test_check_equiv(tmp_path, capsys):

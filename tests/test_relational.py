@@ -2,6 +2,7 @@ import hashlib
 import json
 import operator
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -23,7 +24,13 @@ from ordcsp import (
     sample,
 )
 from ordcsp.formula import MAX_TABLE_WIDTH
-from ordcsp.polymorphism import _SUBSET_KEYS, TS_TABLE_CAP, SubsetFunctionTable
+from ordcsp.polymorphism import (
+    _SUBSET_KEYS,
+    TS_TABLE_CAP,
+    SubsetFunctionTable,
+    column_signatures,
+)
+from ordcsp.structures import _mask
 
 from conftest import (
     all_binary_structures,
@@ -492,6 +499,45 @@ def test_ts_budget_is_signature_count(which):
     has_ts_polymorphism(b, n, budget=count)
     with pytest.raises(CapExceeded):
         has_ts_polymorphism(b, n, budget=count - 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_signatures_match_reference(seed):
+    # Seeded relations of arity 1-3 on 1-4 elements (up to 7 tuples, so
+    # some n exceed |R|); the decoded signatures are the reference's, each
+    # once, and the running count grows by their number.
+    rng = random.Random(seed)
+    for k in (1, 2, 3):
+        m = rng.randint(1, 4)
+        cells = list(product(range(m), repeat=k))
+        tuples = frozenset(rng.sample(cells, rng.randint(1, min(7, len(cells)))))
+        for n in range(1, 6):
+            want = {tuple(map(_mask, s)) for s in reference_signatures(tuples, n)}
+            columns, used = column_signatures(tuples, m, n, 10**6, 5)
+            got = list(zip(*columns))
+            assert len(columns) == k and len(got) == len(set(got))
+            assert set(got) == want and used == 5 + len(want)
+            _, again = column_signatures(tuples, m, n, 10**6, used)
+            assert again == used + len(want)
+            column_signatures(tuples, m, n, used, 5)
+            with pytest.raises(CapExceeded, match="TS constraint budget"):
+                column_signatures(tuples, m, n, used - 1, 5)
+    assert column_signatures(frozenset(), 3, 2, 10, 4) == ([], 4)
+
+
+def test_column_signatures_refuse_as_a_layer_passes_the_budget():
+    # All 144 pairs on 12 elements have 88,804 signatures at n = 3. A
+    # budget of 1,000 must stop the layers near that size (under 0.1 MB
+    # traced), not once all of them are built (9.5 MB).
+    tuples = frozenset(product(range(12), repeat=2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="TS constraint budget 1000 exceeded"):
+            column_signatures(tuples, 12, 3, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 TS_PINS = {
